@@ -9,46 +9,23 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 from fractions import Fraction
 
-from . import bridge, counting
+from . import bridge, counting, verify
 from .continuous import (
-    BadAnchorRangeError,
     BreakpointRep,
     Breakpoints,
     BreakSummand,
     FamilyChoice,
     InvalidRepError,
     Side,
-    all_break_summands,
     enumerate_maximal_rigid_reps,
     is_uniform,
     validate_rep,
 )
-from .finite import (
-    LinearQuiver,
-    ResourceLimitError,
-    all_intervals,
-    enumerate_maximal_rigid,
-    ext_dim,
-    ext_dim_resolution,
-    euler_form,
-    hom_dim,
-    hom_dim_bruteforce,
-    is_maximal_rigid_set,
-    is_tilting,
-)
-from .intervals import (
-    CLOSED,
-    OPEN,
-    BoundaryKind,
-    Interval,
-    InvalidIntervalError,
-    Point,
-    compatible,
-)
+from .finite import LinearQuiver, ResourceLimitError, enumerate_maximal_rigid
+from .intervals import CLOSED, OPEN, BoundaryKind, InvalidIntervalError
 
 _KINDS = {"closed": CLOSED, "open": OPEN}
 
@@ -129,13 +106,20 @@ def _kind(value, where: str) -> BoundaryKind:
     return _KINDS[value]
 
 
+def _int(value) -> int:
+    """A JSON integer; floats, strings and booleans raise TypeError."""
+    if type(value) is not int:
+        raise TypeError(f"not an integer: {value!r}")
+    return value
+
+
 def rep_from_dict(data: dict) -> BreakpointRep:
     if not isinstance(data, dict):
         raise InvalidRepError("TopLevelNotAnObject")
     _expect_keys(data, {"n", "alpha", "t_part", "families"}, "top level")
     try:
-        n = int(data["n"])
-    except (KeyError, TypeError, ValueError):
+        n = _int(data["n"])
+    except (KeyError, TypeError):
         raise InvalidRepError("MissingOrBadField(n)") from None
     if "alpha" in data and data["alpha"] is not None:
         if not isinstance(data["alpha"], list):
@@ -157,9 +141,9 @@ def rep_from_dict(data: dict) -> BreakpointRep:
         try:
             summands.append(
                 BreakSummand(
-                    int(entry["lo"]),
+                    _int(entry["lo"]),
                     _kind(entry["lo_kind"], "t_part entry"),
-                    int(entry["hi"]),
+                    _int(entry["hi"]),
                     _kind(entry["hi_kind"], "t_part entry"),
                 )
             )
@@ -178,9 +162,9 @@ def rep_from_dict(data: dict) -> BreakpointRep:
         try:
             families.append(
                 FamilyChoice(
-                    int(entry["segment"]),
+                    _int(entry["segment"]),
                     Side(side),
-                    int(entry["anchor"]),
+                    _int(entry["anchor"]),
                     _kind(entry["anchor_kind"], "families entry"),
                 )
             )
@@ -292,132 +276,11 @@ def cmd_check(args) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# verify
-
-
-def _random_point(rng: random.Random, n: int, pool: dict) -> Point:
-    if rng.random() < 0.4:
-        return Point.breakpoint(rng.randrange(n + 1))
-    segment = rng.randrange(n)
-    return Point.generic(segment, rng.choice(pool[segment]))
-
-
-def _random_interval(rng: random.Random, n: int, pool: dict) -> Interval:
-    while True:
-        p, q = _random_point(rng, n, pool), _random_point(rng, n, pool)
-        if p == q:
-            try:
-                return Interval(p, CLOSED, q, CLOSED)
-            except InvalidIntervalError:
-                continue
-        lo, hi = (p, q) if p < q else (q, p)
-        kinds = (CLOSED, OPEN)
-        try:
-            return Interval(lo, rng.choice(kinds), hi, rng.choice(kinds))
-        except InvalidIntervalError:
-            continue
-
-
 def cmd_verify(args) -> int:
     failures = 0
-
-    def check(label: str, ok: bool) -> None:
-        nonlocal failures
+    for label, ok in verify.checks(args.n, args.seed):
         print(("ok: " if ok else "FAIL: ") + label)
-        if not ok:
-            failures += 1
-
-    # closed forms against the enumeration/resolution oracles
-    ok = True
-    for m in range(1, 7):
-        quiver = LinearQuiver(m)
-        for i in all_intervals(quiver):
-            for j in all_intervals(quiver):
-                if hom_dim(quiver, i, j) != hom_dim_bruteforce(quiver, i, j):
-                    ok = False
-                if ext_dim(quiver, i, j) != ext_dim_resolution(quiver, i, j):
-                    ok = False
-                if hom_dim(quiver, i, j) - ext_dim(quiver, i, j) != euler_form(quiver, i, j):
-                    ok = False
-    check("hom/ext closed forms match enumeration and resolution oracles (m <= 6)", ok)
-
-    ok = True
-    for m in range(1, 5):
-        quiver = LinearQuiver(m)
-        ivs = all_intervals(quiver)
-        for r in range(1 << len(ivs)):
-            subset = frozenset(iv for k, iv in enumerate(ivs) if r >> k & 1)
-            if is_tilting(quiver, subset) != is_maximal_rigid_set(quiver, subset):
-                ok = False
-    check("tilting <=> maximal rigid on every subset (m <= 4)", ok)
-
-    for n in range(1, args.n + 1):
-        summand_ivals = [s.as_interval() for s in all_break_summands(n)]
-        ok = all(
-            compatible(a, b) == bridge.discretized_compatible(a, b)
-            for a in summand_ivals
-            for b in summand_ivals
-        )
-        check(f"compatibility matches the discretized Ext oracle (grid pairs, n={n})", ok)
-
-    rng = random.Random(args.seed)
-    pool = {
-        seg: [Fraction(rng.randrange(1, 60), 60) for _ in range(6)] for seg in range(3)
-    }
-    ok = True
-    for _ in range(10_000):
-        a = _random_interval(rng, 3, pool)
-        b = _random_interval(rng, 3, pool)
-        if compatible(a, b) != bridge.discretized_compatible(a, b):
-            ok = False
-            break
-    check(f"compatibility matches the discretized Ext oracle (10000 random pairs, seed {args.seed})", ok)
-
-    for n in range(1, args.n + 1):
-        grid = Breakpoints.uniform(n)
-        reps = enumerate_maximal_rigid_reps(grid)
-        projected = enumerate_maximal_rigid(bridge.segment_quiver(n))
-        formula = counting.continuous_count(n)
-        projected_formula = counting.projected_count(n)
-        check(
-            f"n={n}: direct enumeration ({len(reps)}) matches the formula ({formula})",
-            len(reps) == formula,
-        )
-        check(
-            f"n={n}: segment-quiver enumeration ({len(projected)}) matches the formula ({projected_formula})",
-            len(projected) == projected_formula,
-        )
-        images: dict[frozenset, int] = {}
-        for rep in reps:
-            images[bridge.project(rep)] = images.get(bridge.project(rep), 0) + 1
-        projected_sets = {h.summands for h in projected}
-        check(f"n={n}: projection is onto the maximal rigid sets", set(images) == projected_sets)
-        check(
-            f"n={n}: every projected image has exactly 2^{n} preimages",
-            all(v == 2**n for v in images.values()),
-        )
-        expanded = []
-        for h in projected:
-            expanded.extend(bridge.fiber_reps(h.summands, grid))
-        check(
-            f"n={n}: fiber expansion reproduces the direct enumeration",
-            sorted(expanded, key=lambda r: (r.summands, r.families)) == reps,
-        )
-        quiver = bridge.segment_quiver(n)
-        ok = all(
-            bridge.condense(bridge.expand([iv], n)) == frozenset([iv])
-            for iv in all_intervals(quiver)
-        )
-        check(f"n={n}: refined/segment round-trip on all interval modules", ok)
-
-    ok = all(
-        counting.continuous_count(n) == 2**n * counting.projected_count(n)
-        and counting.projected_count(n) == counting.catalan(2 * n + 1)
-        for n in range(1, 65)
-    )
-    check("count identities hold for n <= 64", ok)
-
+        failures += not ok
     if failures:
         print(f"{failures} check(s) failed")
         return 1

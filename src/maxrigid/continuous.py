@@ -37,7 +37,6 @@ from .intervals import (
     OPEN,
     BoundaryKind,
     Interval,
-    InvalidIntervalError,
     Point,
     compatible,
 )
@@ -327,27 +326,16 @@ def is_uniform(rep: BreakpointRep) -> bool:
     From every generic point the visible far endpoints must be
     breakpoints, must not depend on the flavor at the moving point (the
     sets pair up), must be constant across each segment, and exactly one
-    anchored family must be visible in total.  Duplicate summands or
-    duplicate families are rejected as well: the profile sets cannot see
-    multiplicities, but the encoding is meant to be basic.
+    anchored family must be visible in total.  Encodings that
+    ``validate_rep`` rejects are not uniform; that covers duplicate
+    summands and families, which the profile sets cannot see.
     """
-    n = rep.grid.n
-    if len(set(rep.summands)) != len(rep.summands):
-        return False
-    if any(s.lo < 0 or s.hi > n for s in rep.summands):
-        return False
-    segments = [f.segment for f in rep.families]
-    if len(set(segments)) != len(segments):
-        return False
-    if any(not 0 <= j < n for j in segments):
-        return False
-    if any(f.anchor > n for f in rep.families):
-        return False
     try:
-        model = sample_model(rep, 2)
-    except (InvalidIntervalError, ValueError):
+        validate_rep(rep)
+    except InvalidRepError:
         return False
-    for j in range(n):
+    model = sample_model(rep, 2)
+    for j in range(rep.grid.n):
         profiles = [
             endpoint_profile(model, Point.generic(j, off)) for off in sample_offsets(2)
         ]

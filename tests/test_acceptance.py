@@ -8,35 +8,16 @@ clock budgets, asserted as stated.  Run with ``pytest tests/test_acceptance.py -
 import json
 import random
 import time
-from fractions import Fraction
 
 from maxrigid import (
-    CLOSED,
-    OPEN,
     Breakpoints,
-    Interval,
     LinearQuiver,
-    Point,
-    all_break_summands,
     all_intervals,
-    compatible,
-    condense,
     continuous_count,
-    discretized_compatible,
-    enumerate_maximal_rigid,
     enumerate_maximal_rigid_reps,
-    expand,
-    ext_dim,
-    ext_dim_resolution,
-    fiber_reps,
-    hom_dim,
-    hom_dim_bruteforce,
-    is_maximal_rigid_set,
-    is_tilting,
     project,
-    segment_quiver,
 )
-from maxrigid import cli
+from maxrigid import cli, verify
 
 from golden import five_projected_sets, ten_reps
 
@@ -93,102 +74,37 @@ def test_criterion_3_counts_at_desk_scale(capsys):
 
 
 def test_criterion_4_projection_suite(capsys):
-    ok = True
+    results = []
     for n in (1, 2, 3):
-        grid = Breakpoints.uniform(n)
-        reps = enumerate_maximal_rigid_reps(grid)
-        projected = enumerate_maximal_rigid(segment_quiver(n))
-        fibers: dict[frozenset, int] = {}
-        for rep in reps:
-            image = project(rep)
-            fibers[image] = fibers.get(image, 0) + 1
-        ok = ok and set(fibers) == {h.summands for h in projected}
-        ok = ok and all(size == 2**n for size in fibers.values())
-        # endpoint-merge round trip on every interval module
-        for iv in all_intervals(segment_quiver(n)):
-            ok = ok and condense(expand([iv], n)) == frozenset([iv])
+        results += [*verify.projection_fibers(n), verify.round_trip(n)]
     with capsys.disabled():
-        report(4, "projection onto finite maximal rigid sets, 2^n fibers, round-trip (n=1..3)", ok)
+        report(4, "projection onto finite maximal rigid sets, 2^n fibers, round-trip (n=1..3)",
+               all(ok for _, ok in results))
 
 
 def test_criterion_5_tilting_iff_maximal_rigid(capsys):
-    ok = True
-    for m in range(1, 5):
-        q = LinearQuiver(m)
-        ivs = all_intervals(q)
-        for r in range(1 << len(ivs)):
-            subset = frozenset(iv for k, iv in enumerate(ivs) if r >> k & 1)
-            if is_tilting(q, subset) != is_maximal_rigid_set(q, subset):
-                ok = False
+    _, ok = verify.tilting_iff_maximal_rigid(4)
     q5 = LinearQuiver(5)
     ivs5 = all_intervals(q5)
     rng = random.Random(0)
-    for _ in range(100_000):
-        r = rng.randrange(1 << len(ivs5))
-        subset = frozenset(iv for k, iv in enumerate(ivs5) if r >> k & 1)
-        if is_tilting(q5, subset) != is_maximal_rigid_set(q5, subset):
-            ok = False
-            break
+    ok = ok and all(
+        verify.tilting_agrees(q5, ivs5, rng.randrange(1 << len(ivs5))) for _ in range(100_000)
+    )
     with capsys.disabled():
         report(5, "tilting <=> maximal rigid (exhaustive m<=4, 100000 samples at m=5)", ok)
 
 
 def test_criterion_6_oracle_equivalence(capsys):
-    disagreements = 0
-    for n in (1, 2, 3):
-        ivals = [s.as_interval() for s in all_break_summands(n)]
-        for a in ivals:
-            for b in ivals:
-                if compatible(a, b) != discretized_compatible(a, b):
-                    disagreements += 1
-    rng = random.Random(0)
-    pool = {seg: [Fraction(rng.randrange(1, 60), 60) for _ in range(6)] for seg in range(3)}
-
-    def random_point():
-        if rng.random() < 0.4:
-            return Point.breakpoint(rng.randrange(4))
-        seg = rng.randrange(3)
-        return Point.generic(seg, rng.choice(pool[seg]))
-
-    def random_interval():
-        while True:
-            p, q = random_point(), random_point()
-            if p == q:
-                return Interval(p, CLOSED, q, CLOSED)
-            lo, hi = (p, q) if p < q else (q, p)
-            try:
-                return Interval(lo, rng.choice((CLOSED, OPEN)), hi, rng.choice((CLOSED, OPEN)))
-            except ValueError:
-                continue
-
-    for _ in range(10_000):
-        a, b = random_interval(), random_interval()
-        if compatible(a, b) != discretized_compatible(a, b):
-            disagreements += 1
-    closed_form_ok = True
-    for m in range(1, 7):
-        q = LinearQuiver(m)
-        for i in all_intervals(q):
-            for j in all_intervals(q):
-                if hom_dim(q, i, j) != hom_dim_bruteforce(q, i, j):
-                    closed_form_ok = False
-                if ext_dim(q, i, j) != ext_dim_resolution(q, i, j):
-                    closed_form_ok = False
+    results = [verify.grid_compatibility(n) for n in (1, 2, 3)]
+    results.append(verify.random_compatibility(seed=0, pairs=10_000))
+    results.append(verify.closed_forms(6))
     with capsys.disabled():
         report(6, "compatibility = discretized Ext (grid n<=3 + 10^4 random); closed forms = oracles (m<=6)",
-               disagreements == 0 and closed_form_ok)
+               all(ok for _, ok in results))
 
 
 def test_criterion_7_cross_enumeration(capsys):
-    ok = True
-    for n in (1, 2, 3):
-        grid = Breakpoints.uniform(n)
-        direct = enumerate_maximal_rigid_reps(grid)
-        expanded = []
-        for h in enumerate_maximal_rigid(segment_quiver(n)):
-            expanded.extend(fiber_reps(h.summands, grid))
-        expanded.sort(key=lambda r: (r.summands, r.families))
-        ok = ok and expanded == direct
+    ok = all(verify.fiber_expansion(n)[1] for n in (1, 2, 3))
     with capsys.disabled():
         report(7, "direct enumeration equals fiber expansion as canonical sets (n=1..3)", ok)
 

@@ -1,7 +1,6 @@
 """Transfer maps, forced anchors, fibers, and the discretized Ext oracle."""
 
 import itertools
-import random
 from fractions import Fraction
 
 import pytest
@@ -27,7 +26,6 @@ from maxrigid import (
     condense,
     discretized_compatible,
     enumerate_maximal_rigid,
-    enumerate_maximal_rigid_reps,
     expand,
     fiber_reps,
     forced_anchor,
@@ -40,6 +38,7 @@ from maxrigid import (
     segment_quiver,
     to_refined,
 )
+from maxrigid import verify
 
 from golden import five_projected_sets, ten_reps
 
@@ -245,12 +244,8 @@ class TestFibers:
 
     def test_fiber_union_equals_direct_enumeration(self):
         for n in (1, 2):
-            grid = Breakpoints.uniform(n)
-            direct = enumerate_maximal_rigid_reps(grid)
-            expanded = []
-            for h in enumerate_maximal_rigid(segment_quiver(n)):
-                expanded.extend(fiber_reps(h.summands, grid))
-            assert sorted(expanded, key=lambda r: (r.summands, r.families)) == direct
+            label, ok = verify.fiber_expansion(n)
+            assert ok, label
 
 
 class TestDiscretizedOracle:
@@ -269,33 +264,9 @@ class TestDiscretizedOracle:
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_agrees_on_all_grid_pairs(self, n):
-        ivals = [s.as_interval() for s in all_break_summands(n)]
-        for a in ivals:
-            for b in ivals:
-                assert compatible(a, b) == discretized_compatible(a, b), (a, b)
+        label, ok = verify.grid_compatibility(n)
+        assert ok, label
 
     def test_agrees_on_random_pairs(self):
-        rng = random.Random(5)
-        pool = {seg: [Fraction(rng.randrange(1, 48), 48) for _ in range(5)] for seg in range(3)}
-
-        def random_point():
-            if rng.random() < 0.4:
-                return Point.breakpoint(rng.randrange(4))
-            seg = rng.randrange(3)
-            return Point.generic(seg, rng.choice(pool[seg]))
-
-        def random_interval():
-            while True:
-                p, q = random_point(), random_point()
-                if p == q:
-                    return Interval(p, CLOSED, q, CLOSED)
-                lo, hi = (p, q) if p < q else (q, p)
-                kinds = (CLOSED, OPEN)
-                try:
-                    return Interval(lo, rng.choice(kinds), hi, rng.choice(kinds))
-                except ValueError:
-                    continue
-
-        for _ in range(2000):
-            a, b = random_interval(), random_interval()
-            assert compatible(a, b) == discretized_compatible(a, b), (a, b)
+        label, ok = verify.random_compatibility(seed=5, pairs=2000, denominator=48, offsets=5)
+        assert ok, label

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from maxrigid import cli
+from maxrigid import cli, verify
 
 from golden import ten_reps
 from maxrigid import Breakpoints
@@ -153,6 +153,29 @@ class TestCheck:
         code, out, _ = run(capsys, "check", str(path))
         assert code == 0
 
+    @pytest.mark.parametrize(
+        "entry, key, value, error",
+        [
+            (None, "n", 1.7, "MissingOrBadField(n)"),
+            ("t_part", "lo", 0.9, "MissingOrBadField(t_part)"),
+            ("t_part", "hi", True, "MissingOrBadField(t_part)"),
+            ("families", "segment", False, "MissingOrBadField(families)"),
+            ("families", "anchor", "1", "MissingOrBadField(families)"),
+        ],
+    )
+    def test_non_integer_index_rejected(self, tmp_path, capsys, entry, key, value, error):
+        payload = {
+            "n": 1,
+            "t_part": [{"lo": 0, "lo_kind": "closed", "hi": 1, "hi_kind": "closed"}],
+            "families": [{"segment": 0, "side": "right", "anchor": 1, "anchor_kind": "closed"}],
+        }
+        (payload[entry][0] if entry else payload)[key] = value
+        path = tmp_path / "rep.json"
+        path.write_text(json.dumps(payload))
+        code, _, err = run(capsys, "check", str(path))
+        assert code == 2
+        assert error in err
+
 
 class TestFlags:
     def test_unknown_flag(self, capsys):
@@ -174,3 +197,29 @@ class TestVerify:
         assert code == 0
         assert out.strip().splitlines()[-1] == "all checks passed"
         assert "FAIL" not in out
+
+    def test_golden_output(self, capsys):
+        code, out, _ = run(capsys, "verify", "--n", "1", "--seed", "0")
+        assert code == 0
+        assert out.splitlines() == [
+            "ok: hom/ext closed forms match enumeration and resolution oracles (m <= 6)",
+            "ok: tilting <=> maximal rigid on every subset (m <= 4)",
+            "ok: compatibility matches the discretized Ext oracle (grid pairs, n=1)",
+            "ok: compatibility matches the discretized Ext oracle (10000 random pairs, seed 0)",
+            "ok: n=1: direct enumeration (10) matches the formula (10)",
+            "ok: n=1: segment-quiver enumeration (5) matches the formula (5)",
+            "ok: n=1: projection is onto the maximal rigid sets",
+            "ok: n=1: every projected image has exactly 2^1 preimages",
+            "ok: n=1: fiber expansion reproduces the direct enumeration",
+            "ok: n=1: refined/segment round-trip on all interval modules",
+            "ok: count identities hold for n <= 64",
+            "all checks passed",
+        ]
+
+    def test_failed_check_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(verify, "count_identities", lambda: ("count identities hold", False))
+        code, out, _ = run(capsys, "verify", "--n", "1")
+        assert code == 1
+        lines = out.splitlines()
+        assert "FAIL: count identities hold" in lines
+        assert lines[-1] == "1 check(s) failed"

@@ -148,7 +148,10 @@ class TestUniform:
         assert not is_uniform(rep(GRID1, GOLDEN[0].summands, []))
 
     def test_exhaustive_small_encoding_space(self):
-        """Valid encodings are uniform; parseable invalid ones are not."""
+        """Valid encodings are uniform; parseable invalid ones are not.
+
+        Every n=1 encoding over the families below, plus a seeded n=2 sample.
+        """
         summands = all_break_summands(1)
         families = all_family_choices(1)
         families += [
@@ -160,16 +163,30 @@ class TestUniform:
         family_configs = [()]
         family_configs += [(f,) for f in families]
         family_configs += list(itertools.product(families, repeat=2))
-        for r_bits in range(1 << len(summands)):
-            chosen = tuple(s for k, s in enumerate(summands) if r_bits >> k & 1)
-            for fams in family_configs:
-                candidate = rep(GRID1, chosen, fams)
-                try:
-                    validate_rep(candidate)
-                    valid = True
-                except Exception:
-                    valid = False
-                assert is_uniform(candidate) == valid, (chosen, fams)
+        candidates = [
+            rep(GRID1, tuple(s for k, s in enumerate(summands) if r_bits >> k & 1), fams)
+            for r_bits in range(1 << len(summands))
+            for fams in family_configs
+        ]
+        summands2 = all_break_summands(2) + [BreakSummand(1, CLOSED, 3, OPEN)]  # past a_2
+        families2 = all_family_choices(2) + [
+            FamilyChoice(1, RIGHT, 1, CLOSED),  # anchor not beyond the segment
+            FamilyChoice(0, LEFT, 1, OPEN),  # anchor beyond the segment
+            FamilyChoice(0, RIGHT, 3, CLOSED),  # anchor past the last breakpoint
+            FamilyChoice(2, LEFT, 0, CLOSED),  # segment out of range
+        ]
+        rng = random.Random(2)
+        for _ in range(4000):
+            chosen = rng.sample(summands2, rng.randrange(len(summands2) + 1))
+            fams = rng.choices(families2, k=rng.randrange(4))
+            candidates.append(rep(Breakpoints.uniform(2), chosen, fams))
+        for candidate in candidates:
+            try:
+                validate_rep(candidate)
+                valid = True
+            except Exception:
+                valid = False
+            assert is_uniform(candidate) == valid, (candidate.summands, candidate.families)
 
     def test_duplicate_summand_not_uniform(self):
         s = BreakSummand(0, CLOSED, 1, CLOSED)

@@ -19,6 +19,7 @@ from maxrigid import (
     is_rigid_set,
     is_tilting,
 )
+from maxrigid import verify
 
 
 def f(a, b):
@@ -109,12 +110,8 @@ class TestRigidity:
         assert is_maximal_rigid_set(q3, {f(1, 3), f(1, 1), f(1, 2)})
 
     def test_tilting_iff_maximal_rigid_exhaustive(self):
-        for m in range(1, 6):
-            q = LinearQuiver(m)
-            ivs = all_intervals(q)
-            for r in range(1 << len(ivs)):
-                subset = frozenset(iv for k, iv in enumerate(ivs) if r >> k & 1)
-                assert is_tilting(q, subset) == is_maximal_rigid_set(q, subset)
+        label, ok = verify.tilting_iff_maximal_rigid(5)
+        assert ok, label
 
     @pytest.mark.parametrize("m", [6, 7, 8])
     def test_tilting_iff_maximal_rigid_random(self, m):
