@@ -19,6 +19,7 @@ from .continuous import (
     BreakSummand,
     FamilyChoice,
     InvalidRepError,
+    MissingFamilyError,
     Side,
     enumerate_maximal_rigid_reps,
     is_uniform,
@@ -113,7 +114,24 @@ def _int(value) -> int:
     return value
 
 
+def _exact(value) -> Fraction:
+    """A grid point: a JSON integer or a rational string such as ``"1/3"``.
+
+    Floats and booleans raise TypeError; Fraction would take a float at its
+    binary value and a boolean as 0 or 1.
+    """
+    if type(value) not in (int, str):
+        raise TypeError(f"not an exact rational: {value!r}")
+    return Fraction(value)
+
+
 def rep_from_dict(data: dict) -> BreakpointRep:
+    """Decode and strictly type a JSON encoding; ``validate_rep`` checks the rest.
+
+    The summands and families are decoded before the grid is built, so that
+    an ``n`` no family list could cover is rejected as ``MissingFamily``
+    without allocating a uniform grid of that size.
+    """
     if not isinstance(data, dict):
         raise InvalidRepError("TopLevelNotAnObject")
     _expect_keys(data, {"n", "alpha", "t_part", "families"}, "top level")
@@ -121,17 +139,6 @@ def rep_from_dict(data: dict) -> BreakpointRep:
         n = _int(data["n"])
     except (KeyError, TypeError):
         raise InvalidRepError("MissingOrBadField(n)") from None
-    if "alpha" in data and data["alpha"] is not None:
-        if not isinstance(data["alpha"], list):
-            raise InvalidRepError("BadAlpha")
-        try:
-            grid = Breakpoints(tuple(Fraction(v) for v in data["alpha"]))
-        except (TypeError, ValueError, ZeroDivisionError):
-            raise InvalidRepError("BadAlpha") from None
-        if grid.n != n:
-            raise InvalidRepError(f"AlphaLengthMismatch(n={n}, points={grid.n + 1})")
-    else:
-        grid = Breakpoints.uniform(n)
     for field in ("t_part", "families"):
         if field in data and not isinstance(data[field], list):
             raise InvalidRepError(f"NotAList({field})")
@@ -172,6 +179,24 @@ def rep_from_dict(data: dict) -> BreakpointRep:
             if isinstance(exc, InvalidRepError):
                 raise
             raise InvalidRepError("MissingOrBadField(families)") from None
+    if "alpha" in data and data["alpha"] is not None:
+        if not isinstance(data["alpha"], list):
+            raise InvalidRepError("BadAlpha")
+        try:
+            grid = Breakpoints(tuple(_exact(v) for v in data["alpha"]))
+        except (TypeError, ValueError, ZeroDivisionError):
+            raise InvalidRepError("BadAlpha") from None
+        if grid.n != n:
+            raise InvalidRepError(f"AlphaLengthMismatch(n={n}, points={grid.n + 1})")
+    elif n > len(families):
+        # a valid encoding names each of the n segments exactly once
+        named = {f.segment for f in families}
+        missing = 0
+        while missing in named:
+            missing += 1
+        raise MissingFamilyError(missing)
+    else:
+        grid = Breakpoints.uniform(n)
     return BreakpointRep(grid=grid, summands=tuple(summands), families=tuple(families))
 
 
@@ -277,6 +302,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.n < 1:
+        raise ValueError("segment count must be >= 1")
     failures = 0
     for label, ok in verify.checks(args.n, args.seed):
         print(("ok: " if ok else "FAIL: ") + label)

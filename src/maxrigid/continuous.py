@@ -555,17 +555,25 @@ def _tables(n: int, samples_per_segment: int = 2, fresh: tuple[Fraction, ...] = 
     return _TABLES_CACHE[key]
 
 
-def _no_generic_addable(tables: _Tables, smask: int, fmask: int) -> bool:
-    """No generic-endpoint candidate outside the families can be added."""
-    for ci in range(len(tables.candidates)):
-        if tables.candidates[ci].match_mask & fmask:
-            continue
-        if (
-            tables.cand_smask[ci] & smask == smask
-            and tables.cand_famok[ci] & fmask == fmask
-        ):
-            return False
-    return True
+def _live_candidates(tables: _Tables, fmask: int) -> list[int]:
+    """Step 1 of the generic-candidate sweep: what one family choice leaves open.
+
+    Keeps the summand mask (``cand_smask``) of every generic-endpoint
+    candidate that matches the shape of no chosen family member and is
+    compatible with every chosen family.  Every candidate is tested, so
+    the sweep stays exhaustive; the result depends on the families alone
+    and is shared by every summand set tested under the same choice.
+    """
+    return [
+        smask
+        for cand, smask, famok in zip(tables.candidates, tables.cand_smask, tables.cand_famok)
+        if not cand.match_mask & fmask and famok & fmask == fmask
+    ]
+
+
+def _generic_addable(live: list[int], smask: int) -> bool:
+    """Step 2 of the sweep: some live candidate is compatible with every summand."""
+    return any(sm & smask == smask for sm in live)
 
 
 def is_maximal_rigid(
@@ -597,7 +605,7 @@ def is_maximal_rigid(
             continue
         if tables.adj[si] & smask == smask and tables.s_famok[si] & fmask == fmask:
             return False
-    return _no_generic_addable(tables, smask, fmask)
+    return not _generic_addable(_live_candidates(tables, fmask), smask)
 
 
 def canonicalize(rep: BreakpointRep) -> BreakpointRep:
@@ -613,13 +621,50 @@ def rep_sort_key(rep: BreakpointRep):
     return (rep.summands, rep.families)
 
 
+def _family_choices(
+    tables: _Tables,
+    per_segment: list[list[int]],
+    fams: tuple[int, ...],
+    allowed: int,
+    fmask: int,
+    pool: int,
+) -> Iterator[tuple[tuple[int, ...], int, int]]:
+    """Every pairwise compatible choice of one family per segment, extending ``fams``.
+
+    Backtracks segment by segment: a family is tried only if its bit is
+    set in ``allowed``, the meet of the ``famadj`` rows of the families
+    chosen so far, and ``pool`` is narrowed by its ``fam_pool`` as it is
+    chosen.  Yields ``(family indices, family bitmask, summand pool)`` in
+    increasing index order.
+    """
+    if len(fams) == len(per_segment):
+        yield fams, fmask, pool
+        return
+    for fi in per_segment[len(fams)]:
+        if allowed >> fi & 1:
+            yield from _family_choices(
+                tables,
+                per_segment,
+                fams + (fi,),
+                allowed & tables.famadj[fi],
+                fmask | 1 << fi,
+                pool & tables.fam_pool[fi],
+            )
+
+
 def enumerate_maximal_rigid_reps(grid: Breakpoints, max_n: int = 5) -> list[BreakpointRep]:
     """All maximal rigid encodings on the grid, canonical and sorted.
 
-    Backtracks over one family choice per segment, prunes summands by
-    compatibility with the chosen families, enumerates maximal cliques of
-    the remaining compatibility graph, and keeps the cliques that survive
-    the full generic-candidate sweep.
+    Backtracks over one family choice per segment (``_family_choices``).
+    For each complete choice the live generic candidates are computed
+    once; every maximal clique of the pool's compatibility graph that none
+    of them extends is kept.
+
+    Reps are collected as (summand indices, family indices) and sorted as
+    integer tuples before any ``BreakpointRep`` is built.  Both index
+    spaces come from ``all_break_summands`` and ``all_family_choices``,
+    which are canonically sorted, so index order is dataclass order and
+    the result is in ``rep_sort_key`` order.
     """
     n = grid.n
     if n > max_n:
@@ -629,26 +674,22 @@ def enumerate_maximal_rigid_reps(grid: Breakpoints, max_n: int = 5) -> list[Brea
         [fi for fi, fam in enumerate(tables.families) if fam.segment == j]
         for j in range(n)
     ]
-    out = []
-    for combo in itertools.product(*per_segment):
-        if any(
-            not tables.famadj[a] >> b & 1
-            for a, b in itertools.combinations(combo, 2)
-        ):
-            continue
-        fmask = 0
-        pool = tables.full_mask
-        for fi in combo:
-            fmask |= 1 << fi
-            pool &= tables.fam_pool[fi]
-        for clique in max_cliques(tables.adj, pool):
-            if _no_generic_addable(tables, clique, fmask):
-                out.append(
-                    BreakpointRep(
-                        grid=grid,
-                        summands=tuple(tables.summands[i] for i in bits(clique)),
-                        families=tuple(tables.families[fi] for fi in combo),
-                    )
-                )
-    out.sort(key=rep_sort_key)
+    all_families = (1 << len(tables.families)) - 1
+    choices = _family_choices(tables, per_segment, (), all_families, 0, tables.full_mask)
+    out: list = []
+    for fams, fmask, pool in choices:
+        live = _live_candidates(tables, fmask)
+        out.extend(
+            (tuple(bits(clique)), fams)
+            for clique in max_cliques(tables.adj, pool)
+            if not _generic_addable(live, clique)
+        )
+    out.sort()
+    # replaced in place, so that the keys and the reps never both fill memory
+    for k, (sis, fis) in enumerate(out):
+        out[k] = BreakpointRep(
+            grid=grid,
+            summands=tuple(tables.summands[si] for si in sis),
+            families=tuple(tables.families[fi] for fi in fis),
+        )
     return out

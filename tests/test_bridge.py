@@ -243,7 +243,7 @@ class TestFibers:
                 assert project(r) == h.summands
 
     def test_fiber_union_equals_direct_enumeration(self):
-        for n in (1, 2):
+        for n in (1, 2, 3):
             label, ok = verify.fiber_expansion(n)
             assert ok, label
 

@@ -1,5 +1,6 @@
 """CLI behavior: outputs, exit codes, determinism, JSON schema."""
 
+import hashlib
 import json
 
 import pytest
@@ -89,6 +90,14 @@ class TestEnumerate:
         _, second, _ = run(capsys, "enumerate", "--n", "2", "--format", "json")
         assert first == second
 
+    def test_n3_stdout_digest(self, capsys):
+        # sha256 of the stdout of `maxrigid enumerate --n 3` as first recorded
+        code, out, _ = run(capsys, "enumerate", "--n", "3")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "12af43d5c81c11b32449d2a6c451d9ac6cb8fccc2117c5125b0dc5952473f432"
+        )
+
 
 class TestCheck:
     def test_valid_rep(self, tmp_path, capsys):
@@ -176,6 +185,30 @@ class TestCheck:
         assert code == 2
         assert error in err
 
+    @pytest.mark.parametrize("alpha", [[0, 0.1, 1], [False, "1/2", True]])
+    def test_non_exact_alpha_rejected(self, tmp_path, capsys, alpha):
+        payload = {
+            "n": 2,
+            "alpha": alpha,
+            "t_part": [{"lo": 0, "lo_kind": "closed", "hi": 2, "hi_kind": "closed"}],
+            "families": [
+                {"segment": 0, "side": "right", "anchor": 2, "anchor_kind": "closed"},
+                {"segment": 1, "side": "right", "anchor": 2, "anchor_kind": "closed"},
+            ],
+        }
+        path = tmp_path / "rep.json"
+        path.write_text(json.dumps(payload))
+        code, _, err = run(capsys, "check", str(path))
+        assert code == 2
+        assert "BadAlpha" in err
+
+    def test_oversized_n_rejected_before_the_grid(self, tmp_path, capsys):
+        path = tmp_path / "rep.json"
+        path.write_text(json.dumps({"n": 3_000_000, "families": []}))
+        code, _, err = run(capsys, "check", str(path))
+        assert code == 2
+        assert "MissingFamily(0)" in err
+
 
 class TestFlags:
     def test_unknown_flag(self, capsys):
@@ -215,6 +248,13 @@ class TestVerify:
             "ok: count identities hold for n <= 64",
             "all checks passed",
         ]
+
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_nonpositive_n_rejected(self, capsys, n):
+        code, out, err = run(capsys, "verify", "--n", n)
+        assert code == 2
+        assert out == ""
+        assert "segment count must be >= 1" in err
 
     def test_failed_check_exits_1(self, capsys, monkeypatch):
         monkeypatch.setattr(verify, "count_identities", lambda: ("count identities hold", False))

@@ -310,9 +310,10 @@ class TestEnumeration:
         assert enumerate_maximal_rigid_reps(grid) == enumerate_maximal_rigid_reps(grid)
 
     def test_everything_enumerated_is_maximal(self):
-        for r in enumerate_maximal_rigid_reps(GRID1):
-            assert is_uniform(r)
-            assert is_maximal_rigid(r)
+        for n in (1, 2):
+            for r in enumerate_maximal_rigid_reps(Breakpoints.uniform(n)):
+                assert is_uniform(r)
+                assert is_maximal_rigid(r)
 
     def test_cap(self):
         with pytest.raises(ResourceLimitError):
