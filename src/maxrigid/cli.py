@@ -332,7 +332,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (bridge.NoAnchorError, bridge.AmbiguousAnchorError) as exc:
+    except (bridge.NoAnchorError, bridge.AmbiguousAnchorError, counting.ClaimError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (

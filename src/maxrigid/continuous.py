@@ -38,6 +38,7 @@ from .intervals import (
     BoundaryKind,
     Interval,
     Point,
+    _compatible_ends,
     compatible,
 )
 
@@ -132,17 +133,18 @@ class FamilyChoice:
         if not isinstance(self.side, Side):
             object.__setattr__(self, "side", Side(self.side))
 
-    def members(self, x: Point) -> tuple[Interval, Interval]:
-        far = Point.breakpoint(self.anchor)
+    def member_ends(self, x, far) -> tuple[tuple, tuple]:
+        """Both members as (lo, lo_kind, hi, hi_kind), moving end x, anchored end far.
+
+        The ends may be ``Point``s or integer ranks of points (``_Tables``).
+        """
         if self.side is RIGHT:
-            return (
-                Interval(x, CLOSED, far, self.anchor_kind),
-                Interval(x, OPEN, far, self.anchor_kind),
-            )
-        return (
-            Interval(far, self.anchor_kind, x, CLOSED),
-            Interval(far, self.anchor_kind, x, OPEN),
-        )
+            return (x, CLOSED, far, self.anchor_kind), (x, OPEN, far, self.anchor_kind)
+        return (far, self.anchor_kind, x, CLOSED), (far, self.anchor_kind, x, OPEN)
+
+    def members(self, x: Point) -> tuple[Interval, Interval]:
+        closed, open_ = self.member_ends(x, Point.breakpoint(self.anchor))
+        return Interval(*closed), Interval(*open_)
 
     def matches(self, interval: Interval) -> bool:
         """Whether ``interval`` has the shape of one of this family's members."""
@@ -389,13 +391,19 @@ def all_family_choices(n: int) -> list[FamilyChoice]:
     return sorted(out)
 
 
-class _Candidate:
-    __slots__ = ("interval", "positions", "match_mask")
+def _probe_offsets(samples: tuple[Fraction, ...], own: tuple[Fraction, ...]) -> set[Fraction]:
+    """Offsets at which a family's members are checked against one candidate.
 
-    def __init__(self, interval: Interval, positions: tuple, match_mask: int):
-        self.interval = interval
-        self.positions = positions  # ((segment, offset), ...) of generic endpoints
-        self.match_mask = match_mask  # families whose member shape this is
+    ``own`` holds the candidate's sorted generic offsets in the family's
+    segment.  The samples realize the patterns away from the candidate;
+    ``own`` and the witnesses below, between and above it realize the
+    remaining ones, including exact coincidence with the moving endpoint.
+    """
+    out = set(samples).union(own)
+    if own:
+        out.update((own[0] / 2, (own[-1] + 1) / 2))
+        out.update((a + b) / 2 for a, b in zip(own, own[1:]))
+    return out
 
 
 class _Tables:
@@ -404,44 +412,63 @@ class _Tables:
     Summands, families and candidate summands are indexed once; all the
     pair predicates are collapsed into bitmasks so that testing one
     candidate against a representation costs a few integer operations.
+
+    The build decides every pair on integer ranks, not on ``Point``s.  It
+    collects every offset it will place a point at (samples, fresh offsets
+    and all the ``_probe_offsets`` witnesses) and sorts them once; with W
+    one more than their number, breakpoint i becomes ``i * W`` and generic
+    point (j, off) becomes ``j * W + rank(off)``, ranks running 1..W-1.
+    This is exactly the order of ``Point`` (equal offsets share a rank, and
+    a segment's generic points lie strictly between its breakpoints), and
+    ``_compatible_ends`` only compares endpoints, so each verdict equals
+    ``compatible`` on the points.  An offset that was not collected has no
+    rank (a ``KeyError``), never a guessed one.
     """
 
     def __init__(self, n: int, samples_per_segment: int, fresh: tuple[Fraction, ...]):
         self.n = n
-        self.samples = sample_offsets(samples_per_segment)
-        self.fresh = fresh
         self.summands = all_break_summands(n)
         self.sindex = {s: i for i, s in enumerate(self.summands)}
-        self.ivals = [s.as_interval() for s in self.summands]
+        self.families = all_family_choices(n)
+        self.findex = {f: i for i, f in enumerate(self.families)}
         count = len(self.summands)
         self.full_mask = (1 << count) - 1
+
+        for off in fresh:
+            Point.generic(0, off)  # raises unless the offset lies in (0, 1)
+        samples = sample_offsets(samples_per_segment)
+        owns = [()] + [(f,) for f in fresh] + list(itertools.combinations(fresh, 2))
+        offsets = sorted({off for own in owns for off in _probe_offsets(samples, own)})
+        rank = {off: r for r, off in enumerate(offsets, 1)}
+        w = len(offsets) + 1
+        # ranks to check a family at, keyed by the candidate's own ranks there
+        probe = {
+            tuple(rank[o] for o in own): sorted(rank[o] for o in _probe_offsets(samples, own))
+            for own in owns
+        }
+        # members_at[fi][r]: both members of family fi at rank r of its segment
+        members_at = [
+            [fam.member_ends(fam.segment * w + r, fam.anchor * w) for r in range(w)]
+            for fam in self.families
+        ]
+        sampled = [[m for r in probe[()] for m in at[r]] for at in members_at]
+        ends = [(s.lo * w, s.lo_kind, s.hi * w, s.hi_kind) for s in self.summands]
 
         self.adj = [0] * count
         for i in range(count):
             for j in range(i + 1, count):
-                if compatible(self.ivals[i], self.ivals[j]):
+                if _compatible_ends(*ends[i], *ends[j]):
                     self.adj[i] |= 1 << j
                     self.adj[j] |= 1 << i
-
-        self.families = all_family_choices(n)
-        self.findex = {f: i for i, f in enumerate(self.families)}
-        self.fam_members = [
-            tuple(
-                m
-                for off in self.samples
-                for m in fam.members(Point.generic(fam.segment, off))
-            )
-            for fam in self.families
-        ]
 
         # summand/family compatibility: breakpoint endpoints interact with a
         # family's moving endpoint in a single order pattern, so the sampled
         # members decide the for-all-x statement.
         self.fam_pool = [0] * len(self.families)
         self.s_famok = [0] * count
-        for fi, members in enumerate(self.fam_members):
-            for si, ival in enumerate(self.ivals):
-                if all(compatible(ival, m) for m in members):
+        for fi, members in enumerate(sampled):
+            for si, e in enumerate(ends):
+                if all(_compatible_ends(*e, *m) for m in members):
                     self.fam_pool[fi] |= 1 << si
                     self.s_famok[si] |= 1 << fi
 
@@ -451,97 +478,54 @@ class _Tables:
             for fj in range(fi + 1, len(self.families)):
                 if self.families[fi].segment == self.families[fj].segment:
                     continue
-                if all(
-                    compatible(a, b)
-                    for a in self.fam_members[fi]
-                    for b in self.fam_members[fj]
-                ):
+                if all(_compatible_ends(*a, *b) for a in sampled[fi] for b in sampled[fj]):
                     self.famadj[fi] |= 1 << fj
                     self.famadj[fj] |= 1 << fi
 
-        self.candidates = list(self._make_candidates())
+        # generic candidates: ranked ends plus the families whose member shape each has
+        self.candidates, self.cand_match = map(list, zip(*self._make_candidates(w, rank, fresh)))
         self.cand_smask = []
         self.cand_famok = []
-        for cand in self.candidates:
+        for c in self.candidates:
             smask = 0
-            for si, ival in enumerate(self.ivals):
-                if compatible(cand.interval, ival):
+            for si, e in enumerate(ends):
+                if _compatible_ends(*c, *e):
                     smask |= 1 << si
             self.cand_smask.append(smask)
+            # compatible with a family's members at every position: the
+            # probe ranks of the family's segment realize every pattern
+            probes = [
+                probe[tuple(sorted({p % w for p in (c[0], c[2]) if p % w and p // w == j}))]
+                for j in range(n)
+            ]
             fmask = 0
             for fi, fam in enumerate(self.families):
-                if self._family_ok(cand, fam):
+                at = members_at[fi]
+                if all(_compatible_ends(*c, *m) for r in probes[fam.segment] for m in at[r]):
                     fmask |= 1 << fi
             self.cand_famok.append(fmask)
 
-    def _make_candidates(self) -> Iterator[_Candidate]:
-        n = self.n
+    def _make_candidates(self, w: int, rank: dict, fresh: tuple[Fraction, ...]) -> Iterator[tuple]:
         kinds = (CLOSED, OPEN)
-        for j in range(n):
-            for off in self.fresh:
-                p = Point.generic(j, off)
-                # one generic endpoint, one anchored breakpoint endpoint
-                for s in range(j + 1, n + 1):
-                    for ak in kinds:
-                        fam_bit = 1 << self.findex[FamilyChoice(j, RIGHT, s, ak)]
-                        for gk in kinds:
-                            yield _Candidate(
-                                Interval(p, gk, Point.breakpoint(s), ak),
-                                ((j, off),),
-                                fam_bit,
-                            )
-                for s in range(0, j + 1):
-                    for ak in kinds:
-                        fam_bit = 1 << self.findex[FamilyChoice(j, LEFT, s, ak)]
-                        for gk in kinds:
-                            yield _Candidate(
-                                Interval(Point.breakpoint(s), ak, p, gk),
-                                ((j, off),),
-                                fam_bit,
-                            )
-                # generic point module
-                yield _Candidate(Interval(p, CLOSED, p, CLOSED), ((j, off),), 0)
+        for j in range(self.n):
+            for off in fresh:
+                x = j * w + rank[off]
+                # one generic endpoint, one anchored breakpoint endpoint: the
+                # shape of a member of the family it matches
+                for side in (RIGHT, LEFT):
+                    for fi, fam in enumerate(self.families):
+                        if fam.segment == j and fam.side is side:
+                            for ends in fam.member_ends(x, fam.anchor * w):
+                                yield ends, 1 << fi
+                yield (x, CLOSED, x, CLOSED), 0  # generic point module
             # both endpoints generic, same segment
-            for o1, o2 in itertools.combinations(self.fresh, 2):
-                for k1 in kinds:
-                    for k2 in kinds:
-                        yield _Candidate(
-                            Interval(Point.generic(j, o1), k1, Point.generic(j, o2), k2),
-                            ((j, o1), (j, o2)),
-                            0,
-                        )
+            same = itertools.combinations(fresh, 2)
+            for (o1, o2), k1, k2 in itertools.product(same, kinds, kinds):
+                yield (j * w + rank[o1], k1, j * w + rank[o2], k2), 0
         # both endpoints generic, different segments
-        for j1, j2 in itertools.combinations(range(n), 2):
-            for o1 in self.fresh:
-                for o2 in self.fresh:
-                    for k1 in kinds:
-                        for k2 in kinds:
-                            yield _Candidate(
-                                Interval(Point.generic(j1, o1), k1, Point.generic(j2, o2), k2),
-                                ((j1, o1), (j2, o2)),
-                                0,
-                            )
-
-    def _family_ok(self, cand: _Candidate, fam: FamilyChoice) -> bool:
-        """Candidate compatible with the family's members at every position.
-
-        The sampled positions realize the patterns away from the
-        candidate; witness positions below, at, between and above the
-        candidate's own offsets realize the remaining ones, including
-        exact coincidence with the moving endpoint.
-        """
-        own = sorted({off for seg, off in cand.positions if seg == fam.segment})
-        offsets = set(self.samples)
-        offsets.update(own)
-        if own:
-            offsets.add(own[0] / 2)
-            offsets.add((own[-1] + 1) / 2)
-            offsets.update((a + b) / 2 for a, b in zip(own, own[1:]))
-        for off in sorted(offsets):
-            for member in fam.members(Point.generic(fam.segment, off)):
-                if not compatible(cand.interval, member):
-                    return False
-        return True
+        pairs = itertools.combinations(range(self.n), 2)
+        for (j1, j2), o1, o2, k1, k2 in itertools.product(pairs, fresh, fresh, kinds, kinds):
+            yield (j1 * w + rank[o1], k1, j2 * w + rank[o2], k2), 0
 
 
 _TABLES_CACHE: dict[tuple, _Tables] = {}
@@ -566,8 +550,8 @@ def _live_candidates(tables: _Tables, fmask: int) -> list[int]:
     """
     return [
         smask
-        for cand, smask, famok in zip(tables.candidates, tables.cand_smask, tables.cand_famok)
-        if not cand.match_mask & fmask and famok & fmask == fmask
+        for match, smask, famok in zip(tables.cand_match, tables.cand_smask, tables.cand_famok)
+        if not match & fmask and famok & fmask == fmask
     ]
 
 

@@ -6,6 +6,16 @@ import math
 from dataclasses import dataclass
 
 
+class ClaimError(RuntimeError):
+    """An internal claim failed: a bug, not bad input (the CLI exits 1)."""
+
+
+def claim(ok: bool, what: str) -> None:
+    """Raise ClaimError unless ``ok``; unlike ``assert``, also under ``python -O``."""
+    if not ok:
+        raise ClaimError(what)
+
+
 def binomial(n: int, k: int) -> int:
     """C(n, k) as an exact integer; 0 when k > n."""
     return math.comb(n, k)
@@ -14,7 +24,7 @@ def binomial(n: int, k: int) -> int:
 def catalan(m: int) -> int:
     """C(2m, m) / (m + 1); counts maximal rigid sets on the linear A_m quiver."""
     value, rem = divmod(binomial(2 * m, m), m + 1)
-    assert rem == 0, "Catalan division must be exact"
+    claim(rem == 0, "Catalan division must be exact")
     return value
 
 
@@ -23,8 +33,8 @@ def projected_count(n: int) -> int:
     if n < 1:
         raise ValueError("segment count must be >= 1")
     value, rem = divmod(binomial(4 * n + 2, 2 * n + 1), 2 * n + 2)
-    assert rem == 0
-    assert value == catalan(2 * n + 1)
+    claim(rem == 0, "projected count division must be exact")
+    claim(value == catalan(2 * n + 1), "projected count must be catalan(2n+1)")
     return value
 
 
@@ -37,8 +47,8 @@ def continuous_count(n: int) -> int:
     if n < 1:
         raise ValueError("segment count must be >= 1")
     value, rem = divmod(2 ** (n - 1) * binomial(4 * n + 2, 2 * n + 1), n + 1)
-    assert rem == 0
-    assert value == 2**n * projected_count(n)
+    claim(rem == 0, "continuous count division must be exact")
+    claim(value == 2**n * projected_count(n), "continuous count must be 2^n projected")
     return value
 
 
@@ -53,7 +63,7 @@ class CountReport:
     enumerated_projected_count: int | None = None
 
     def __post_init__(self):
-        assert self.formula_count == 2**self.n * self.projected_formula_count
+        claim(self.formula_count == 2**self.n * self.projected_formula_count, "fibers of size 2^n")
 
     @property
     def match(self) -> bool | None:

@@ -22,6 +22,7 @@ from itertools import product
 from typing import Iterable
 
 from .cliques import bits, max_cliques
+from .counting import claim
 
 
 class ResourceLimitError(ValueError):
@@ -117,7 +118,7 @@ def hom_dim_bruteforce(q: LinearQuiver, i: FiniteInterval, j: FiniteInterval) ->
         if ok:
             solutions += 1
     dim = solutions.bit_length() - 1
-    assert 1 << dim == solutions, "solution set is not a subspace"
+    claim(1 << dim == solutions, "solution set is not a subspace")
     return dim
 
 
@@ -144,7 +145,7 @@ def ext_dim_resolution(q: LinearQuiver, i: FiniteInterval, j: FiniteInterval) ->
 
     top = FiniteInterval(i.b + 1, q.m) if i.b + 1 <= q.m else None
     value = h(top) - h(FiniteInterval(i.a, q.m)) + hom_dim_bruteforce(q, i, j)
-    assert value >= 0
+    claim(value >= 0, "Ext^1 dimension must be nonnegative")
     return value
 
 
@@ -165,7 +166,7 @@ def _pair_tables(m: int) -> tuple[tuple[FiniteInterval, ...], dict, list[int]]:
     index = {iv: k for k, iv in enumerate(ivs)}
     adj = [0] * len(ivs)
     for s, i in enumerate(ivs):
-        assert ext_dim(q, i, i) == 0, "interval modules never self-extend"
+        claim(ext_dim(q, i, i) == 0, "interval modules never self-extend")
         for t in range(s + 1, len(ivs)):
             j = ivs[t]
             if ext_dim(q, i, j) == 0 and ext_dim(q, j, i) == 0:

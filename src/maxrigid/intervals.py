@@ -15,10 +15,12 @@ the four shapes [a,b], [a,b), (a,b] and (a,b).  Two intervals are
   * they touch at a single point and both are open there.
 
 Touching with a closed end on either side, and genuine crossings, are not
-compatible.  For direct sums of interval modules over the linearly
-ordered line this predicate characterises vanishing of self-extensions;
-it is cross-checked against an independent discretized Ext computation in
-:mod:`maxrigid.bridge`.
+compatible.  The verdict depends only on the order of the four endpoints
+and on the four kinds, so ``_compatible_ends``, the one implementation,
+serves ``Point`` endpoints and integer ranks of points alike.  For direct
+sums of interval modules over the linearly ordered line this predicate
+characterises vanishing of self-extensions; it is cross-checked against an
+independent discretized Ext computation in :mod:`maxrigid.bridge`.
 """
 
 from __future__ import annotations
@@ -121,20 +123,31 @@ class Interval:
     def is_point(self) -> bool:
         return self.lo == self.hi
 
-    def covers(self, other: "Interval") -> bool:
-        """True when ``other`` is contained in this interval as a point set."""
-        lo_ok = self.lo < other.lo or (
-            self.lo == other.lo and (self.lo_kind is CLOSED or other.lo_kind is OPEN)
-        )
-        hi_ok = other.hi < self.hi or (
-            other.hi == self.hi and (self.hi_kind is CLOSED or other.hi_kind is OPEN)
-        )
-        return lo_ok and hi_ok
-
     def __str__(self) -> str:
         lb = "[" if self.lo_kind is CLOSED else "("
         rb = "]" if self.hi_kind is CLOSED else ")"
         return f"{lb}{self.lo},{self.hi}{rb}"
+
+
+def _compatible_ends(ilo, ilk, ihi, ihk, jlo, jlk, jhi, jhk) -> bool:
+    """The compatibility predicate on the endpoints and kinds of two intervals.
+
+    Endpoints are compared only with ``<`` and ``==`` and kinds only with
+    ``==``, so any order-preserving relabeling of the points gives the same
+    verdict: ``compatible`` passes ``Point``s, and the maximality tables pass
+    integer ranks of the points (``continuous._Tables``).
+    """
+    if ihi < jlo or jhi < ilo:  # a strict gap
+        return True
+    if ihi == jlo and ihk == OPEN and jlk == OPEN or jhi == ilo and jhk == OPEN and ilk == OPEN:
+        return True  # touching, open on both sides
+    if (ilo < jlo or ilo == jlo and (ilk == CLOSED or jlk == OPEN)) and (
+        jhi < ihi or jhi == ihi and (ihk == CLOSED or jhk == OPEN)
+    ):
+        return True  # j inside i
+    return (jlo < ilo or jlo == ilo and (jlk == CLOSED or ilk == OPEN)) and (
+        ihi < jhi or ihi == jhi and (jhk == CLOSED or ihk == OPEN)
+    )  # i inside j
 
 
 def compatible(i: Interval, j: Interval) -> bool:
@@ -145,12 +158,4 @@ def compatible(i: Interval, j: Interval) -> bool:
     strict gap are always fine; a shared endpoint is fine only when both
     intervals are open there.
     """
-    if i.covers(j) or j.covers(i):
-        return True
-    if i.hi < j.lo or j.hi < i.lo:
-        return True
-    if i.hi == j.lo and i.hi_kind is OPEN and j.lo_kind is OPEN:
-        return True
-    if j.hi == i.lo and j.hi_kind is OPEN and i.lo_kind is OPEN:
-        return True
-    return False
+    return _compatible_ends(i.lo, i.lo_kind, i.hi, i.hi_kind, j.lo, j.lo_kind, j.hi, j.hi_kind)

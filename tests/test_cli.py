@@ -1,11 +1,22 @@
 """CLI behavior: outputs, exit codes, determinism, JSON schema."""
 
+import ast
+import contextlib
+import functools
 import hashlib
+import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from maxrigid import cli, verify
+import maxrigid
+from maxrigid import cli, counting, enumerate_maximal_rigid_reps, verify
 
 from golden import ten_reps
 from maxrigid import Breakpoints
@@ -263,3 +274,115 @@ class TestVerify:
         lines = out.splitlines()
         assert "FAIL: count identities hold" in lines
         assert lines[-1] == "1 check(s) failed"
+
+
+class TestClaims:
+    def test_no_assert_statements_in_the_library(self):
+        """Claims raise ClaimError, which ``python -O`` does not strip."""
+        found = [
+            f"{path.name}:{node.lineno}"
+            for path in sorted(pathlib.Path(maxrigid.__file__).parent.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Assert)
+        ]
+        assert found == []
+
+    def test_failed_claim_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(counting, "catalan", lambda m: 0)
+        code, out, err = run(capsys, "count", "--n", "1")
+        assert code == 1
+        assert out == ""
+        assert "error: projected count must be catalan(2n+1)" in err
+
+    def test_claims_under_python_O(self):
+        """Under -O, verify still passes and a failed claim still exits 1."""
+        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(maxrigid.__file__).parents[1]))
+        ok = subprocess.run(
+            [sys.executable, "-O", "-m", "maxrigid.cli", "verify", "--n", "1"],
+            env=env, capture_output=True, text=True,
+        )
+        assert ok.returncode == 0, ok.stderr
+        assert ok.stdout.splitlines()[-1] == "all checks passed"
+        broken = (
+            "import sys; from maxrigid import cli, counting; counting.catalan = lambda m: 0; "
+            "sys.exit(cli.main(['count', '--n', '1']))"
+        )
+        bad = subprocess.run(
+            [sys.executable, "-O", "-c", broken], env=env, capture_output=True, text=True
+        )
+        assert bad.returncode == 1
+        assert "error: projected count must be catalan(2n+1)" in bad.stderr
+
+
+# hypothesis machinery for the input boundary
+
+
+@functools.lru_cache(maxsize=None)
+def _enumerated(n):
+    return enumerate_maximal_rigid_reps(Breakpoints.uniform(n))
+
+
+@given(st.integers(1, 3).flatmap(lambda n: st.sampled_from(_enumerated(n))))
+@settings(max_examples=100, deadline=None)
+def test_json_round_trip_of_enumerated_reps(rep):
+    assert cli.rep_from_dict(json.loads(json.dumps(cli.rep_to_dict(rep)))) == rep
+
+
+_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 4)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=3)
+)
+_json = st.recursive(
+    _scalars,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+# a value for one field: often well typed, sometimes anything
+_field = st.integers(-1, 3) | st.sampled_from(["closed", "open", "left", "right", "1/2"]) | _json
+
+
+def _entry(keys):
+    """A JSON object over the schema's keys, each present or not."""
+    return st.fixed_dictionaries({}, optional={k: _field for k in keys})
+
+
+@st.composite
+def _mutated(draw):
+    """An enumerated encoding with one field kept, removed or replaced."""
+    payload = cli.rep_to_dict(draw(st.sampled_from(_enumerated(draw(st.integers(1, 2))))))
+    target = draw(st.sampled_from([payload] + payload["t_part"] + payload["families"]))
+    key = draw(st.sampled_from(sorted(target)))
+    action = draw(st.sampled_from(["keep", "drop", "set"]))
+    if action == "drop":
+        del target[key]
+    elif action == "set":
+        target[key] = draw(_field)
+    return payload
+
+
+_encodings = (
+    _json
+    | st.fixed_dictionaries(
+        {},
+        optional={
+            "n": _field,
+            "alpha": st.lists(_field, max_size=4) | _json,
+            "t_part": st.lists(_entry(["lo", "lo_kind", "hi", "hi_kind"]), max_size=3),
+            "families": st.lists(_entry(["segment", "side", "anchor", "anchor_kind"]), max_size=3),
+        },
+    )
+    | _mutated()
+)
+
+
+@given(_encodings)
+@settings(max_examples=200, deadline=None)
+def test_check_never_raises_on_arbitrary_json(tmp_path_factory, payload):
+    path = tmp_path_factory.getbasetemp() / "arbitrary.json"
+    path.write_text(json.dumps(payload))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(["check", str(path)])
+    assert code in (0, 2)

@@ -1,5 +1,6 @@
 """Breakpoint representations: validation, profiles, rigidity, maximality."""
 
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -35,6 +36,15 @@ from maxrigid import (
     is_uniform,
     sample_model,
     validate_rep,
+)
+
+from maxrigid.cliques import max_cliques
+from maxrigid.continuous import (
+    DEFAULT_FRESH,
+    _family_choices,
+    _generic_addable,
+    _live_candidates,
+    _tables,
 )
 
 from golden import ten_reps
@@ -318,6 +328,80 @@ class TestEnumeration:
     def test_cap(self):
         with pytest.raises(ResourceLimitError):
             enumerate_maximal_rigid_reps(Breakpoints.uniform(3), max_n=2)
+
+
+# First 16 hex digits of the sha256 of ``repr`` of each ``_Tables`` mask list
+# at the default sampling, recorded from the Fraction-based table build.
+MASK_DIGESTS = {
+    1: {"adj": "008e9cb658dd597c", "fam_pool": "fc8ac17b57f9678f",
+        "s_famok": "a360519165685a50", "famadj": "a90d007c2fc57df6",
+        "cand_smask": "8a3631e3188c93bd", "cand_famok": "65c3e528be5885a1",
+        "cand_match": "65c3e528be5885a1"},
+    2: {"adj": "9e67f5235770e2c6", "fam_pool": "a52b3c1b4f7c7204",
+        "s_famok": "2e745056f3d3759f", "famadj": "c3d5a4cc61f4b77e",
+        "cand_smask": "889cb0ccb36eb88c", "cand_famok": "f0215b3f7aa5e8d5",
+        "cand_match": "58a9208a017d3946"},
+    3: {"adj": "88f5102faaef8ab6", "fam_pool": "26d8bb61f96eb2b7",
+        "s_famok": "2c47f4d225f8ee4e", "famadj": "f675f60affd7c3e0",
+        "cand_smask": "00f82f8df0bd1441", "cand_famok": "2d15afbd729c09f9",
+        "cand_match": "f7b468e63163185f"},
+    4: {"adj": "e70350dcaedcd014", "fam_pool": "9f5430c57e088404",
+        "s_famok": "7c3f577d8f88febd", "famadj": "66e16a8fbb720cce",
+        "cand_smask": "d8b441f01b6f2e5c", "cand_famok": "3db1bf2fa30bbe8d",
+        "cand_match": "4416515bc78c61c0"},
+}
+
+
+class TestTables:
+    @pytest.mark.parametrize(
+        "n, samples, fresh",
+        [(n, 2, DEFAULT_FRESH) for n in (1, 2, 3, 4)]
+        + [
+            (2, 4, DEFAULT_FRESH),
+            # fresh offsets equal to sample offsets: equal positions, one rank
+            (2, 2, (Fraction(1, 3), Fraction(1, 2), Fraction(2, 3))),
+        ],
+    )
+    def test_mask_digests(self, n, samples, fresh):
+        """Every mask list, in candidate order, is pinned bit for bit.
+
+        Refining the samples or moving fresh offsets onto them realizes the
+        same order patterns, so the n=2 variants share the n=2 digests.
+        """
+        t = _tables(n, samples, fresh)
+        lists = {
+            "adj": t.adj,
+            "fam_pool": t.fam_pool,
+            "s_famok": t.s_famok,
+            "famadj": t.famadj,
+            "cand_smask": t.cand_smask,
+            "cand_famok": t.cand_famok,
+            "cand_match": t.cand_match,
+        }
+        got = {k: hashlib.sha256(repr(v).encode()).hexdigest()[:16] for k, v in lists.items()}
+        assert got == MASK_DIGESTS[n]
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_sweep_rejects_no_pool_maximal_clique(self, n):
+        """No live generic candidate extends a pool-maximal clique.
+
+        That generic candidates never do is an open conjecture (ROADMAP);
+        until it is argued, the sweep stays in ``is_maximal_rigid`` and the
+        enumerator as the oracle, and this test records that it rejects
+        nothing at n <= 3.
+        """
+        t = _tables(n)
+        per_segment = [
+            [fi for fi, fam in enumerate(t.families) if fam.segment == j] for j in range(n)
+        ]
+        everything = (1 << len(t.families)) - 1
+        cliques = 0
+        for _, fmask, pool in _family_choices(t, per_segment, (), everything, 0, t.full_mask):
+            live = _live_candidates(t, fmask)
+            for clique in max_cliques(t.adj, pool):
+                assert not _generic_addable(live, clique)
+                cliques += 1
+        assert cliques == continuous_count(n)
 
 
 class TestCanonicalize:

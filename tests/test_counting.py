@@ -3,6 +3,7 @@
 import pytest
 
 from maxrigid import CountReport, binomial, catalan, continuous_count, projected_count
+from maxrigid.counting import ClaimError
 
 
 def pascal_binomial(n, k):
@@ -78,7 +79,7 @@ class TestContinuousCount:
 
 class TestReport:
     def test_identity_enforced(self):
-        with pytest.raises(AssertionError):
+        with pytest.raises(ClaimError):
             CountReport(n=1, formula_count=11, projected_formula_count=5)
 
     def test_match_flags(self):

@@ -1,5 +1,6 @@
 """Interval construction rules and the compatibility predicate."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,9 @@ from maxrigid import (
     InvertedIntervalError,
     Point,
     compatible,
+    discretized_compatible,
 )
+from maxrigid.intervals import _compatible_ends
 
 
 def bp(i):
@@ -101,6 +104,31 @@ class TestCompatible:
     def test_reflexive(self):
         a = iv(bp(0), OPEN, gen(0, 1, 2), OPEN)
         assert compatible(a, a)
+
+
+# four ranked positions, breakpoints and generic points alternating on the line
+RANKED = (bp(0), gen(0, 1, 2), bp(1), gen(1, 1, 2))
+
+
+def ranked_intervals():
+    """Every interval on RANKED as (lo rank, lo kind, hi rank, hi kind)."""
+    out = [(r, CLOSED, r, CLOSED) for r in range(len(RANKED))]
+    for lo, hi in itertools.combinations(range(len(RANKED)), 2):
+        out += [(lo, lk, hi, hk) for lk in (CLOSED, OPEN) for hk in (CLOSED, OPEN)]
+    return out
+
+
+def test_exhaustive_pairs_agree_with_the_discretized_oracle():
+    """Every pair of intervals on four positions, all kinds: the core on
+    integer ranks, ``compatible`` on ``Interval``s and the independent Ext
+    computation give the same verdict."""
+    ends = ranked_intervals()
+    ivals = [iv(RANKED[lo], lk, RANKED[hi], hk) for lo, lk, hi, hk in ends]
+    for e, a in zip(ends, ivals):
+        for f, b in zip(ends, ivals):
+            expected = discretized_compatible(a, b)
+            assert compatible(a, b) == expected, (a, b)
+            assert _compatible_ends(*e, *f) == expected, (e, f)
 
 
 # hypothesis machinery: random intervals over a fixed small point pool
