@@ -13,6 +13,8 @@ merges each segment's two satellites into the segment vertex, a bijection
 on interval modules.  Over maximal rigid sets the projection is onto and
 every image has exactly 2^n preimages: per segment the family side can be
 left or right, and for each side the anchor is forced by the summands.
+``forced_anchor`` reads that anchor off the ``fam_pool`` masks of
+``continuous._Tables``, the core that rigidity and maximality use too.
 
 ``discretized_compatible`` is the independent oracle for the interval
 compatibility predicate: it replays a pair of flavored intervals as
@@ -34,11 +36,11 @@ from .continuous import (
     BreakSummand,
     FamilyChoice,
     Side,
+    _tables,
     rep_sort_key,
-    sample_offsets,
     validate_rep,
 )
-from .intervals import CLOSED, OPEN, BoundaryKind, Interval, Point, compatible
+from .intervals import CLOSED, OPEN, BoundaryKind, Interval
 from .finite import FiniteInterval, LinearQuiver, ext_dim
 
 
@@ -163,27 +165,23 @@ def forced_anchor(
     side: Side,
     summands: Iterable[BreakSummand],
     n: int,
-    samples_per_segment: int = 2,
 ) -> tuple[int, BoundaryKind]:
     """The unique (anchor, flavor) whose family is compatible with the summands.
 
-    Searched, not computed in closed form; zero or several survivors mean
-    the summands do not come from a maximal rigid projection and abort
-    loudly.
+    Searched, not computed in closed form: every family on (segment, side)
+    whose ``fam_pool`` row in the n-segment ``_Tables`` (its members at the
+    sample positions against every summand) contains the summands' mask
+    survives.  Zero or several survivors mean the summands do not come from
+    a maximal rigid projection and abort loudly.
     """
-    ivals = [s.as_interval() for s in summands]
+    tables = _tables(n)
     side = Side(side)
-    anchors = range(segment + 1, n + 1) if side is RIGHT else range(0, segment + 1)
-    offsets = sample_offsets(samples_per_segment)
-    survivors = []
-    for anchor in anchors:
-        for kind in (CLOSED, OPEN):
-            fam = FamilyChoice(segment, side, anchor, kind)
-            members = [
-                m for off in offsets for m in fam.members(Point.generic(segment, off))
-            ]
-            if all(compatible(m, iv) for m in members for iv in ivals):
-                survivors.append((anchor, kind))
+    smask, _ = tables.masks(summands)
+    survivors = [
+        (fam.anchor, fam.anchor_kind)
+        for fam, pool in zip(tables.families, tables.fam_pool)
+        if fam.segment == segment and fam.side is side and pool & smask == smask
+    ]
     if not survivors:
         raise NoAnchorError(f"no anchor for segment {segment}, side {side}")
     if len(survivors) > 1:
@@ -201,11 +199,8 @@ def fiber_reps(image: Iterable[FiniteInterval], grid: Breakpoints) -> list[Break
     """
     n = grid.n
     summands = pull_back_summands(image, n)
-    anchors = {
-        (j, side): forced_anchor(j, side, summands, n)
-        for j in range(n)
-        for side in (LEFT, RIGHT)
-    }
+    pairs = itertools.product(range(n), (LEFT, RIGHT))
+    anchors = {(j, side): forced_anchor(j, side, summands, n) for j, side in pairs}
     out = []
     for sides in itertools.product((LEFT, RIGHT), repeat=n):
         families = tuple(

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -29,6 +30,7 @@ from .finite import LinearQuiver, ResourceLimitError, enumerate_maximal_rigid
 from .intervals import CLOSED, OPEN, BoundaryKind, InvalidIntervalError
 
 _KINDS = {"closed": CLOSED, "open": OPEN}
+_RATIONAL = re.compile(r"-?\d+(/\d+)?", re.ASCII)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -115,14 +117,15 @@ def _int(value) -> int:
 
 
 def _exact(value) -> Fraction:
-    """A grid point: a JSON integer or a rational string such as ``"1/3"``.
+    """A grid point: a JSON integer or a string that ``str(Fraction)`` writes.
 
-    Floats and booleans raise TypeError; Fraction would take a float at its
-    binary value and a boolean as 0 or 1.
+    Anything else raises TypeError before ``Fraction`` sees it: Fraction
+    would take a float at its binary value, a boolean as 0 or 1, and would
+    expand a decimal exponent such as ``"1e-4000000"`` into a power of ten.
     """
-    if type(value) not in (int, str):
-        raise TypeError(f"not an exact rational: {value!r}")
-    return Fraction(value)
+    if type(value) is int or type(value) is str and _RATIONAL.fullmatch(value):
+        return Fraction(value)
+    raise TypeError(f"not an exact rational: {value!r}")
 
 
 def rep_from_dict(data: dict) -> BreakpointRep:

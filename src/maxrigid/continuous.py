@@ -39,7 +39,6 @@ from .intervals import (
     Interval,
     Point,
     _compatible_ends,
-    compatible,
 )
 
 
@@ -146,22 +145,6 @@ class FamilyChoice:
         closed, open_ = self.member_ends(x, Point.breakpoint(self.anchor))
         return Interval(*closed), Interval(*open_)
 
-    def matches(self, interval: Interval) -> bool:
-        """Whether ``interval`` has the shape of one of this family's members."""
-        if self.side is RIGHT:
-            return (
-                not interval.lo.is_breakpoint
-                and interval.lo.index == self.segment
-                and interval.hi == Point.breakpoint(self.anchor)
-                and interval.hi_kind is self.anchor_kind
-            )
-        return (
-            not interval.hi.is_breakpoint
-            and interval.hi.index == self.segment
-            and interval.lo == Point.breakpoint(self.anchor)
-            and interval.lo_kind is self.anchor_kind
-        )
-
     def __str__(self) -> str:
         kb_open, kb_close = ("[", "]") if self.anchor_kind is CLOSED else ("(", ")")
         if self.side is RIGHT:
@@ -196,13 +179,6 @@ class Breakpoints:
     @property
     def n(self) -> int:
         return len(self.values) - 1
-
-    def position(self, p: Point) -> Fraction:
-        """Concrete coordinate of a combinatorial point on this grid."""
-        if p.is_breakpoint:
-            return self.values[p.index]
-        lo, hi = self.values[p.index], self.values[p.index + 1]
-        return lo + p.offset * (hi - lo)
 
 
 @dataclass(frozen=True)
@@ -360,11 +336,12 @@ def is_rigid(rep: BreakpointRep, samples_per_segment: int = 2) -> bool:
 
     Two sample positions per segment realize every order pattern a pair
     of summands can exhibit, so the finite check settles the continuum
-    statement for valid encodings.
+    statement for valid encodings.  The pairs are read off the ``_Tables``
+    masks built at the same sample positions (``_Tables.rigid``).
     """
     validate_rep(rep)
-    ivals = sample_model(rep, samples_per_segment).intervals
-    return all(compatible(a, b) for a, b in itertools.combinations(ivals, 2))
+    tables = _tables(rep.grid.n, samples_per_segment)
+    return tables.rigid(*tables.masks(rep.summands, rep.families))
 
 
 def all_break_summands(n: int) -> list[BreakSummand]:
@@ -407,52 +384,42 @@ def _probe_offsets(samples: tuple[Fraction, ...], own: tuple[Fraction, ...]) -> 
 
 
 class _Tables:
-    """Per-(n, samples, fresh) compatibility tables backing the maximality sweep.
+    """Per-(n, samples) compatibility masks: the one integer core.
 
-    Summands, families and candidate summands are indexed once; all the
-    pair predicates are collapsed into bitmasks so that testing one
-    candidate against a representation costs a few integer operations.
+    Summands and families are indexed once and every pair predicate is a
+    bitmask: ``adj`` (summand/summand), ``fam_pool``/``s_famok`` (summand
+    against a family's members at every sample, by family/by summand) and
+    ``famadj`` (families on distinct segments).  Rigidity, maximality,
+    enumeration and ``bridge.forced_anchor`` all read them.  ``sweep``
+    builds the generic-candidate masks, which also depend on the fresh
+    offsets, only when a maximality sweep first needs them.
 
-    The build decides every pair on integer ranks, not on ``Point``s.  It
-    collects every offset it will place a point at (samples, fresh offsets
-    and all the ``_probe_offsets`` witnesses) and sorts them once; with W
-    one more than their number, breakpoint i becomes ``i * W`` and generic
-    point (j, off) becomes ``j * W + rank(off)``, ranks running 1..W-1.
-    This is exactly the order of ``Point`` (equal offsets share a rank, and
-    a segment's generic points lie strictly between its breakpoints), and
-    ``_compatible_ends`` only compares endpoints, so each verdict equals
-    ``compatible`` on the points.  An offset that was not collected has no
-    rank (a ``KeyError``), never a guessed one.
+    Every pair is decided on integer ranks.  A build sorts every offset it
+    places a point at once; with W one more than their number, breakpoint
+    i becomes ``i * W`` and generic point (j, off) ``j * W + rank(off)``,
+    ranks 1..W-1.  That is exactly the order of ``Point`` (equal offsets
+    share a rank), and ``_compatible_ends`` only compares endpoints, so
+    each verdict equals ``compatible`` on the points.  An offset that was
+    not collected has no rank (a ``KeyError``), never a guessed one.
     """
 
-    def __init__(self, n: int, samples_per_segment: int, fresh: tuple[Fraction, ...]):
+    def __init__(self, n: int, samples_per_segment: int):
         self.n = n
+        self.samples = sample_offsets(samples_per_segment)
         self.summands = all_break_summands(n)
         self.sindex = {s: i for i, s in enumerate(self.summands)}
         self.families = all_family_choices(n)
         self.findex = {f: i for i, f in enumerate(self.families)}
         count = len(self.summands)
         self.full_mask = (1 << count) - 1
+        self._sweeps: dict[tuple, tuple[list[int], list[int], list[int]]] = {}
 
-        for off in fresh:
-            Point.generic(0, off)  # raises unless the offset lies in (0, 1)
-        samples = sample_offsets(samples_per_segment)
-        owns = [()] + [(f,) for f in fresh] + list(itertools.combinations(fresh, 2))
-        offsets = sorted({off for own in owns for off in _probe_offsets(samples, own)})
-        rank = {off: r for r, off in enumerate(offsets, 1)}
-        w = len(offsets) + 1
-        # ranks to check a family at, keyed by the candidate's own ranks there
-        probe = {
-            tuple(rank[o] for o in own): sorted(rank[o] for o in _probe_offsets(samples, own))
-            for own in owns
-        }
-        # members_at[fi][r]: both members of family fi at rank r of its segment
-        members_at = [
-            [fam.member_ends(fam.segment * w + r, fam.anchor * w) for r in range(w)]
+        w = len(self.samples) + 1  # the samples are sorted: sample k has rank k
+        ends = [(s.lo * w, s.lo_kind, s.hi * w, s.hi_kind) for s in self.summands]
+        sampled = [
+            [m for r in range(1, w) for m in fam.member_ends(fam.segment * w + r, fam.anchor * w)]
             for fam in self.families
         ]
-        sampled = [[m for r in probe[()] for m in at[r]] for at in members_at]
-        ends = [(s.lo * w, s.lo_kind, s.hi * w, s.hi_kind) for s in self.summands]
 
         self.adj = [0] * count
         for i in range(count):
@@ -482,28 +449,68 @@ class _Tables:
                     self.famadj[fi] |= 1 << fj
                     self.famadj[fj] |= 1 << fi
 
-        # generic candidates: ranked ends plus the families whose member shape each has
-        self.candidates, self.cand_match = map(list, zip(*self._make_candidates(w, rank, fresh)))
-        self.cand_smask = []
-        self.cand_famok = []
-        for c in self.candidates:
-            smask = 0
-            for si, e in enumerate(ends):
-                if _compatible_ends(*c, *e):
-                    smask |= 1 << si
-            self.cand_smask.append(smask)
+    def masks(self, summands: Iterable[BreakSummand], families: Iterable[FamilyChoice] = ()):
+        """The (summand, family) bitmasks of the given summands and families."""
+        smask = sum({1 << self.sindex[s] for s in summands})
+        return smask, sum({1 << self.findex[f] for f in families})
+
+    def rigid(self, smask: int, fmask: int) -> bool:
+        """The sampled model's pairwise check on the masked summands and families.
+
+        Two members of one family are always nested, and a valid rep has
+        one family per segment, so ``famadj`` covers every family pair.
+        """
+        return all(
+            (self.adj[si] | 1 << si) & smask == smask and self.s_famok[si] & fmask == fmask
+            for si in bits(smask)
+        ) and all((self.famadj[fi] | 1 << fi) & fmask == fmask for fi in bits(fmask))
+
+    def sweep(self, fresh: Iterable) -> tuple[list[int], list[int], list[int]]:
+        """``(cand_match, cand_smask, cand_famok)`` at these fresh offsets, built once.
+
+        Per generic candidate, in order: the families whose member shape it
+        has, the summands it is compatible with, and the families it is
+        compatible with at every position.
+        """
+        key = tuple(fresh)
+        if key in self._sweeps:
+            return self._sweeps[key]
+        fresh = tuple(sorted({Fraction(f) for f in key}))
+        for off in fresh:
+            Point.generic(0, off)  # raises unless the offset lies in (0, 1)
+        owns = [()] + [(f,) for f in fresh] + list(itertools.combinations(fresh, 2))
+        offsets = sorted({off for own in owns for off in _probe_offsets(self.samples, own)})
+        rank = {off: r for r, off in enumerate(offsets, 1)}
+        w = len(offsets) + 1
+        # ranks to check a family at, keyed by the candidate's own ranks there
+        probe = {
+            tuple(rank[o] for o in own): sorted(rank[o] for o in _probe_offsets(self.samples, own))
+            for own in owns
+        }
+        # members_at[fi][r]: both members of family fi at rank r of its segment
+        members_at = [
+            [fam.member_ends(fam.segment * w + r, fam.anchor * w) for r in range(w)]
+            for fam in self.families
+        ]
+        ends = [(s.lo * w, s.lo_kind, s.hi * w, s.hi_kind) for s in self.summands]
+        candidates, cand_match = map(list, zip(*self._make_candidates(w, rank, fresh)))
+        cand_smask, cand_famok = [], []
+        for c in candidates:
+            cand_smask.append(sum(1 << si for si, e in enumerate(ends) if _compatible_ends(*c, *e)))
             # compatible with a family's members at every position: the
             # probe ranks of the family's segment realize every pattern
             probes = [
                 probe[tuple(sorted({p % w for p in (c[0], c[2]) if p % w and p // w == j}))]
-                for j in range(n)
+                for j in range(self.n)
             ]
             fmask = 0
             for fi, fam in enumerate(self.families):
                 at = members_at[fi]
                 if all(_compatible_ends(*c, *m) for r in probes[fam.segment] for m in at[r]):
                     fmask |= 1 << fi
-            self.cand_famok.append(fmask)
+            cand_famok.append(fmask)
+        self._sweeps[key] = cand_match, cand_smask, cand_famok
+        return self._sweeps[key]
 
     def _make_candidates(self, w: int, rank: dict, fresh: tuple[Fraction, ...]) -> Iterator[tuple]:
         kinds = (CLOSED, OPEN)
@@ -531,15 +538,14 @@ class _Tables:
 _TABLES_CACHE: dict[tuple, _Tables] = {}
 
 
-def _tables(n: int, samples_per_segment: int = 2, fresh: tuple[Fraction, ...] = DEFAULT_FRESH) -> _Tables:
-    fresh = tuple(sorted({Fraction(f) for f in fresh}))
-    key = (n, samples_per_segment, fresh)
+def _tables(n: int, samples_per_segment: int = 2) -> _Tables:
+    key = (n, samples_per_segment)
     if key not in _TABLES_CACHE:
-        _TABLES_CACHE[key] = _Tables(n, samples_per_segment, fresh)
+        _TABLES_CACHE[key] = _Tables(n, samples_per_segment)
     return _TABLES_CACHE[key]
 
 
-def _live_candidates(tables: _Tables, fmask: int) -> list[int]:
+def _live_candidates(sweep: tuple[list[int], list[int], list[int]], fmask: int) -> list[int]:
     """Step 1 of the generic-candidate sweep: what one family choice leaves open.
 
     Keeps the summand mask (``cand_smask``) of every generic-endpoint
@@ -550,7 +556,7 @@ def _live_candidates(tables: _Tables, fmask: int) -> list[int]:
     """
     return [
         smask
-        for match, smask, famok in zip(tables.cand_match, tables.cand_smask, tables.cand_famok)
+        for match, smask, famok in zip(*sweep)
         if not match & fmask and famok & fmask == fmask
     ]
 
@@ -574,22 +580,16 @@ def is_maximal_rigid(
     matching the shape of a chosen family member counts as already
     present.  Raises NotRigidError when the representation is not rigid.
     """
-    if not is_rigid(rep, samples_per_segment):
+    validate_rep(rep)
+    tables = _tables(rep.grid.n, samples_per_segment)
+    smask, fmask = tables.masks(rep.summands, rep.families)
+    if not tables.rigid(smask, fmask):
         raise NotRigidError("NotRigid")
-    tables = _tables(rep.grid.n, samples_per_segment, tuple(Fraction(f) for f in fresh))
-    smask = 0
-    for s in rep.summands:
-        smask |= 1 << tables.sindex[s]
-    fmask = 0
-    for f in rep.families:
-        fmask |= 1 << tables.findex[f]
-    for si in range(len(tables.summands)):
-        bit = 1 << si
-        if smask & bit:
-            continue
+    sweep = tables.sweep(fresh)  # first, so that bad fresh offsets always raise
+    for si in bits(tables.full_mask & ~smask):
         if tables.adj[si] & smask == smask and tables.s_famok[si] & fmask == fmask:
             return False
-    return not _generic_addable(_live_candidates(tables, fmask), smask)
+    return not _generic_addable(_live_candidates(sweep, fmask), smask)
 
 
 def canonicalize(rep: BreakpointRep) -> BreakpointRep:
@@ -654,6 +654,7 @@ def enumerate_maximal_rigid_reps(grid: Breakpoints, max_n: int = 5) -> list[Brea
     if n > max_n:
         raise ResourceLimitError(f"n={n} exceeds cap {max_n}; raise max_n to proceed")
     tables = _tables(n)
+    sweep = tables.sweep(DEFAULT_FRESH)
     per_segment = [
         [fi for fi, fam in enumerate(tables.families) if fam.segment == j]
         for j in range(n)
@@ -662,7 +663,7 @@ def enumerate_maximal_rigid_reps(grid: Breakpoints, max_n: int = 5) -> list[Brea
     choices = _family_choices(tables, per_segment, (), all_families, 0, tables.full_mask)
     out: list = []
     for fams, fmask, pool in choices:
-        live = _live_candidates(tables, fmask)
+        live = _live_candidates(sweep, fmask)
         out.extend(
             (tuple(bits(clique)), fams)
             for clique in max_cliques(tables.adj, pool)

@@ -35,10 +35,11 @@ from maxrigid import (
     project,
     pull_back_summands,
     refined_quiver,
+    sample_offsets,
     segment_quiver,
     to_refined,
 )
-from maxrigid import verify
+from maxrigid import continuous, verify
 
 from golden import five_projected_sets, ten_reps
 
@@ -217,6 +218,35 @@ class TestForcedAnchor:
         with pytest.raises(NoAnchorError):
             forced_anchor(0, RIGHT, blockers, 1)
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_agrees_with_a_search_over_sampled_members(self, n):
+        """Both sides of every segment of every maximal rigid image."""
+        for h in enumerate_maximal_rigid(segment_quiver(n)):
+            summands = pull_back_summands(h.summands, n)
+            for j in range(n):
+                for side in (LEFT, RIGHT):
+                    (found,) = _searched_anchors(j, side, summands, n)
+                    assert forced_anchor(j, side, summands, n) == found, (h, j, side)
+
+
+def _searched_anchors(segment, side, summands, n):
+    """Every (anchor, flavor) whose family members at the default sample
+    offsets are compatible with every summand, by direct search."""
+    ivals = [s.as_interval() for s in summands]
+    anchors = range(segment + 1, n + 1) if side is RIGHT else range(0, segment + 1)
+    xs = [Point.generic(segment, off) for off in sample_offsets(2)]
+    return [
+        (anchor, kind)
+        for anchor in anchors
+        for kind in (CLOSED, OPEN)
+        if all(
+            compatible(m, iv)
+            for x in xs
+            for m in FamilyChoice(segment, side, anchor, kind).members(x)
+            for iv in ivals
+        )
+    ]
+
 
 def test_segment_quiver_counts_match_the_formula():
     from maxrigid import projected_count
@@ -241,6 +271,14 @@ class TestFibers:
                 assert is_uniform(r)
                 assert is_maximal_rigid(r)
                 assert project(r) == h.summands
+
+    def test_fiber_route_builds_no_sweep_masks(self, monkeypatch):
+        """Anchors need the summand and family masks only, never the candidates."""
+        monkeypatch.setattr(continuous, "_TABLES_CACHE", {})
+        projectives = [f(i, 9) for i in range(1, 10)]  # maximal rigid on A_9
+        assert len(fiber_reps(projectives, Breakpoints.uniform(4))) == 16
+        assert list(continuous._TABLES_CACHE) == [(4, 2)]
+        assert not continuous._TABLES_CACHE[(4, 2)]._sweeps
 
     def test_fiber_union_equals_direct_enumeration(self):
         for n in (1, 2, 3):

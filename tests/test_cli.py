@@ -10,6 +10,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -196,7 +197,17 @@ class TestCheck:
         assert code == 2
         assert error in err
 
-    @pytest.mark.parametrize("alpha", [[0, 0.1, 1], [False, "1/2", True]])
+    @pytest.mark.parametrize(
+        "alpha",
+        [
+            [0, 0.1, 1],
+            [False, "1/2", True],
+            # Fraction would accept these strings; a huge exponent would cost seconds
+            ["0", "1e-4000000", "1"],
+            ["0", "0.5", "1"],
+            ["0", " 1/2", "1"],
+        ],
+    )
     def test_non_exact_alpha_rejected(self, tmp_path, capsys, alpha):
         payload = {
             "n": 2,
@@ -209,7 +220,9 @@ class TestCheck:
         }
         path = tmp_path / "rep.json"
         path.write_text(json.dumps(payload))
+        start = time.process_time()
         code, _, err = run(capsys, "check", str(path))
+        assert time.process_time() - start < 0.5
         assert code == 2
         assert "BadAlpha" in err
 

@@ -221,6 +221,46 @@ class TestRigid:
         empty = rep(GRID1, [], [FamilyChoice(0, RIGHT, 1, CLOSED)])
         assert is_rigid(empty)
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_enumerated_reps_and_neighbours_agree_with_the_sampled_model(self, n):
+        """Every maximal rigid rep, minus one summand and plus one foreign summand."""
+        grid = Breakpoints.uniform(n)
+        summands = all_break_summands(n)
+        verdicts = set()
+        for r in enumerate_maximal_rigid_reps(grid):
+            variants = [r]
+            variants += [rep(grid, [s for s in r.summands if s != drop], r.families) for drop in r.summands]
+            variants += [rep(grid, r.summands + (s,), r.families) for s in summands if s not in r.summands]
+            for v in variants:
+                verdicts.add(_assert_rigid_agrees(v))
+        assert verdicts == {True, False}
+
+    def test_random_encodings_agree_with_the_sampled_model(self):
+        """Seeded random summand sets under one random family per segment."""
+        rng = random.Random(19)
+        verdicts = []
+        for n in (1, 2, 3):
+            grid = Breakpoints.uniform(n)
+            summands = all_break_summands(n)
+            per_segment = [[f for f in all_family_choices(n) if f.segment == j] for j in range(n)]
+            for _ in range(600):
+                chosen = rng.sample(summands, rng.randrange(2 * n + 3))
+                fams = [rng.choice(fs) for fs in per_segment]
+                verdicts.append(_assert_rigid_agrees(rep(grid, chosen, fams)))
+        assert 0.05 < sum(verdicts) / len(verdicts) < 0.95
+
+
+def _assert_rigid_agrees(r) -> bool:
+    """``is_rigid`` equals pairwise ``compatible`` over the sampled model, k = 2 and 4."""
+    verdicts = set()
+    for k in (2, 4):
+        ivals = sample_model(r, k).intervals
+        expected = all(compatible(a, b) for a, b in itertools.combinations(ivals, 2))
+        assert is_rigid(r, k) == expected, (k, r.summands, r.families)
+        verdicts.add(expected)
+    (verdict,) = verdicts
+    return verdict
+
 
 class TestMaximalRigid:
     def test_golden_encodings_are_maximal(self):
@@ -368,15 +408,16 @@ class TestTables:
         Refining the samples or moving fresh offsets onto them realizes the
         same order patterns, so the n=2 variants share the n=2 digests.
         """
-        t = _tables(n, samples, fresh)
+        t = _tables(n, samples)
+        cand_match, cand_smask, cand_famok = t.sweep(fresh)
         lists = {
             "adj": t.adj,
             "fam_pool": t.fam_pool,
             "s_famok": t.s_famok,
             "famadj": t.famadj,
-            "cand_smask": t.cand_smask,
-            "cand_famok": t.cand_famok,
-            "cand_match": t.cand_match,
+            "cand_smask": cand_smask,
+            "cand_famok": cand_famok,
+            "cand_match": cand_match,
         }
         got = {k: hashlib.sha256(repr(v).encode()).hexdigest()[:16] for k, v in lists.items()}
         assert got == MASK_DIGESTS[n]
@@ -397,7 +438,7 @@ class TestTables:
         everything = (1 << len(t.families)) - 1
         cliques = 0
         for _, fmask, pool in _family_choices(t, per_segment, (), everything, 0, t.full_mask):
-            live = _live_candidates(t, fmask)
+            live = _live_candidates(t.sweep(DEFAULT_FRESH), fmask)
             for clique in max_cliques(t.adj, pool):
                 assert not _generic_addable(live, clique)
                 cliques += 1
