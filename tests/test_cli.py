@@ -151,6 +151,42 @@ class TestCheck:
         assert code == 2
         assert "EmptyInterval" in err
 
+    @pytest.mark.parametrize(
+        "lo, lo_kind, hi, hi_kind, error, message, name",
+        [
+            (-1, "closed", 2, "closed", ValueError, "negative point index: -1",
+             "MissingOrBadField(t_part)"),
+            (0, "closed", -2, "closed", ValueError, "negative point index: -2",
+             "MissingOrBadField(t_part)"),
+            (3, "closed", 1, "closed", maxrigid.InvertedIntervalError,
+             "InvertedInterval(a3 > a1)", "InvertedInterval(a3 > a1)"),
+            (2, "closed", 2, "open", maxrigid.EmptyIntervalError,
+             "EmptyInterval(open end at a2)", "EmptyInterval(open end at a2)"),
+        ],
+    )
+    def test_summand_shape_errors(self, tmp_path, capsys, lo, lo_kind, hi, hi_kind, error,
+                                  message, name):
+        """``BreakSummand`` checks its indices as the ``Interval`` on them would."""
+        kinds = {"closed": maxrigid.CLOSED, "open": maxrigid.OPEN}
+        args = (lo, kinds[lo_kind], hi, kinds[hi_kind])
+        with pytest.raises(error) as direct:
+            maxrigid.BreakSummand(*args)
+        assert str(direct.value) == message
+        with pytest.raises(error) as via_points:
+            p = maxrigid.Point.breakpoint
+            maxrigid.Interval(p(args[0]), args[1], p(args[2]), args[3])
+        assert type(via_points.value) is type(direct.value)
+        assert str(via_points.value) == message
+        payload = {
+            "n": 3,
+            "t_part": [{"lo": lo, "lo_kind": lo_kind, "hi": hi, "hi_kind": hi_kind}],
+            "families": [],
+        }
+        path = tmp_path / "rep.json"
+        path.write_text(json.dumps(payload))
+        code, out, err = run(capsys, "check", str(path))
+        assert (code, out, err) == (2, "", f"error: {name}\n")
+
     def test_unknown_key_rejected(self, tmp_path, capsys):
         payload = {"n": 1, "t_part": [], "families": [], "extra": 1}
         path = tmp_path / "rep.json"

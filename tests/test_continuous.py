@@ -1,4 +1,4 @@
-"""Breakpoint representations: validation, profiles, rigidity, maximality."""
+"""Breakpoint representations: validation, uniformity, rigidity, maximality."""
 
 import hashlib
 import itertools
@@ -20,6 +20,7 @@ from maxrigid import (
     DuplicateSummandError,
     FamilyChoice,
     Interval,
+    InvalidRepError,
     MissingFamilyError,
     NotRigidError,
     Point,
@@ -29,25 +30,29 @@ from maxrigid import (
     canonicalize,
     compatible,
     continuous_count,
-    endpoint_profile,
     enumerate_maximal_rigid_reps,
     is_maximal_rigid,
     is_rigid,
     is_uniform,
-    sample_model,
     validate_rep,
 )
 
 from maxrigid.cliques import max_cliques
-from maxrigid.continuous import (
-    DEFAULT_FRESH,
-    _family_choices,
-    _generic_addable,
-    _live_candidates,
-    _tables,
-)
+from maxrigid.continuous import _family_choices, _tables
 
 from golden import ten_reps
+from oracles import (
+    DEFAULT_FRESH,
+    endpoint_profile,
+    generic_addable,
+    live_candidates,
+    maximal_oracle,
+    profile_uniform,
+    random_fresh,
+    sample_model,
+    sampled_masks,
+    sweep,
+)
 
 GRID1 = Breakpoints.uniform(1)
 GOLDEN = ten_reps(GRID1)
@@ -198,6 +203,46 @@ class TestUniform:
                 valid = False
             assert is_uniform(candidate) == valid, (candidate.summands, candidate.families)
 
+    def test_profile_oracle(self):
+        """``is_uniform`` equals the sampled profile test on seeded encodings, n = 1..4.
+
+        Valid encodings mixed with ones that have a bad anchor, a duplicate
+        summand or family, or a segment without a family.
+        """
+        rng = random.Random(41)
+        errors = set()
+        verdicts = []
+        for n in (1, 2, 3, 4):
+            grid = Breakpoints.uniform(n)
+            summands = all_break_summands(n)
+            per_segment = [[f for f in all_family_choices(n) if f.segment == j] for j in range(n)]
+            for _ in range(300):
+                chosen = rng.sample(summands, rng.randrange(2 * n + 3))
+                fams = [rng.choice(fs) for fs in per_segment]
+                fault = rng.randrange(6)
+                if fault == 1 and chosen:
+                    chosen.append(rng.choice(chosen))
+                elif fault == 2:
+                    j = rng.randrange(n)
+                    fams.append(rng.choice([f for f in per_segment[j] if f != fams[j]]))
+                elif fault == 3:
+                    del fams[rng.randrange(n)]
+                elif fault == 4:
+                    j = rng.randrange(n)
+                    side, anchors = rng.choice([(RIGHT, range(j + 1)), (LEFT, range(j + 1, n + 1))])
+                    fams[j] = FamilyChoice(j, side, rng.choice(anchors), rng.choice((CLOSED, OPEN)))
+                candidate = rep(grid, chosen, fams)
+                try:
+                    validate_rep(candidate)
+                except InvalidRepError as exc:
+                    errors.add(type(exc))
+                verdicts.append(is_uniform(candidate))
+                assert verdicts[-1] == profile_uniform(candidate), (candidate.summands, fams)
+        assert errors == {
+            DuplicateSummandError, DuplicateFamilyError, MissingFamilyError, BadAnchorRangeError
+        }
+        assert 0.25 < sum(verdicts) / len(verdicts) < 0.5  # a third have no fault
+
     def test_duplicate_summand_not_uniform(self):
         s = BreakSummand(0, CLOSED, 1, CLOSED)
         doubled = rep(GRID1, [s, s], [FamilyChoice(0, RIGHT, 1, CLOSED)])
@@ -256,7 +301,7 @@ def _assert_rigid_agrees(r) -> bool:
     for k in (2, 4):
         ivals = sample_model(r, k).intervals
         expected = all(compatible(a, b) for a, b in itertools.combinations(ivals, 2))
-        assert is_rigid(r, k) == expected, (k, r.summands, r.families)
+        assert is_rigid(r) == expected, (k, r.summands, r.families)
         verdicts.add(expected)
     (verdict,) = verdicts
     return verdict
@@ -311,37 +356,28 @@ class TestMaximalRigid:
 
 
 class TestStability:
-    """Verdicts do not move when sampling is refined or fresh positions change."""
+    """The one-rank verdicts equal the sweep oracle at k = 4 and random fresh offsets."""
 
     def test_golden_under_k4_and_rerandomized_fresh(self):
         rng = random.Random(11)
         for r in GOLDEN:
-            assert is_rigid(r, samples_per_segment=4)
-            fresh = _random_fresh(rng)
-            assert is_maximal_rigid(r, samples_per_segment=4, fresh=fresh)
+            assert is_rigid(r)
+            verdicts = is_maximal_rigid(r), maximal_oracle(r, 4, random_fresh(rng))
+            assert verdicts == (True, True)
 
     def test_random_n2_encodings(self):
         rng = random.Random(23)
         grid = Breakpoints.uniform(2)
         reps = enumerate_maximal_rigid_reps(grid)
         for r in rng.sample(reps, 8):
-            assert is_rigid(r, samples_per_segment=4)
-            assert is_maximal_rigid(r, samples_per_segment=4, fresh=_random_fresh(rng))
+            assert is_rigid(r)
+            verdicts = is_maximal_rigid(r), maximal_oracle(r, 4, random_fresh(rng))
+            assert verdicts == (True, True)
             pruned = BreakpointRep(
                 grid=grid, summands=r.summands[:-1], families=r.families
             )
-            assert not is_maximal_rigid(pruned)
-            assert not is_maximal_rigid(
-                pruned, samples_per_segment=4, fresh=_random_fresh(rng)
-            )
-
-
-def _random_fresh(rng):
-    """Three distinct interior fractions avoiding the sample grid."""
-    pool = [Fraction(k, 24) for k in range(1, 24) if Fraction(k, 24) not in (Fraction(1, 3), Fraction(2, 3))]
-    # denominators of 24 never collide with fifths either (k=4 sampling)
-    pool = [p for p in pool if p not in (Fraction(1, 5), Fraction(2, 5), Fraction(3, 5), Fraction(4, 5))]
-    return tuple(sorted(rng.sample(pool, 3)))
+            verdicts = is_maximal_rigid(pruned), maximal_oracle(pruned, 4, random_fresh(rng))
+            assert verdicts == (False, False)
 
 
 class TestEnumeration:
@@ -370,8 +406,9 @@ class TestEnumeration:
             enumerate_maximal_rigid_reps(Breakpoints.uniform(3), max_n=2)
 
 
-# First 16 hex digits of the sha256 of ``repr`` of each ``_Tables`` mask list
-# at the default sampling, recorded from the Fraction-based table build.
+# First 16 hex digits of the sha256 of ``repr`` of each mask list, recorded
+# from the Fraction-based table build: the four ``_Tables`` lists and the
+# three candidate lists of the sweep oracle at k = 2 and ``DEFAULT_FRESH``.
 MASK_DIGESTS = {
     1: {"adj": "008e9cb658dd597c", "fam_pool": "fc8ac17b57f9678f",
         "s_famok": "a360519165685a50", "famadj": "a90d007c2fc57df6",
@@ -405,31 +442,31 @@ class TestTables:
     def test_mask_digests(self, n, samples, fresh):
         """Every mask list, in candidate order, is pinned bit for bit.
 
-        Refining the samples or moving fresh offsets onto them realizes the
-        same order patterns, so the n=2 variants share the n=2 digests.
+        The table masks come from the one-rank ``_tables(n)``, the candidate
+        masks from the sweep oracle at ``samples`` and ``fresh``.  Refining
+        the samples or moving fresh offsets onto them realizes the same
+        order patterns, so the n=2 variants share the n=2 digests.
         """
-        t = _tables(n, samples)
-        cand_match, cand_smask, cand_famok = t.sweep(fresh)
+        t = _tables(n)
+        sw = sweep(n, fresh, samples)
         lists = {
             "adj": t.adj,
             "fam_pool": t.fam_pool,
             "s_famok": t.s_famok,
             "famadj": t.famadj,
-            "cand_smask": cand_smask,
-            "cand_famok": cand_famok,
-            "cand_match": cand_match,
+            "cand_smask": sw.cand_smask,
+            "cand_famok": sw.cand_famok,
+            "cand_match": sw.cand_match,
         }
         got = {k: hashlib.sha256(repr(v).encode()).hexdigest()[:16] for k, v in lists.items()}
         assert got == MASK_DIGESTS[n]
 
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_sweep_rejects_no_pool_maximal_clique(self, n):
         """No live generic candidate extends a pool-maximal clique.
 
-        That generic candidates never do is an open conjecture (ROADMAP);
-        until it is argued, the sweep stays in ``is_maximal_rigid`` and the
-        enumerator as the oracle, and this test records that it rejects
-        nothing at n <= 3.
+        Exhaustive over every complete family choice: this is why the
+        enumerator keeps every pool-maximal clique without a sweep.
         """
         t = _tables(n)
         per_segment = [
@@ -438,11 +475,43 @@ class TestTables:
         everything = (1 << len(t.families)) - 1
         cliques = 0
         for _, fmask, pool in _family_choices(t, per_segment, (), everything, 0, t.full_mask):
-            live = _live_candidates(t.sweep(DEFAULT_FRESH), fmask)
+            live = live_candidates(sweep(n), fmask)
             for clique in max_cliques(t.adj, pool):
-                assert not _generic_addable(live, clique)
+                assert not generic_addable(live, clique)
                 cliques += 1
         assert cliques == continuous_count(n)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_no_candidate_is_ever_live(self, n):
+        """The lemma behind dropping the sweep, on every candidate.
+
+        The family on the segment of a candidate's lower generic endpoint
+        either has its shape or is incompatible with it, whichever family
+        that is; so no complete family choice leaves the candidate live.
+        Checked at k = 2 and 4, at ``DEFAULT_FRESH`` and at seeded random
+        fresh offsets.
+        """
+        rng = random.Random(100 + n)
+        families = all_family_choices(n)
+        for k in (2, 4):
+            for fresh in (DEFAULT_FRESH, random_fresh(rng)):
+                sw = sweep(n, fresh, k)
+                for c, match, famok in zip(sw.candidates, sw.cand_match, sw.cand_famok):
+                    lo_generic = c[0] if c[0] % sw.w else c[2]
+                    j = lo_generic // sw.w
+                    assert all(
+                        match >> fi & 1 or not famok >> fi & 1
+                        for fi, fam in enumerate(families)
+                        if fam.segment == j
+                    ), (n, k, fresh, c)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_one_rank_equals_every_sample_count(self, n):
+        """The tables at one rank per segment equal the ``Point`` build at k samples."""
+        t = _tables(n)
+        tables = {"adj": t.adj, "fam_pool": t.fam_pool, "s_famok": t.s_famok, "famadj": t.famadj}
+        for k in (1, 2, 3, 4):
+            assert sampled_masks(n, k) == tables, k
 
 
 class TestCanonicalize:
