@@ -1,7 +1,8 @@
 """Command-line interface: enumerate, count, finite, verify, check.
 
-Exit codes: 0 success, 1 verification mismatch (an internal claim
-failed), 2 invalid input (bad flags, malformed JSON, broken encoding).
+Exit codes: 0 success, 1 verification mismatch or internal error (a
+failed claim, a bug), 2 invalid input (bad flags, malformed JSON, broken
+encoding); only the typed input errors that ``main`` lists exit 2.
 Output is deterministic: identical invocations produce identical bytes.
 """
 
@@ -291,9 +292,22 @@ def cmd_finite(args) -> int:
     return 0
 
 
+def _load_json(fh):
+    """``json.load``, with the parser's own limits raised as input errors."""
+    try:
+        return json.load(fh)
+    except RecursionError:
+        raise InvalidRepError("JsonTooDeep") from None
+    except (json.JSONDecodeError, UnicodeDecodeError):
+        raise
+    except ValueError:
+        # int() refuses more digits than sys.get_int_max_str_digits()
+        raise InvalidRepError("IntegerTooLong") from None
+
+
 def cmd_check(args) -> int:
     with open(args.path, encoding="utf-8") as fh:
-        data = json.load(fh)
+        data = _load_json(fh)
     rep = rep_from_dict(data)
     validate_rep(rep)
     uniform = is_uniform(rep)
@@ -306,7 +320,7 @@ def cmd_check(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.n < 1:
-        raise ValueError("segment count must be >= 1")
+        raise counting.NonPositiveCountError("segment count must be >= 1")
     failures = 0
     for label, ok in verify.checks(args.n, args.seed):
         print(("ok: " if ok else "FAIL: ") + label)
@@ -342,13 +356,17 @@ def main(argv=None) -> int:
         InvalidRepError,
         InvalidIntervalError,
         ResourceLimitError,
+        counting.NonPositiveCountError,
         json.JSONDecodeError,
+        UnicodeDecodeError,  # a ValueError: a `check` file that is not UTF-8
         OSError,
-        TypeError,
-        ValueError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception:
+        # anything else is a bug, not bad input: report it with its traceback
+        sys.excepthook(*sys.exc_info())
+        return 1
 
 
 if __name__ == "__main__":

@@ -30,6 +30,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .cliques import bits, max_cliques
+from .counting import NonPositiveCountError
 from .finite import ResourceLimitError
 from .intervals import (
     CLOSED,
@@ -181,7 +182,7 @@ class Breakpoints:
     @classmethod
     def uniform(cls, n: int) -> "Breakpoints":
         if n < 1:
-            raise ValueError("segment count must be >= 1")
+            raise NonPositiveCountError("segment count must be >= 1")
         return cls(tuple(Fraction(i, n) for i in range(n + 1)))
 
     @property

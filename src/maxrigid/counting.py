@@ -10,6 +10,10 @@ class ClaimError(RuntimeError):
     """An internal claim failed: a bug, not bad input (the CLI exits 1)."""
 
 
+class NonPositiveCountError(ValueError):
+    """A segment or vertex count below 1: bad input (the CLI exits 2)."""
+
+
 def claim(ok: bool, what: str) -> None:
     """Raise ClaimError unless ``ok``; unlike ``assert``, also under ``python -O``."""
     if not ok:
@@ -31,7 +35,7 @@ def catalan(m: int) -> int:
 def projected_count(n: int) -> int:
     """Maximal rigid sets on the (2n+1)-vertex segment quiver: catalan(2n+1)."""
     if n < 1:
-        raise ValueError("segment count must be >= 1")
+        raise NonPositiveCountError("segment count must be >= 1")
     value, rem = divmod(binomial(4 * n + 2, 2 * n + 1), 2 * n + 2)
     claim(rem == 0, "projected count division must be exact")
     claim(value == catalan(2 * n + 1), "projected count must be catalan(2n+1)")
@@ -45,7 +49,7 @@ def continuous_count(n: int) -> int:
     always equal to 2^n times the projected count.
     """
     if n < 1:
-        raise ValueError("segment count must be >= 1")
+        raise NonPositiveCountError("segment count must be >= 1")
     value, rem = divmod(2 ** (n - 1) * binomial(4 * n + 2, 2 * n + 1), n + 1)
     claim(rem == 0, "continuous count division must be exact")
     claim(value == 2**n * projected_count(n), "continuous count must be 2^n projected")

@@ -10,19 +10,20 @@ provided for each dimension:
     that the test suite replays against the closed forms.
 
 Maximal rigid sets of interval modules coincide with basic tilting
-modules here; there are Catalan(m) of them, enumerated by maximal-clique
-backtracking over the pairwise compatibility graph.
+modules here; there are Catalan(m) of them, enumerated by the Catalan
+recursion on the vertex that only the longest module covers.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from typing import Iterable
 
-from .cliques import bits, max_cliques
-from .counting import claim
+from .cliques import bits
+from .counting import NonPositiveCountError, claim
 
 
 class ResourceLimitError(ValueError):
@@ -53,7 +54,7 @@ class LinearQuiver:
 
     def __post_init__(self):
         if self.m < 1:
-            raise ValueError(f"vertex count must be >= 1, got {self.m}")
+            raise NonPositiveCountError(f"vertex count must be >= 1, got {self.m}")
         if self.labels is not None and len(self.labels) != self.m:
             raise ValueError("label count does not match vertex count")
 
@@ -184,11 +185,15 @@ def _mask_of(q: LinearQuiver, summands: Iterable[FiniteInterval]) -> int:
     return mask
 
 
+def _clique(adj: list[int], mask: int) -> bool:
+    """Whether the masked summands are pairwise compatible."""
+    return all((adj[s] | 1 << s) & mask == mask for s in bits(mask))
+
+
 def is_rigid_set(q: LinearQuiver, summands: Iterable[FiniteInterval]) -> bool:
     """Ext^1 vanishes for every ordered pair of summands (self pairs included)."""
     _, _, adj = _pair_tables(q.m)
-    chosen = bits(_mask_of(q, summands))
-    return all(adj[s] >> t & 1 for k, s in enumerate(chosen) for t in chosen[k + 1 :])
+    return _clique(adj, _mask_of(q, summands))
 
 
 def is_tilting(q: LinearQuiver, summands: Iterable[FiniteInterval]) -> bool:
@@ -201,26 +206,65 @@ def is_maximal_rigid_set(q: LinearQuiver, summands: Iterable[FiniteInterval]) ->
     """Rigid and not extendable by any interval module outside the set."""
     _, _, adj = _pair_tables(q.m)
     mask = _mask_of(q, summands)
-    chosen = bits(mask)
-    if not all(adj[s] >> t & 1 for k, s in enumerate(chosen) for t in chosen[k + 1 :]):
-        return False
-    for v in range(len(adj)):
-        if mask >> v & 1:
-            continue
-        if adj[v] & mask == mask:
-            return False
-    return True
+    full = (1 << len(adj)) - 1
+    return _clique(adj, mask) and not any(adj[v] & mask == mask for v in bits(full & ~mask))
 
 
 def enumerate_maximal_rigid(q: LinearQuiver, max_m: int = 15) -> list[RigidSet]:
-    """All maximal rigid sets on A_m, canonically sorted.
+    """All maximal rigid sets on A_m, sorted by their sorted summands.
 
-    There are Catalan(m) of them.  The cap guards against accidental
-    huge runs (Catalan(15) is already ~9.7 million sets).
+    The maximal rigid sets are the tilting sets.  The tilting sets on a
+    vertex range [a, b] are built bottom-up by length: for each gap vertex
+    k in [a, b], {[a, b]} together with a tilting set on [a, k-1] and one
+    on [k+1, b], the range [a, a-1] holding only the empty set.
+
+      * Distinct: the parts contain [a, k-1] and [k+1, b], so k is the one
+        vertex that no member other than [a, b] covers.  The set
+        determines k, and then its parts as the members inside [a, k-1]
+        and inside [k+1, b].
+      * Tilting: two members of one part are compatible by induction.  A
+        member of the left part and one of the right part are separated
+        by the gap k, and [a, b] contains every member; separated and
+        nested pairs have no Ext^1 either way.  So the set is rigid with
+        (k-a) + (b-k) + 1 = b-a+1 members, m of them on [1, m].
+      * Complete: the counts satisfy c(b-a+1) = sum over k of
+        c(k-a) c(b-k), the Catalan recurrence, and A_m has Catalan(m)
+        tilting sets.
+
+    A set is kept as the ascending tuple of its indices in
+    ``all_intervals``, which lists [a, b] at start[a] + (b - a); index
+    order is the dataclass order there, so sorting the tuples sorts the
+    sets.  The cap guards against accidental huge runs (Catalan(15) is
+    already ~9.7 million sets).
     """
     if q.m > max_m:
         raise ResourceLimitError(f"m={q.m} exceeds cap {max_m}; raise max_m to proceed")
-    ivs, _, adj = _pair_tables(q.m)
-    found = [tuple(ivs[v] for v in bits(mask)) for mask in max_cliques(adj)]
-    found.sort()
-    return [RigidSet(q, frozenset(t)) for t in found]
+    m = q.m
+    ivs = all_intervals(q)
+    start = [0] * (m + 2)
+    for a in range(1, m + 1):
+        start[a + 1] = start[a] + m - a + 1
+    tilting = {(a, a - 1): [()] for a in range(1, m + 2)}
+    for length in range(1, m + 1):
+        for a in range(1, m - length + 2):
+            b = a + length - 1
+            top = start[a] + length - 1
+            keys = []
+            for k in range(a, b + 1):
+                rights = tilting[k + 1, b]
+                for left in tilting[a, k - 1]:
+                    # the members starting at a come before [a, b], the rest after
+                    c = bisect_left(left, start[a + 1])
+                    head = left[:c] + (top,) + left[c:]
+                    keys += [head + right for right in rights]
+            tilting[a, b] = keys
+    keys = tilting.pop((1, m))
+    tilting.clear()  # the shorter ranges are freed before the sets are built
+    keys.sort()
+    # union copies the hashes the singletons store; frozenset(...) of the
+    # intervals would call the dataclass __hash__ m times per set
+    single = [frozenset((iv,)) for iv in ivs]
+    empty = frozenset()
+    for i, key in enumerate(keys):
+        keys[i] = RigidSet(q, empty.union(*map(single.__getitem__, key)))
+    return keys

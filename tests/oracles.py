@@ -1,4 +1,4 @@
-"""Independent oracles for the maximality tables, kept out of the library.
+"""Independent oracles for the maximality tables and the finite enumeration.
 
 ``maxrigid.continuous`` decides rigidity, maximality and uniformity on one
 integer rank per segment.  The helpers here decide the same questions the
@@ -13,6 +13,9 @@ older, longer way, so that the suite can compare the two:
     ``live_candidates`` and ``generic_addable`` are the sweep's two steps.
   * ``maximal_oracle`` decides maximality from the sampled model with
     ``compatible`` on points, then runs the sweep.
+  * ``finite_max_cliques`` lists the maximal rigid sets on A_m by
+    Bron-Kerbosch on the pairwise compatibility graph, the route
+    ``finite.enumerate_maximal_rigid`` took before the Catalan recursion.
 """
 
 from __future__ import annotations
@@ -40,6 +43,8 @@ from maxrigid import (
     sample_offsets,
     validate_rep,
 )
+from maxrigid.cliques import bits, max_cliques
+from maxrigid.finite import _pair_tables
 from maxrigid.intervals import _compatible_ends
 
 
@@ -325,3 +330,12 @@ def sampled_masks(n: int, samples_per_segment: int) -> dict[str, list[int]]:
             out["famadj"][fi] |= 1 << fj
             out["famadj"][fj] |= 1 << fi
     return out
+
+
+def finite_max_cliques(m: int) -> list[tuple[int, ...]]:
+    """The maximal cliques of the A_m compatibility graph, as sorted index tuples.
+
+    An index is a position in ``all_intervals``; the list is sorted, which
+    is the order ``enumerate_maximal_rigid`` returns the sets in.
+    """
+    return sorted(tuple(bits(mask)) for mask in max_cliques(_pair_tables(m)[2]))

@@ -74,6 +74,24 @@ class TestFinite:
         assert code == 2
         assert "cap" in err
 
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (("--m", "8", "--enumerate"),
+             "31d4e6c943d4057afcb89879d881a796919c4baa0dde0b178e2121becb6192e9"),
+            (("--m", "10", "--enumerate"),
+             "af107f433f26507e88737be18d9f4cc1e8a33658e2a47ae2d15430c08f36f200"),
+            (("--m", "6", "--enumerate", "--format", "json"),
+             "98d047f8f9c4031e418fb80915ab91d641d8449fb6fa634ba0d98339659e16c3"),
+        ],
+    )
+    def test_stdout_digest(self, capsys, argv, digest):
+        # sha256 of the stdout of `maxrigid finite ...` as recorded from the
+        # Bron-Kerbosch enumeration
+        code, out, _ = run(capsys, "finite", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestEnumerate:
     def test_table_output(self, capsys):
@@ -269,8 +287,66 @@ class TestCheck:
         assert code == 2
         assert "MissingFamily(0)" in err
 
+    @pytest.mark.parametrize(
+        "text, name",
+        [
+            ("[" * 200_000 + "]" * 200_000, "JsonTooDeep"),
+            ('{"n": ' + "1" * 5000 + "}", "IntegerTooLong"),
+        ],
+    )
+    def test_parser_limits_are_one_input_error(self, tmp_path, capsys, text, name):
+        path = tmp_path / "rep.json"
+        path.write_text(text)
+        start = time.process_time()
+        code, out, err = run(capsys, "check", str(path))
+        assert time.process_time() - start < 0.5
+        assert (code, out, err) == (2, "", f"error: {name}\n")
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_nonpositive_n_without_alpha(self, tmp_path, capsys, n):
+        path = tmp_path / "rep.json"
+        path.write_text(json.dumps({"n": n, "t_part": [], "families": []}))
+        code, out, err = run(capsys, "check", str(path))
+        assert (code, out, err) == (2, "", "error: segment count must be >= 1\n")
+
+    def test_unreadable_input_exits_2(self, tmp_path, capsys):
+        code, _, err = run(capsys, "check", str(tmp_path / "missing.json"))
+        assert code == 2
+        assert "No such file" in err
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"n": "\xe9"}')
+        code, _, err = run(capsys, "check", str(path))
+        assert code == 2
+        assert "utf-8" in err
+
 
 class TestFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("finite", "--m", "0"),
+            ("enumerate", "--n", "0"),
+            ("count", "--n", "-1", "--mode", "formula"),
+            ("count", "--n", "0"),
+        ],
+    )
+    def test_nonpositive_count_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "count must be >= 1" in err
+
+    @pytest.mark.parametrize("error", [TypeError, ValueError, KeyError])
+    def test_stray_exception_is_an_internal_error(self, capsys, monkeypatch, error):
+        """Only typed input errors exit 2; a bug exits 1 with its traceback."""
+        def broken(quiver, max_m):
+            raise error("stray")
+
+        monkeypatch.setattr(cli, "enumerate_maximal_rigid", broken)
+        code, out, err = run(capsys, "finite", "--m", "3", "--enumerate")
+        assert (code, out) == (1, "")
+        assert err.startswith("Traceback")
+        assert f"{error.__name__}: " in err
+
     def test_unknown_flag(self, capsys):
         code, _, _ = run(capsys, "count", "--n", "1", "--bogus")
         assert code == 2

@@ -20,6 +20,9 @@ from maxrigid import (
     is_tilting,
 )
 from maxrigid import verify
+from maxrigid.finite import _pair_tables
+
+from oracles import finite_max_cliques
 
 
 def f(a, b):
@@ -142,13 +145,23 @@ class TestEnumeration:
             assert len(sets) == expected[m], m
 
     def test_every_set_is_full_and_contains_the_long_module(self):
-        for m in range(1, 7):
+        for m in range(1, 9):
             q = LinearQuiver(m)
             long = f(1, m)
             for s in enumerate_maximal_rigid(q):
                 assert len(s.summands) == m
                 assert long in s.summands
+                assert is_tilting(q, s.summands)
                 assert is_maximal_rigid_set(q, s.summands)
+
+    @pytest.mark.parametrize("m", range(1, 11))
+    def test_equals_the_bron_kerbosch_oracle(self, m):
+        _, index, _ = _pair_tables(m)
+        got = [
+            tuple(index[iv] for iv in s.sorted_summands())
+            for s in enumerate_maximal_rigid(LinearQuiver(m))
+        ]
+        assert got == finite_max_cliques(m)
 
     def test_output_is_deterministic_and_sorted(self):
         a = enumerate_maximal_rigid(LinearQuiver(5))
