@@ -13,8 +13,9 @@ merges each segment's two satellites into the segment vertex, a bijection
 on interval modules.  Over maximal rigid sets the projection is onto and
 every image has exactly 2^n preimages: per segment the family side can be
 left or right, and for each side the anchor is forced by the summands.
-``forced_anchor`` reads that anchor off the ``fam_pool`` masks of
-``continuous._Tables``, the core that rigidity and maximality use too.
+``forced_anchor`` reads that anchor off the family rows of the
+compatibility graph ``continuous._Tables``, the graph whose cliques
+decide rigidity and maximality too.
 
 ``discretized_compatible`` is the independent oracle for the interval
 compatibility predicate: it replays a pair of flavored intervals as
@@ -37,7 +38,6 @@ from .continuous import (
     FamilyChoice,
     Side,
     _tables,
-    rep_sort_key,
     validate_rep,
 )
 from .intervals import CLOSED, OPEN, BoundaryKind, Interval
@@ -169,18 +169,17 @@ def forced_anchor(
     """The unique (anchor, flavor) whose family is compatible with the summands.
 
     Searched, not computed in closed form: every family on (segment, side)
-    whose ``fam_pool`` row in the n-segment ``_Tables`` (its members at the
-    sample positions against every summand) contains the summands' mask
-    survives.  Zero or several survivors mean the summands do not come from
-    a maximal rigid projection and abort loudly.
+    whose row in the n-segment compatibility graph ``_Tables.adj`` is
+    adjacent to every summand survives.  Zero or several survivors mean the
+    summands do not come from a maximal rigid projection and abort loudly.
     """
     tables = _tables(n)
     side = Side(side)
-    smask, _ = tables.masks(summands)
+    smask = tables.mask(summands)
     survivors = [
         (fam.anchor, fam.anchor_kind)
-        for fam, pool in zip(tables.families, tables.fam_pool)
-        if fam.segment == segment and fam.side is side and pool & smask == smask
+        for fam, row in zip(tables.families, tables.adj[len(tables.summands) :])
+        if fam.segment == segment and fam.side is side and row & smask == smask
     ]
     if not survivors:
         raise NoAnchorError(f"no anchor for segment {segment}, side {side}")
@@ -195,7 +194,9 @@ def fiber_reps(image: Iterable[FiniteInterval], grid: Breakpoints) -> list[Break
     """The 2^n preimages of a maximal rigid segment-quiver set.
 
     Pull the summands back, then take every left/right side assignment
-    with anchors forced per (segment, side).
+    with anchors forced per (segment, side).  The reps share their summands
+    and ``product`` yields the sides in lexicographic order, ``"left"``
+    before ``"right"``, so the list is already in ``rep_sort_key`` order.
     """
     n = grid.n
     summands = pull_back_summands(image, n)
@@ -207,7 +208,6 @@ def fiber_reps(image: Iterable[FiniteInterval], grid: Breakpoints) -> list[Break
             FamilyChoice(j, side, *anchors[(j, side)]) for j, side in enumerate(sides)
         )
         out.append(BreakpointRep(grid=grid, summands=summands, families=families))
-    out.sort(key=rep_sort_key)
     return out
 
 

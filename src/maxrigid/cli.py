@@ -220,6 +220,23 @@ def _print_table(rows: list[list[str]]) -> None:
         print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
 
 
+def _check_printable(name: str, bits: int) -> None:
+    """Raise ResourceLimitError if a count below ``2**bits`` may be too long to print.
+
+    Such a count has at most ``bits * log10(2) + 1`` decimal digits, and
+    30103/100000 exceeds log10(2).  Python refuses to convert an integer of
+    more than ``sys.get_int_max_str_digits()`` digits (0: no limit; before
+    3.10.7 there is none) to text, so the count is refused before it is
+    computed.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    digits = bits * 30103 // 100000 + 1
+    if limit and digits > limit:
+        raise ResourceLimitError(
+            f"{name} may have up to {digits} digits, over the {limit}-digit limit for printing integers"
+        )
+
+
 def cmd_enumerate(args) -> int:
     grid = Breakpoints.uniform(args.n)
     reps = enumerate_maximal_rigid_reps(grid, max_n=args.max_n)
@@ -234,6 +251,8 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_count(args) -> int:
+    # continuous_count(n) < 2^(5n+1), and it bounds projected_count(n)
+    _check_printable(f"continuous_count({args.n})", 5 * args.n + 1)
     enumerated = None
     enumerated_projected = None
     if args.mode in ("enumerate", "both"):
@@ -268,6 +287,7 @@ def cmd_count(args) -> int:
 
 def cmd_finite(args) -> int:
     quiver = LinearQuiver(args.m)
+    _check_printable(f"catalan({args.m})", 2 * args.m)  # catalan(m) < 4^m
     formula = counting.catalan(args.m)
     sets = None
     if args.enumerate:

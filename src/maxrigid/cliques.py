@@ -1,8 +1,12 @@
-"""Maximal-clique enumeration over bitmask adjacency.
+"""Cliques of a compatibility graph over bitmask adjacency.
 
-Bron-Kerbosch with pivoting; vertices are bit positions and adjacency
-rows are integers, so the inner loop is pure bit arithmetic.  Output
-order is deterministic for a given adjacency.
+Vertices are bit positions and ``adjacency[v]`` is the neighbor bitmask of
+vertex ``v``, without the bit of ``v`` itself.  A rigid object is a clique
+of its model's compatibility graph and a maximal rigid one is a maximal
+clique, so ``is_clique`` and ``is_maximal_clique`` decide both, and
+``max_cliques`` (Bron-Kerbosch with pivoting) lists the maximal cliques.
+The inner loops are pure bit arithmetic; output order is deterministic for
+a given adjacency.
 """
 
 from __future__ import annotations
@@ -10,16 +14,27 @@ from __future__ import annotations
 from typing import Sequence
 
 
+def is_clique(adjacency: Sequence[int], mask: int) -> bool:
+    """Whether the vertices of ``mask`` are pairwise adjacent."""
+    return all((adjacency[v] | 1 << v) & mask == mask for v in bits(mask))
+
+
+def is_maximal_clique(adjacency: Sequence[int], mask: int, within: int) -> bool:
+    """Whether no vertex of ``within`` outside the clique ``mask`` extends it.
+
+    ``mask`` must be a clique (``is_clique``); the answer is then whether it
+    is maximal among the cliques of ``mask | within``.
+    """
+    return not any(adjacency[v] & mask == mask for v in bits(within & ~mask))
+
+
 def max_cliques(adjacency: Sequence[int], subset: int | None = None) -> list[int]:
     """All maximal cliques of the graph restricted to ``subset``, as bitmasks.
 
-    ``adjacency[v]`` is the neighbor bitmask of vertex ``v`` and must not
-    contain the bit of ``v`` itself.  ``subset`` defaults to the full
-    vertex set.  Maximality is relative to ``subset``.
+    ``subset`` defaults to the full vertex set.  Maximality is relative to
+    ``subset``.
     """
-    n = len(adjacency)
-    start = (1 << n) - 1 if subset is None else subset
-    adj = list(adjacency)
+    start = (1 << len(adjacency)) - 1 if subset is None else subset
     out: list[int] = []
 
     def bk(r: int, p: int, x: int) -> None:
@@ -32,15 +47,15 @@ def max_cliques(adjacency: Sequence[int], subset: int | None = None) -> list[int
         while t:
             v = (t & -t).bit_length() - 1
             t &= t - 1
-            c = (adj[v] & p).bit_count()
+            c = (adjacency[v] & p).bit_count()
             if c > best:
                 best, pivot = c, v
-        cand = p & ~adj[pivot]
+        cand = p & ~adjacency[pivot]
         while cand:
             vbit = cand & -cand
             v = vbit.bit_length() - 1
             cand ^= vbit
-            bk(r | vbit, p & adj[v], x & adj[v])
+            bk(r | vbit, p & adjacency[v], x & adjacency[v])
             p ^= vbit
             x |= vbit
 

@@ -10,13 +10,16 @@ A representation is stored against a grid of breakpoints
     end and a fixed anchored right end; a left-sided family is the mirror
     image.  The anchor is a breakpoint with its own boundary flavor.
 
-Rigidity and maximality are decided on one rank per segment.
+Rigidity and maximality are read off one compatibility graph per n
+(``_Tables``): its vertices are every breakpoint summand and every family
+choice, and a rep is rigid when its vertices form a clique and maximal
+rigid when no breakpoint summand extends that clique (``cliques``).
 Compatibility of two intervals depends only on the order pattern of their
 endpoints and the boundary flavors, and a family's moving end has a single
 order pattern against every breakpoint and against the moving end of any
 other segment's family.  So each segment's family is placed at one generic
 position, strictly between its breakpoints, and every statement quantified
-over all generic positions becomes a finite bitmask test (``_Tables``).
+over all generic positions becomes a finite bitmask test.
 Generic-endpoint summands never need to be tried as additions: the family
 on a segment already collides with, or has the shape of, every one of them
 (see ``_Tables``).
@@ -29,7 +32,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .cliques import bits, max_cliques
+from .cliques import bits, is_clique, is_maximal_clique, max_cliques
 from .counting import NonPositiveCountError
 from .finite import ResourceLimitError
 from .intervals import (
@@ -261,15 +264,17 @@ def is_uniform(rep: BreakpointRep) -> bool:
 
 
 def is_rigid(rep: BreakpointRep) -> bool:
-    """Pairwise compatibility of the summands and families, from ``_Tables``.
+    """Whether the rep's summands and families form a clique of ``_Tables.adj``.
 
     Every family is placed at one generic position of its segment, which
     realizes every order pattern a pair can exhibit, so the finite check
-    settles the continuum statement for valid encodings (``_Tables.rigid``).
+    settles the continuum statement for valid encodings.  Two members of
+    one family are always nested, and a valid rep has one family per
+    segment, so the graph's edges cover every pair that has to be checked.
     """
     validate_rep(rep)
     tables = _tables(rep.grid.n)
-    return tables.rigid(*tables.masks(rep.summands, rep.families))
+    return is_clique(tables.adj, tables.mask(rep.summands, rep.families))
 
 
 def all_break_summands(n: int) -> list[BreakSummand]:
@@ -297,13 +302,17 @@ def all_family_choices(n: int) -> list[FamilyChoice]:
 
 
 class _Tables:
-    """Per-n compatibility masks: the one integer core.
+    """The compatibility graph for n segments: the one integer core.
 
-    Summands and families are indexed once and every pair predicate is a
-    bitmask: ``adj`` (summand/summand), ``fam_pool``/``s_famok`` (summand
-    against a family's members at every position, by family/by summand)
-    and ``famadj`` (families on distinct segments).  Rigidity, maximality,
-    enumeration and ``bridge.forced_anchor`` all read them.
+    Vertex ``si < S`` is the breakpoint summand ``summands[si]`` and vertex
+    ``S + fi`` is the family choice ``families[fi]``, where ``S`` is the
+    summand count; ``sindex`` and ``findex`` map a summand or family to its
+    vertex, and ``summand_mask`` holds the summand vertices.  ``adj[v]``
+    is the neighbor bitmask of vertex v: two vertices are adjacent when
+    every member of one is compatible with every member of the other.
+    Rigidity is ``cliques.is_clique``, maximality
+    ``cliques.is_maximal_clique`` within the summands, and enumeration and
+    ``bridge.forced_anchor`` read the same rows.
 
     Every pair is decided on integer ranks: breakpoint i is ``2 * i`` and
     the one generic position of segment j is ``2 * j + 1``.  That is the
@@ -313,7 +322,13 @@ class _Tables:
     against every breakpoint and against the moving end of any other
     segment, so a verdict at one x is the verdict at every x.
 
-    Generic-endpoint summands need no table.  Each one either has the shape
+    Two families on one segment are never adjacent, as a rep holds one
+    family per segment: their members share the moving end x.  A right and
+    a left family cross at ``[x,b*]`` and ``[a*,x]``; two right families
+    whose anchored ends differ, B < B' as flavored points, cross at
+    ``[x,B]`` and ``(x,B']``; two left families are the mirror image.
+
+    Generic-endpoint summands need no vertex.  Each one either has the shape
     of the family on the segment of its lower generic endpoint, and is then
     already present, or is incompatible with some member of that family.
     For a right family ``[y,b*], (y,b*]`` on segment j (a left family is
@@ -335,53 +350,21 @@ class _Tables:
         self.summands = all_break_summands(n)
         self.sindex = {s: i for i, s in enumerate(self.summands)}
         self.families = all_family_choices(n)
-        self.findex = {f: i for i, f in enumerate(self.families)}
-        count = len(self.summands)
-        self.full_mask = (1 << count) - 1
+        self.findex = {f: len(self.summands) + i for i, f in enumerate(self.families)}
+        self.summand_mask = (1 << len(self.summands)) - 1
 
-        ends = [(s.lo * 2, s.lo_kind, s.hi * 2, s.hi_kind) for s in self.summands]
-        members = [fam.member_ends(fam.segment * 2 + 1, fam.anchor * 2) for fam in self.families]
+        members = [((s.lo * 2, s.lo_kind, s.hi * 2, s.hi_kind),) for s in self.summands]
+        members += [fam.member_ends(fam.segment * 2 + 1, fam.anchor * 2) for fam in self.families]
+        self.adj = [0] * len(members)
+        for u, ends in enumerate(members):
+            for v in range(u + 1, len(members)):
+                if all(_compatible_ends(*a, *b) for a in ends for b in members[v]):
+                    self.adj[u] |= 1 << v
+                    self.adj[v] |= 1 << u
 
-        self.adj = [0] * count
-        for i in range(count):
-            for j in range(i + 1, count):
-                if _compatible_ends(*ends[i], *ends[j]):
-                    self.adj[i] |= 1 << j
-                    self.adj[j] |= 1 << i
-
-        self.fam_pool = [0] * len(self.families)
-        self.s_famok = [0] * count
-        for fi, pair in enumerate(members):
-            for si, e in enumerate(ends):
-                if all(_compatible_ends(*e, *m) for m in pair):
-                    self.fam_pool[fi] |= 1 << si
-                    self.s_famok[si] |= 1 << fi
-
-        # family/family compatibility across distinct segments
-        self.famadj = [0] * len(self.families)
-        for fi in range(len(self.families)):
-            for fj in range(fi + 1, len(self.families)):
-                if self.families[fi].segment == self.families[fj].segment:
-                    continue
-                if all(_compatible_ends(*a, *b) for a in members[fi] for b in members[fj]):
-                    self.famadj[fi] |= 1 << fj
-                    self.famadj[fj] |= 1 << fi
-
-    def masks(self, summands: Iterable[BreakSummand], families: Iterable[FamilyChoice] = ()):
-        """The (summand, family) bitmasks of the given summands and families."""
-        smask = sum({1 << self.sindex[s] for s in summands})
-        return smask, sum({1 << self.findex[f] for f in families})
-
-    def rigid(self, smask: int, fmask: int) -> bool:
-        """The pairwise check on the masked summands and families.
-
-        Two members of one family are always nested, and a valid rep has
-        one family per segment, so ``famadj`` covers every family pair.
-        """
-        return all(
-            (self.adj[si] | 1 << si) & smask == smask and self.s_famok[si] & fmask == fmask
-            for si in bits(smask)
-        ) and all((self.famadj[fi] | 1 << fi) & fmask == fmask for fi in bits(fmask))
+    def mask(self, summands: Iterable[BreakSummand], families: Iterable[FamilyChoice] = ()) -> int:
+        """The vertex bitmask of the given summands and families."""
+        return sum({1 << self.sindex[s] for s in summands} | {1 << self.findex[f] for f in families})
 
 
 _TABLES_CACHE: dict[int, _Tables] = {}
@@ -394,23 +377,20 @@ def _tables(n: int) -> _Tables:
 
 
 def is_maximal_rigid(rep: BreakpointRep) -> bool:
-    """Whether no summand outside the representation can be added rigidly.
+    """Whether the rep is a clique of ``_Tables.adj`` that no summand extends.
 
-    Raises NotRigidError when the representation is not rigid.  Only
-    breakpoint summands are tried: every generic-endpoint summand either
-    has the shape of the family on the segment of its lower generic
-    endpoint, so it is already present, or is incompatible with a member
-    of that family (the argument is in ``_Tables``).
+    Raises NotRigidError when the representation is not rigid (not a
+    clique).  Only breakpoint summands are tried: every generic-endpoint
+    summand either has the shape of the family on the segment of its lower
+    generic endpoint, so it is already present, or is incompatible with a
+    member of that family (the argument is in ``_Tables``).
     """
     validate_rep(rep)
     tables = _tables(rep.grid.n)
-    smask, fmask = tables.masks(rep.summands, rep.families)
-    if not tables.rigid(smask, fmask):
+    mask = tables.mask(rep.summands, rep.families)
+    if not is_clique(tables.adj, mask):
         raise NotRigidError("NotRigid")
-    return not any(
-        tables.adj[si] & smask == smask and tables.s_famok[si] & fmask == fmask
-        for si in bits(tables.full_mask & ~smask)
-    )
+    return is_maximal_clique(tables.adj, mask, tables.summand_mask)
 
 
 def canonicalize(rep: BreakpointRep) -> BreakpointRep:
@@ -430,66 +410,55 @@ def _family_choices(
     tables: _Tables,
     per_segment: list[list[int]],
     fams: tuple[int, ...],
-    allowed: int,
-    fmask: int,
-    pool: int,
-) -> Iterator[tuple[tuple[int, ...], int, int]]:
+    common: int,
+) -> Iterator[tuple[tuple[int, ...], int]]:
     """Every pairwise compatible choice of one family per segment, extending ``fams``.
 
-    Backtracks segment by segment: a family is tried only if its bit is
-    set in ``allowed``, the meet of the ``famadj`` rows of the families
-    chosen so far, and ``pool`` is narrowed by its ``fam_pool`` as it is
-    chosen.  Yields ``(family indices, family bitmask, summand pool)`` in
-    increasing index order.
+    Backtracks segment by segment.  ``common`` is the meet of the
+    ``_Tables.adj`` rows of the families chosen so far: a family vertex is
+    tried only if its bit is set there, and the summand bits left in it are
+    the summands compatible with every chosen family.  Yields
+    ``(family vertices, common)`` in increasing vertex order.
     """
     if len(fams) == len(per_segment):
-        yield fams, fmask, pool
+        yield fams, common
         return
-    for fi in per_segment[len(fams)]:
-        if allowed >> fi & 1:
-            yield from _family_choices(
-                tables,
-                per_segment,
-                fams + (fi,),
-                allowed & tables.famadj[fi],
-                fmask | 1 << fi,
-                pool & tables.fam_pool[fi],
-            )
+    for v in per_segment[len(fams)]:
+        if common >> v & 1:
+            yield from _family_choices(tables, per_segment, fams + (v,), common & tables.adj[v])
 
 
 def enumerate_maximal_rigid_reps(grid: Breakpoints, max_n: int = 5) -> list[BreakpointRep]:
     """All maximal rigid encodings on the grid, canonical and sorted.
 
     Backtracks over one family choice per segment (``_family_choices``).
-    For each complete choice every maximal clique of the pool's
-    compatibility graph is kept: no breakpoint summand extends it, and no
-    generic-endpoint summand extends any rigid rep (``_Tables``).
+    For each complete choice every maximal clique of the compatibility
+    graph on the summands it leaves is kept: no breakpoint summand extends
+    it, and no generic-endpoint summand extends any rigid rep (``_Tables``).
 
-    Reps are collected as (summand indices, family indices) and sorted as
-    integer tuples before any ``BreakpointRep`` is built.  Both index
-    spaces come from ``all_break_summands`` and ``all_family_choices``,
-    which are canonically sorted, so index order is dataclass order and
-    the result is in ``rep_sort_key`` order.
+    Reps are collected as (summand vertices, family vertices) and sorted as
+    integer tuples before any ``BreakpointRep`` is built.  Both vertex
+    ranges follow ``all_break_summands`` and ``all_family_choices``, which
+    are canonically sorted, so vertex order is dataclass order and the
+    result is in ``rep_sort_key`` order.
     """
     n = grid.n
     if n > max_n:
         raise ResourceLimitError(f"n={n} exceeds cap {max_n}; raise max_n to proceed")
     tables = _tables(n)
-    per_segment = [
-        [fi for fi, fam in enumerate(tables.families) if fam.segment == j]
-        for j in range(n)
-    ]
-    all_families = (1 << len(tables.families)) - 1
-    choices = _family_choices(tables, per_segment, (), all_families, 0, tables.full_mask)
+    per_segment = [[tables.findex[fam] for fam in tables.families if fam.segment == j] for j in range(n)]
+    everything = (1 << len(tables.adj)) - 1
     out: list = []
-    for fams, _, pool in choices:
+    for fams, common in _family_choices(tables, per_segment, (), everything):
+        pool = common & tables.summand_mask
         out.extend((tuple(bits(clique)), fams) for clique in max_cliques(tables.adj, pool))
     out.sort()
+    vertices = tables.summands + tables.families
     # replaced in place, so that the keys and the reps never both fill memory
-    for k, (sis, fis) in enumerate(out):
+    for k, (sis, fvs) in enumerate(out):
         out[k] = BreakpointRep(
             grid=grid,
-            summands=tuple(tables.summands[si] for si in sis),
-            families=tuple(tables.families[fi] for fi in fis),
+            summands=tuple(vertices[si] for si in sis),
+            families=tuple(vertices[v] for v in fvs),
         )
     return out

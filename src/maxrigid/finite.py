@@ -22,7 +22,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Iterable
 
-from .cliques import bits
+from .cliques import is_clique, is_maximal_clique
 from .counting import NonPositiveCountError, claim
 
 
@@ -185,15 +185,10 @@ def _mask_of(q: LinearQuiver, summands: Iterable[FiniteInterval]) -> int:
     return mask
 
 
-def _clique(adj: list[int], mask: int) -> bool:
-    """Whether the masked summands are pairwise compatible."""
-    return all((adj[s] | 1 << s) & mask == mask for s in bits(mask))
-
-
 def is_rigid_set(q: LinearQuiver, summands: Iterable[FiniteInterval]) -> bool:
     """Ext^1 vanishes for every ordered pair of summands (self pairs included)."""
     _, _, adj = _pair_tables(q.m)
-    return _clique(adj, _mask_of(q, summands))
+    return is_clique(adj, _mask_of(q, summands))
 
 
 def is_tilting(q: LinearQuiver, summands: Iterable[FiniteInterval]) -> bool:
@@ -206,8 +201,7 @@ def is_maximal_rigid_set(q: LinearQuiver, summands: Iterable[FiniteInterval]) ->
     """Rigid and not extendable by any interval module outside the set."""
     _, _, adj = _pair_tables(q.m)
     mask = _mask_of(q, summands)
-    full = (1 << len(adj)) - 1
-    return _clique(adj, mask) and not any(adj[v] & mask == mask for v in bits(full & ~mask))
+    return is_clique(adj, mask) and is_maximal_clique(adj, mask, (1 << len(adj)) - 1)
 
 
 def enumerate_maximal_rigid(q: LinearQuiver, max_m: int = 15) -> list[RigidSet]:

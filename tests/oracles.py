@@ -299,7 +299,11 @@ def maximal_oracle(
 
 
 def sampled_masks(n: int, samples_per_segment: int) -> dict[str, list[int]]:
-    """The four ``_Tables`` mask lists, built on ``Point``s at k samples.
+    """The ``_Tables`` graph as four mask lists, built on ``Point``s at k samples.
+
+    The lists are the summand/summand, family-to-summand, summand-to-family
+    and family/family blocks of the adjacency rows (see ``historical_masks``
+    in ``test_continuous.py``).
 
     Each family's members stand at every sample position of its segment
     and every pair is decided by ``compatible``, so this is the k-sampled

@@ -279,6 +279,18 @@ class TestFibers:
         assert len(fiber_reps(projectives, Breakpoints.uniform(4))) == 16
         assert list(continuous._TABLES_CACHE) == [4]
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_fibers_come_in_rep_sort_key_order(self, n):
+        """``fiber_reps`` lists each fiber sorted without sorting it.
+
+        ``perfbench`` draws reps from the list by seeded index, so the
+        order is part of its contract.
+        """
+        grid = Breakpoints.uniform(n)
+        for image in enumerate_maximal_rigid(segment_quiver(n)):
+            reps = fiber_reps(image.summands, grid)
+            assert reps == sorted(reps, key=continuous.rep_sort_key), image
+
     def test_fiber_union_equals_direct_enumeration(self):
         for n in (1, 2, 3):
             label, ok = verify.fiber_expansion(n)

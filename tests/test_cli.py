@@ -335,6 +335,47 @@ class TestFlags:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and "count must be >= 1" in err
 
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (("finite", "--m", "8000"), "catalan(8000)"),
+            (("finite", "--m", "1000000"), "catalan(1000000)"),
+            (("count", "--n", "3000", "--mode", "formula"), "continuous_count(3000)"),
+        ],
+    )
+    def test_unprintable_count_exits_2_before_it_is_computed(
+        self, capsys, monkeypatch, argv, name, fmt
+    ):
+        """A count with more digits than Python converts to text is refused first."""
+        def computed(*args):
+            raise AssertionError("the count was computed")
+
+        monkeypatch.setattr(counting, "catalan", computed)
+        monkeypatch.setattr(counting, "report_for", computed)
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv, "--format", fmt)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {name} may have up to ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    @pytest.mark.parametrize(
+        "argv, field, count",
+        [
+            (("finite", "--m", "7000"), "formula", lambda: counting.catalan(7000)),
+            (("count", "--n", "2800", "--mode", "formula"), "formula_count",
+             lambda: counting.continuous_count(2800)),
+        ],
+    )
+    def test_largest_printable_counts_still_print(self, capsys, argv, field, count, fmt):
+        code, out, _ = run(capsys, *argv, "--format", fmt)
+        assert code == 0
+        if fmt == "json":
+            assert json.loads(out)[field] == count()
+        else:
+            assert str(count()) in out.split()
+
     @pytest.mark.parametrize("error", [TypeError, ValueError, KeyError])
     def test_stray_exception_is_an_internal_error(self, capsys, monkeypatch, error):
         """Only typed input errors exit 2; a bug exits 1 with its traceback."""

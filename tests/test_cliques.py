@@ -1,9 +1,9 @@
-"""Maximal-clique enumeration against a brute-force subset filter."""
+"""Clique predicates and maximal-clique enumeration against a brute-force subset filter."""
 
 import random
 from itertools import combinations
 
-from maxrigid.cliques import bits, max_cliques
+from maxrigid.cliques import bits, is_clique, is_maximal_clique, max_cliques
 
 
 def brute_max_cliques(adj, n, subset):
@@ -49,3 +49,38 @@ def test_full_universe_default():
 def test_bits_roundtrip():
     assert bits(0) == []
     assert bits(0b10110) == [1, 2, 4]
+
+
+def brute_is_clique(adj, mask):
+    return all(adj[a] >> b & 1 for a, b in combinations(bits(mask), 2))
+
+
+def test_predicates_against_bruteforce():
+    """``is_clique`` and ``is_maximal_clique`` on seeded random graphs and subsets.
+
+    A clique inside ``within`` is maximal there exactly when it is among the
+    brute-force maximal cliques of ``within``; cliques that stick out of
+    ``within`` are maximal when no vertex of ``within`` joins them.
+    """
+    rng = random.Random(11)
+    seen = set()
+    for trial in range(300):
+        n = rng.randrange(1, 10)
+        adj = random_graph(rng, n, rng.choice([0.2, 0.5, 0.8]))
+        within = rng.randrange(1 << n)
+        maximal = brute_max_cliques(adj, n, within)
+        cliques = [c for c in range(1 << n) if brute_is_clique(adj, c)]
+        masks = [rng.randrange(1 << n), rng.choice(cliques), rng.choice(cliques) & within]
+        masks += [rng.choice(maximal)]
+        for mask in masks:
+            clique = is_clique(adj, mask)
+            assert clique == brute_is_clique(adj, mask), (trial, adj, mask)
+            if not clique:
+                continue
+            got = is_maximal_clique(adj, mask, within)
+            joins = any(brute_is_clique(adj, mask | 1 << v) for v in bits(within & ~mask))
+            assert got == (not joins), (trial, adj, mask, within)
+            if mask & ~within == 0:
+                assert got == (mask in maximal), (trial, adj, mask, within)
+            seen.add((got, mask & ~within == 0))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}

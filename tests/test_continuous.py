@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -37,8 +38,9 @@ from maxrigid import (
     validate_rep,
 )
 
+from maxrigid import cli
 from maxrigid.cliques import max_cliques
-from maxrigid.continuous import _family_choices, _tables
+from maxrigid.continuous import _family_choices, _tables, rep_sort_key
 
 from golden import ten_reps
 from oracles import (
@@ -406,9 +408,76 @@ class TestEnumeration:
             enumerate_maximal_rigid_reps(Breakpoints.uniform(3), max_n=2)
 
 
+def random_grid(rng, n):
+    """A grid of n segments whose inner breakpoints are seeded random rationals."""
+    inner = set()
+    while len(inner) < n - 1:
+        d = rng.randrange(2, 60)
+        inner.add(Fraction(rng.randrange(1, d), d))
+    return Breakpoints((0, *sorted(inner), 1))
+
+
+class TestGridIndependence:
+    """Encodings, verdicts and ``check`` output do not depend on the grid."""
+
+    @staticmethod
+    def verdicts(reps):
+        """``is_rigid``/``is_maximal_rigid`` on each rep and on it minus one summand."""
+        out = []
+        for r in reps:
+            dropped = [
+                rep(r.grid, r.summands[:k] + r.summands[k + 1 :], r.families)
+                for k in range(len(r.summands))
+            ]
+            out += [(is_rigid(v), is_maximal_rigid(v)) for v in [r, *dropped]]
+        return out
+
+    @staticmethod
+    def check_stdout(r, path, capsys):
+        path.write_text(json.dumps(cli.rep_to_dict(r)))
+        assert cli.main(["check", str(path)]) == 0
+        return capsys.readouterr().out
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_random_rational_grids_match_the_uniform_grid(self, n, tmp_path, capsys):
+        rng = random.Random(500 + n)
+        uniform = enumerate_maximal_rigid_reps(Breakpoints.uniform(n))
+        verdicts = self.verdicts(uniform)
+        assert set(verdicts) == {(True, True), (True, False)}
+        sample = sorted(rng.sample(range(len(uniform)), min(len(uniform), 12)))
+        path = tmp_path / "rep.json"
+        stdout = [self.check_stdout(uniform[k], path, capsys) for k in sample]
+        for _ in range(2):
+            grid = random_grid(rng, n)
+            assert n == 1 or grid != Breakpoints.uniform(n)
+            reps = enumerate_maximal_rigid_reps(grid)
+            assert {r.grid for r in reps} == {grid}
+            assert [rep_sort_key(r) for r in reps] == [rep_sort_key(r) for r in uniform]
+            assert self.verdicts(reps) == verdicts
+            assert [self.check_stdout(reps[k], path, capsys) for k in sample] == stdout
+
+
+def historical_masks(t) -> dict[str, list[int]]:
+    """The adjacency rows of ``t`` cut into the four blocks that are pinned.
+
+    ``adj`` (summand/summand), ``fam_pool`` (a family's summands),
+    ``s_famok`` (a summand's families) and ``famadj`` (family/family), as
+    ``MASK_DIGESTS`` and ``oracles.sampled_masks`` have them.
+    """
+    split = len(t.summands)
+    summand_rows, family_rows = t.adj[:split], t.adj[split:]
+    return {
+        "adj": [row & t.summand_mask for row in summand_rows],
+        "fam_pool": [row & t.summand_mask for row in family_rows],
+        "s_famok": [row >> split for row in summand_rows],
+        "famadj": [row >> split for row in family_rows],
+    }
+
+
 # First 16 hex digits of the sha256 of ``repr`` of each mask list, recorded
-# from the Fraction-based table build: the four ``_Tables`` lists and the
-# three candidate lists of the sweep oracle at k = 2 and ``DEFAULT_FRESH``.
+# from the Fraction-based table build: the four mask lists of
+# ``historical_masks`` and the three candidate lists of the sweep oracle at
+# k = 2 and ``DEFAULT_FRESH``.
 MASK_DIGESTS = {
     1: {"adj": "008e9cb658dd597c", "fam_pool": "fc8ac17b57f9678f",
         "s_famok": "a360519165685a50", "famadj": "a90d007c2fc57df6",
@@ -442,7 +511,8 @@ class TestTables:
     def test_mask_digests(self, n, samples, fresh):
         """Every mask list, in candidate order, is pinned bit for bit.
 
-        The table masks come from the one-rank ``_tables(n)``, the candidate
+        The table masks are sliced from the rows of the one-rank
+        ``_tables(n)`` graph (``historical_masks``), the candidate
         masks from the sweep oracle at ``samples`` and ``fresh``.  Refining
         the samples or moving fresh offsets onto them realizes the same
         order patterns, so the n=2 variants share the n=2 digests.
@@ -450,10 +520,7 @@ class TestTables:
         t = _tables(n)
         sw = sweep(n, fresh, samples)
         lists = {
-            "adj": t.adj,
-            "fam_pool": t.fam_pool,
-            "s_famok": t.s_famok,
-            "famadj": t.famadj,
+            **historical_masks(t),
             "cand_smask": sw.cand_smask,
             "cand_famok": sw.cand_famok,
             "cand_match": sw.cand_match,
@@ -469,14 +536,12 @@ class TestTables:
         enumerator keeps every pool-maximal clique without a sweep.
         """
         t = _tables(n)
-        per_segment = [
-            [fi for fi, fam in enumerate(t.families) if fam.segment == j] for j in range(n)
-        ]
-        everything = (1 << len(t.families)) - 1
+        per_segment = [[t.findex[fam] for fam in t.families if fam.segment == j] for j in range(n)]
+        split = len(t.summands)
         cliques = 0
-        for _, fmask, pool in _family_choices(t, per_segment, (), everything, 0, t.full_mask):
-            live = live_candidates(sweep(n), fmask)
-            for clique in max_cliques(t.adj, pool):
+        for fams, common in _family_choices(t, per_segment, (), (1 << len(t.adj)) - 1):
+            live = live_candidates(sweep(n), sum(1 << v - split for v in fams))
+            for clique in max_cliques(t.adj, common & t.summand_mask):
                 assert not generic_addable(live, clique)
                 cliques += 1
         assert cliques == continuous_count(n)
@@ -505,11 +570,18 @@ class TestTables:
                         if fam.segment == j
                     ), (n, k, fresh, c)
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_families_on_one_segment_are_never_adjacent(self, n):
+        """The graph leaves out every pair a rep cannot hold (see ``_Tables``)."""
+        t = _tables(n)
+        for fam in t.families:
+            same = [t.findex[g] for g in t.families if g.segment == fam.segment]
+            assert t.adj[t.findex[fam]] & sum(1 << v for v in same) == 0, fam
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_one_rank_equals_every_sample_count(self, n):
         """The tables at one rank per segment equal the ``Point`` build at k samples."""
-        t = _tables(n)
-        tables = {"adj": t.adj, "fam_pool": t.fam_pool, "s_famok": t.s_famok, "famadj": t.famadj}
+        tables = historical_masks(_tables(n))
         for k in (1, 2, 3, 4):
             assert sampled_masks(n, k) == tables, k
 
