@@ -341,6 +341,10 @@ def cmd_check(args) -> int:
 def cmd_verify(args) -> int:
     if args.n < 1:
         raise counting.NonPositiveCountError("segment count must be >= 1")
+    # the checks enumerate every rep up to n, so they share the enumerator's default cap
+    (cap,) = enumerate_maximal_rigid_reps.__defaults__
+    if args.n > cap:
+        raise ResourceLimitError(f"n={args.n} exceeds the verify cap {cap}")
     failures = 0
     for label, ok in verify.checks(args.n, args.seed):
         print(("ok: " if ok else "FAIL: ") + label)

@@ -28,20 +28,18 @@ def is_maximal_clique(adjacency: Sequence[int], mask: int, within: int) -> bool:
     return not any(adjacency[v] & mask == mask for v in bits(within & ~mask))
 
 
-def max_cliques(adjacency: Sequence[int], subset: int | None = None) -> list[int]:
-    """All maximal cliques of the graph restricted to ``subset``, as bitmasks.
+def max_cliques(adjacency: Sequence[int]) -> list[int]:
+    """All maximal cliques of the whole graph, as bitmasks.
 
-    ``subset`` defaults to the full vertex set.  Maximality is relative to
-    ``subset``.
+    Bron-Kerbosch with the Tomita-Tanaka-Takahashi pivot: the vertex of
+    ``p | x`` with the most neighbors among the candidates ``p``.
     """
-    start = (1 << len(adjacency)) - 1 if subset is None else subset
     out: list[int] = []
 
     def bk(r: int, p: int, x: int) -> None:
         if not p and not x:
             out.append(r)
             return
-        # pivot = vertex of p|x with the most neighbors among candidates
         best, pivot = -1, -1
         t = p | x
         while t:
@@ -59,7 +57,7 @@ def max_cliques(adjacency: Sequence[int], subset: int | None = None) -> list[int
             p ^= vbit
             x |= vbit
 
-    bk(0, start, 0)
+    bk(0, (1 << len(adjacency)) - 1, 0)
     return out
 
 

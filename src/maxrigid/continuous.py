@@ -13,7 +13,9 @@ A representation is stored against a grid of breakpoints
 Rigidity and maximality are read off one compatibility graph per n
 (``_Tables``): its vertices are every breakpoint summand and every family
 choice, and a rep is rigid when its vertices form a clique and maximal
-rigid when no breakpoint summand extends that clique (``cliques``).
+rigid when no breakpoint summand extends that clique (``cliques``).  The
+maximal rigid encodings are the maximal cliques of that graph, so one
+Bron-Kerbosch run lists them (``enumerate_maximal_rigid_reps``).
 Compatibility of two intervals depends only on the order pattern of their
 endpoints and the boundary flavors, and a family's moving end has a single
 order pattern against every breakpoint and against the moving end of any
@@ -30,10 +32,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .cliques import bits, is_clique, is_maximal_clique, max_cliques
-from .counting import NonPositiveCountError
+from .counting import NonPositiveCountError, claim
 from .finite import ResourceLimitError
 from .intervals import (
     CLOSED,
@@ -311,8 +313,9 @@ class _Tables:
     is the neighbor bitmask of vertex v: two vertices are adjacent when
     every member of one is compatible with every member of the other.
     Rigidity is ``cliques.is_clique``, maximality
-    ``cliques.is_maximal_clique`` within the summands, and enumeration and
-    ``bridge.forced_anchor`` read the same rows.
+    ``cliques.is_maximal_clique`` within the summands, enumeration
+    ``cliques.max_cliques`` on the whole graph, and
+    ``bridge.forced_anchor`` reads the same rows.
 
     Every pair is decided on integer ranks: breakpoint i is ``2 * i`` and
     the one generic position of segment j is ``2 * j + 1``.  That is the
@@ -406,59 +409,44 @@ def rep_sort_key(rep: BreakpointRep):
     return (rep.summands, rep.families)
 
 
-def _family_choices(
-    tables: _Tables,
-    per_segment: list[list[int]],
-    fams: tuple[int, ...],
-    common: int,
-) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Every pairwise compatible choice of one family per segment, extending ``fams``.
-
-    Backtracks segment by segment.  ``common`` is the meet of the
-    ``_Tables.adj`` rows of the families chosen so far: a family vertex is
-    tried only if its bit is set there, and the summand bits left in it are
-    the summands compatible with every chosen family.  Yields
-    ``(family vertices, common)`` in increasing vertex order.
-    """
-    if len(fams) == len(per_segment):
-        yield fams, common
-        return
-    for v in per_segment[len(fams)]:
-        if common >> v & 1:
-            yield from _family_choices(tables, per_segment, fams + (v,), common & tables.adj[v])
-
-
 def enumerate_maximal_rigid_reps(grid: Breakpoints, max_n: int = 5) -> list[BreakpointRep]:
     """All maximal rigid encodings on the grid, canonical and sorted.
 
-    Backtracks over one family choice per segment (``_family_choices``).
-    For each complete choice every maximal clique of the compatibility
-    graph on the summands it leaves is kept: no breakpoint summand extends
-    it, and no generic-endpoint summand extends any rigid rep (``_Tables``).
+    These are the maximal cliques of ``_Tables.adj`` that hold one family
+    per segment, which every maximal clique does (the third point), so
+    one Bron-Kerbosch run over the whole graph lists them:
 
-    Reps are collected as (summand vertices, family vertices) and sorted as
-    integer tuples before any ``BreakpointRep`` is built.  Both vertex
-    ranges follow ``all_break_summands`` and ``all_family_choices``, which
-    are canonically sorted, so vertex order is dataclass order and the
-    result is in ``rep_sort_key`` order.
+      * every maximal rigid rep is a maximal clique (proven): no summand
+        extends it, and no family does, as the rep has a family on every
+        segment and two families on one segment are never adjacent;
+      * a maximal clique with one family per segment is a maximal rigid
+        rep (proven): it is well formed, a clique, and no breakpoint
+        summand extends it, nor does a generic-endpoint one (``_Tables``);
+      * every maximal clique has a family on every segment (checked, not
+        proven): a clique holds at most one family per segment, and a
+        ``claim`` on each clique that it holds n family vertices stops
+        the run with ClaimError on a counterexample.
+
+    The cliques are grouped by summand mask, the groups sorted by summand
+    vertices and the family vertices sorted within each group.  Both
+    vertex ranges follow ``all_break_summands`` and ``all_family_choices``,
+    which are canonically sorted, so vertex order is dataclass order and
+    the result is in ``rep_sort_key`` order.  The reps of one group share
+    its summand tuple.
     """
     n = grid.n
     if n > max_n:
         raise ResourceLimitError(f"n={n} exceeds cap {max_n}; raise max_n to proceed")
     tables = _tables(n)
-    per_segment = [[tables.findex[fam] for fam in tables.families if fam.segment == j] for j in range(n)]
-    everything = (1 << len(tables.adj)) - 1
-    out: list = []
-    for fams, common in _family_choices(tables, per_segment, (), everything):
-        pool = common & tables.summand_mask
-        out.extend((tuple(bits(clique)), fams) for clique in max_cliques(tables.adj, pool))
-    out.sort()
-    vertices = tables.summands + tables.families
-    # replaced in place, so that the keys and the reps never both fill memory
-    for k, (sis, fvs) in enumerate(out):
-        out[k] = BreakpointRep(
-            grid=grid,
-            summands=tuple(vertices[si] for si in sis),
-            families=tuple(vertices[v] for v in fvs),
-        )
+    split = len(tables.summands)
+    groups: dict[int, list[tuple[int, ...]]] = {}
+    for clique in max_cliques(tables.adj):
+        fams = bits(clique >> split)
+        claim(len(fams) == n, "every maximal clique holds one family per segment")
+        groups.setdefault(clique & tables.summand_mask, []).append(tuple(fams))
+    out = []
+    for smask in sorted(groups, key=bits):
+        summands = tuple(tables.summands[si] for si in bits(smask))
+        for fams in sorted(groups.pop(smask)):
+            out.append(BreakpointRep(grid, summands, tuple(tables.families[fi] for fi in fams)))
     return out

@@ -128,6 +128,22 @@ class TestEnumerate:
             "12af43d5c81c11b32449d2a6c451d9ac6cb8fccc2117c5125b0dc5952473f432"
         )
 
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (("--n", "4"),
+             "45ae2d96134d5a1ee8ad552a63e927088eeaa167983bacc268b18dad225cc073"),
+            (("--n", "2", "--format", "json"),
+             "8b8f70b21787d4c6f24478683a6f7af1f1bafa2b70990fb09cea5b310dd72700"),
+        ],
+    )
+    def test_stdout_digest(self, capsys, argv, digest):
+        # sha256 of the stdout of `maxrigid enumerate ...` as recorded from
+        # the family-choice enumeration
+        code, out, _ = run(capsys, "enumerate", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestCheck:
     def test_valid_rep(self, tmp_path, capsys):
@@ -432,6 +448,19 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert "segment count must be >= 1" in err
+
+    @pytest.mark.parametrize("n", ["6", "100"])
+    def test_n_over_the_enumeration_cap_rejected(self, capsys, monkeypatch, n):
+        """Refused before any check runs, with the enumerator's default cap of 5."""
+
+        def no_checks(*args):
+            raise AssertionError("verify.checks must not be called")
+
+        monkeypatch.setattr(verify, "checks", no_checks)
+        code, out, err = run(capsys, "verify", "--n", n)
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [f"error: n={n} exceeds the verify cap 5"]
 
     def test_failed_check_exits_1(self, capsys, monkeypatch):
         monkeypatch.setattr(verify, "count_identities", lambda: ("count identities hold", False))

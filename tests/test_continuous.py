@@ -39,8 +39,8 @@ from maxrigid import (
 )
 
 from maxrigid import cli
-from maxrigid.cliques import max_cliques
-from maxrigid.continuous import _family_choices, _tables, rep_sort_key
+from maxrigid.cliques import bits, max_cliques
+from maxrigid.continuous import _tables, rep_sort_key
 
 from golden import ten_reps
 from oracles import (
@@ -529,22 +529,39 @@ class TestTables:
         assert got == MASK_DIGESTS[n]
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_sweep_rejects_no_pool_maximal_clique(self, n):
-        """No live generic candidate extends a pool-maximal clique.
+    def test_every_maximal_clique_is_a_rep(self, n):
+        """The checked step of the enumeration: each maximal clique has a family per segment.
 
-        Exhaustive over every complete family choice: this is why the
-        enumerator keeps every pool-maximal clique without a sweep.
+        So the maximal cliques of the whole graph are the maximal rigid
+        encodings, ``continuous_count(n)`` of them.
         """
         t = _tables(n)
-        per_segment = [[t.findex[fam] for fam in t.families if fam.segment == j] for j in range(n)]
         split = len(t.summands)
-        cliques = 0
-        for fams, common in _family_choices(t, per_segment, (), (1 << len(t.adj)) - 1):
-            live = live_candidates(sweep(n), sum(1 << v - split for v in fams))
-            for clique in max_cliques(t.adj, common & t.summand_mask):
-                assert not generic_addable(live, clique)
-                cliques += 1
-        assert cliques == continuous_count(n)
+        cliques = max_cliques(t.adj)
+        assert len(cliques) == continuous_count(n)
+        for clique in cliques:
+            segments = [t.families[fi].segment for fi in bits(clique >> split)]
+            assert segments == list(range(n)), (n, clique)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_sweep_rejects_no_pool_maximal_clique(self, n):
+        """No live generic candidate extends a maximal clique of the graph.
+
+        Exhaustive over every maximal clique, the pool being the whole
+        vertex set: this is why the enumerator keeps every maximal clique
+        without a sweep.
+        """
+        t = _tables(n)
+        sw = sweep(n)
+        split = len(t.summands)
+        cliques = max_cliques(t.adj)
+        live = {}
+        for clique in cliques:
+            fmask = clique >> split
+            if fmask not in live:
+                live[fmask] = live_candidates(sw, fmask)
+            assert not generic_addable(live[fmask], clique & t.summand_mask)
+        assert len(cliques) == continuous_count(n)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_no_candidate_is_ever_live(self, n):
