@@ -8,14 +8,12 @@ Endpoint flavors become vertex choices on two auxiliary quivers:
     with one vertex per open segment.
 
 Projecting a breakpoint representation drops the generic families and
-rewrites each anchored summand on the refined quiver; condensing then
-merges each segment's two satellites into the segment vertex, a bijection
-on interval modules.  Over maximal rigid sets the projection is onto and
-every image has exactly 2^n preimages: per segment the family side can be
-left or right, and for each side the anchor is forced by the summands.
-``forced_anchor`` reads that anchor off the family rows of the
-compatibility graph ``continuous._Tables``, the graph whose cliques
-decide rigidity and maximality too.
+rewrites each anchored summand on the refined quiver, then merges each
+segment's two satellites into the segment vertex (a bijection on interval
+modules); ``project`` does both in one step.  Over maximal rigid sets it is
+onto and every image has exactly 2^n preimages: per segment the family side
+is left or right, and for each side the summands force the anchor, which
+``fiber_reps`` reads off one pass over the family rows of ``_Tables.adj``.
 
 ``discretized_compatible`` is the independent oracle for the interval
 compatibility predicate: it replays a pair of flavored intervals as
@@ -29,6 +27,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
+from .cliques import is_clique
 from .continuous import (
     LEFT,
     RIGHT,
@@ -50,6 +49,10 @@ class NoAnchorError(RuntimeError):
 
 class AmbiguousAnchorError(RuntimeError):
     """More than one family anchor survives; the summands underdetermine it."""
+
+
+class NotMaximalRigidImageError(ValueError):
+    """``fiber_reps`` got a segment-quiver set that is not maximal rigid."""
 
 
 def refined_quiver(n: int) -> LinearQuiver:
@@ -137,78 +140,75 @@ def expand(image: Iterable[FiniteInterval], n: int) -> RefinedRep:
 
 
 def project(rep: BreakpointRep) -> frozenset[FiniteInterval]:
-    """Image of a breakpoint representation on the segment quiver."""
-    return condense(to_refined(rep))
+    """``condense(to_refined(rep))`` in one step: a_i is 2i+1, an OPEN (== 1) end moves inward."""
+    validate_rep(rep)
+    return frozenset(
+        FiniteInterval(2 * s.lo + 1 + s.lo_kind, 2 * s.hi + 1 - s.hi_kind) for s in rep.summands
+    )
 
 
 def pull_back_summands(image: Iterable[FiniteInterval], n: int) -> tuple[BreakSummand, ...]:
-    """The anchored summands whose projection is the given segment-quiver set."""
+    """The anchored summands that ``project`` maps onto the set; odd vertices are closed ends."""
     top = 2 * n + 1
     out = []
     for s in image:
         if s.b > top:
             raise ValueError(f"summand {s} out of range on the segment quiver")
-        if s.a % 2 == 1:
-            lo, lo_kind = (s.a - 1) // 2, CLOSED
-        else:
-            lo, lo_kind = (s.a - 2) // 2, OPEN
-        if s.b % 2 == 1:
-            hi, hi_kind = (s.b - 1) // 2, CLOSED
-        else:
-            hi, hi_kind = s.b // 2, OPEN
-        out.append(BreakSummand(lo, lo_kind, hi, hi_kind))
+        lo_kind, hi_kind = (OPEN, CLOSED)[s.a % 2], (OPEN, CLOSED)[s.b % 2]
+        out.append(BreakSummand((s.a - 1) // 2, lo_kind, s.b // 2, hi_kind))
     return tuple(sorted(out))
 
 
+def _forced_families(n: int, smask: int, keys: Iterable) -> list[FamilyChoice]:
+    """Per (segment, side) key, the one family row of ``_tables(n)`` holding all of ``smask``."""
+    tables = _tables(n)
+    survivors: dict[tuple[int, Side], list[FamilyChoice]] = {}  # the table's own objects
+    for fam, row in zip(tables.families, tables.adj[len(tables.summands) :]):
+        if row & smask == smask:
+            survivors.setdefault((fam.segment, fam.side), []).append(fam)
+    out = []
+    for segment, side in keys:
+        fams = survivors.get((segment, side), [])
+        if not fams:
+            raise NoAnchorError(f"no anchor for segment {segment}, side {side}")
+        if len(fams) > 1:
+            anchors = [(fam.anchor, fam.anchor_kind) for fam in fams]
+            raise AmbiguousAnchorError(f"anchors {anchors} all fit segment {segment}, side {side}")
+        out.append(fams[0])
+    return out
+
+
 def forced_anchor(
-    segment: int,
-    side: Side,
-    summands: Iterable[BreakSummand],
-    n: int,
+    segment: int, side: Side, summands: Iterable[BreakSummand], n: int
 ) -> tuple[int, BoundaryKind]:
     """The unique (anchor, flavor) whose family is compatible with the summands.
 
-    Searched, not computed in closed form: every family on (segment, side)
-    whose row in the n-segment compatibility graph ``_Tables.adj`` is
-    adjacent to every summand survives.  Zero or several survivors mean the
-    summands do not come from a maximal rigid projection and abort loudly.
+    Searched in the pass over the family rows of ``_Tables.adj`` that
+    ``fiber_reps`` makes.  Zero or several survivors mean the summands do
+    not come from a maximal rigid projection and abort loudly.
     """
-    tables = _tables(n)
-    side = Side(side)
-    smask = tables.mask(summands)
-    survivors = [
-        (fam.anchor, fam.anchor_kind)
-        for fam, row in zip(tables.families, tables.adj[len(tables.summands) :])
-        if fam.segment == segment and fam.side is side and row & smask == smask
-    ]
-    if not survivors:
-        raise NoAnchorError(f"no anchor for segment {segment}, side {side}")
-    if len(survivors) > 1:
-        raise AmbiguousAnchorError(
-            f"anchors {survivors} all fit segment {segment}, side {side}"
-        )
-    return survivors[0]
+    (fam,) = _forced_families(n, _tables(n).mask(summands), [(segment, Side(side))])
+    return fam.anchor, fam.anchor_kind
 
 
 def fiber_reps(image: Iterable[FiniteInterval], grid: Breakpoints) -> list[BreakpointRep]:
     """The 2^n preimages of a maximal rigid segment-quiver set.
 
-    Pull the summands back, then take every left/right side assignment
-    with anchors forced per (segment, side).  The reps share their summands
-    and ``product`` yields the sides in lexicographic order, ``"left"``
-    before ``"right"``, so the list is already in ``rep_sort_key`` order.
+    Raises NotMaximalRigidImageError unless the pulled-back summands are
+    2n+1 distinct vertices forming a clique of ``_Tables.adj``: exact, as
+    compatibility is Ext vanishing on images and 2n+1 rigid modules tilt.
+    The reps share the summands and the table's families and come in
+    ``rep_sort_key`` order: ``product`` takes "left" before "right".
     """
     n = grid.n
+    tables = _tables(n)
     summands = pull_back_summands(image, n)
-    pairs = itertools.product(range(n), (LEFT, RIGHT))
-    anchors = {(j, side): forced_anchor(j, side, summands, n) for j, side in pairs}
-    out = []
-    for sides in itertools.product((LEFT, RIGHT), repeat=n):
-        families = tuple(
-            FamilyChoice(j, side, *anchors[(j, side)]) for j, side in enumerate(sides)
-        )
-        out.append(BreakpointRep(grid=grid, summands=summands, families=families))
-    return out
+    smask = tables.mask(summands)
+    if not len(summands) == smask.bit_count() == 2 * n + 1 or not is_clique(tables.adj, smask):
+        raise NotMaximalRigidImageError(f"NotMaximalRigidImage({','.join(map(str, summands))})")
+    fams = _forced_families(n, smask, itertools.product(range(n), (LEFT, RIGHT)))
+    pairs = zip(fams[0::2], fams[1::2])  # (left, right) per segment
+    return [BreakpointRep(grid, summands, fs) for fs in itertools.product(*pairs)]
 
 
 def discretized_compatible(i: Interval, j: Interval) -> bool:

@@ -16,6 +16,9 @@ older, longer way, so that the suite can compare the two:
   * ``finite_max_cliques`` lists the maximal rigid sets on A_m by
     Bron-Kerbosch on the pairwise compatibility graph, the route
     ``finite.enumerate_maximal_rigid`` took before the Catalan recursion.
+  * ``fiber_by_anchor`` expands a fiber with one ``forced_anchor`` call per
+    (segment, side) and new ``FamilyChoice`` objects, the route
+    ``bridge.fiber_reps`` took before its single pass over the family rows.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from maxrigid import (
     OPEN,
     RIGHT,
     BreakpointRep,
+    FamilyChoice,
     Interval,
     InvalidRepError,
     NotRigidError,
@@ -40,6 +44,8 @@ from maxrigid import (
     all_break_summands,
     all_family_choices,
     compatible,
+    forced_anchor,
+    pull_back_summands,
     sample_offsets,
     validate_rep,
 )
@@ -343,3 +349,18 @@ def finite_max_cliques(m: int) -> list[tuple[int, ...]]:
     is the order ``enumerate_maximal_rigid`` returns the sets in.
     """
     return sorted(tuple(bits(mask)) for mask in max_cliques(_pair_tables(m)[2]))
+
+
+def fiber_by_anchor(image, grid) -> list[BreakpointRep]:
+    """The preimages of a maximal rigid segment-quiver set, anchor by anchor."""
+    n = grid.n
+    summands = pull_back_summands(image, n)
+    pairs = itertools.product(range(n), (LEFT, RIGHT))
+    anchors = {(j, side): forced_anchor(j, side, summands, n) for j, side in pairs}
+    out = []
+    for sides in itertools.product((LEFT, RIGHT), repeat=n):
+        families = tuple(
+            FamilyChoice(j, side, *anchors[(j, side)]) for j, side in enumerate(sides)
+        )
+        out.append(BreakpointRep(grid=grid, summands=summands, families=families))
+    return out

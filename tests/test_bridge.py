@@ -1,6 +1,7 @@
 """Transfer maps, forced anchors, fibers, and the discretized Ext oracle."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,10 +15,14 @@ from maxrigid import (
     BreakpointRep,
     Breakpoints,
     BreakSummand,
+    DuplicateSummandError,
     FamilyChoice,
     FiniteInterval,
     Interval,
+    InvalidRepError,
+    MissingFamilyError,
     NoAnchorError,
+    NotMaximalRigidImageError,
     Point,
     RefinedRep,
     all_break_summands,
@@ -26,6 +31,7 @@ from maxrigid import (
     condense,
     discretized_compatible,
     enumerate_maximal_rigid,
+    enumerate_maximal_rigid_reps,
     expand,
     fiber_reps,
     forced_anchor,
@@ -42,6 +48,7 @@ from maxrigid import (
 from maxrigid import continuous, verify
 
 from golden import five_projected_sets, ten_reps
+from oracles import fiber_by_anchor
 
 GRID1 = Breakpoints.uniform(1)
 GOLDEN = ten_reps(GRID1)
@@ -184,6 +191,30 @@ class TestProjection:
                 )
                 assert project(rep) == frozenset(subset)
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_equals_condense_of_to_refined(self, n):
+        """``project`` skips the refined quiver; the two-step route is its oracle."""
+        for rep in enumerate_maximal_rigid_reps(Breakpoints.uniform(n)):
+            assert project(rep) == condense(to_refined(rep)), rep
+
+    @pytest.mark.parametrize(
+        "summands, families, error, message",
+        [
+            ((BreakSummand(0, CLOSED, 0, CLOSED),) * 2, (FamilyChoice(0, RIGHT, 1, CLOSED),),
+             DuplicateSummandError, "DuplicateSummand([a0,a0])"),
+            ((BreakSummand(0, CLOSED, 1, CLOSED),), (), MissingFamilyError, "MissingFamily(0)"),
+            ((BreakSummand(0, CLOSED, 2, CLOSED),), (FamilyChoice(0, RIGHT, 1, CLOSED),),
+             InvalidRepError, "SummandIndexOutOfRange([a0,a2])"),
+        ],
+        ids=["duplicate-summand", "missing-family", "summand-out-of-range"],
+    )
+    def test_invalid_reps_raise_as_the_refined_route_does(self, summands, families, error, message):
+        rep = BreakpointRep(GRID1, summands, families)
+        for route in (project, lambda r: condense(to_refined(r))):
+            with pytest.raises(InvalidRepError) as err:
+                route(rep)
+            assert (type(err.value), str(err.value)) == (error, message)
+
 
 class TestForcedAnchor:
     def test_right_side_of_the_first_golden_pullback(self):
@@ -206,8 +237,12 @@ class TestForcedAnchor:
         assert forced_anchor(0, LEFT, t_part, 1) == (0, CLOSED)
 
     def test_empty_summands_are_ambiguous(self):
-        with pytest.raises(AmbiguousAnchorError):
+        with pytest.raises(AmbiguousAnchorError) as err:
             forced_anchor(0, RIGHT, (), 1)
+        assert str(err.value) == (
+            "anchors [(1, <BoundaryKind.CLOSED: 0>), (1, <BoundaryKind.OPEN: 1>)]"
+            " all fit segment 0, side right"
+        )
 
     def test_blocking_summands_leave_no_anchor(self):
         blockers = (
@@ -215,8 +250,9 @@ class TestForcedAnchor:
             BreakSummand(0, OPEN, 1, CLOSED),
             BreakSummand(1, CLOSED, 1, CLOSED),
         )
-        with pytest.raises(NoAnchorError):
+        with pytest.raises(NoAnchorError) as err:
             forced_anchor(0, RIGHT, blockers, 1)
+        assert str(err.value) == "no anchor for segment 0, side right"
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_agrees_with_a_search_over_sampled_members(self, n):
@@ -290,6 +326,55 @@ class TestFibers:
         for image in enumerate_maximal_rigid(segment_quiver(n)):
             reps = fiber_reps(image.summands, grid)
             assert reps == sorted(reps, key=continuous.rep_sort_key), image
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_one_pass_equals_the_anchor_by_anchor_route(self, n):
+        """Every image at n <= 3 and 500 seeded ones at n = 4, order included.
+
+        The reps share the table's own families, and each projects back to
+        its image by both ``project`` and the refined route.
+        """
+        grid = Breakpoints.uniform(n)
+        images = [h.summands for h in enumerate_maximal_rigid(segment_quiver(n))]
+        if n == 4:
+            images = random.Random(4).sample(images, 500)
+        table_families = {id(fam) for fam in continuous._tables(n).families}
+        for image in images:
+            reps = fiber_reps(image, grid)
+            assert reps == fiber_by_anchor(image, grid), image
+            for r in reps:
+                assert all(id(fam) in table_families for fam in r.families)
+                assert project(r) == condense(to_refined(r)) == image
+
+    @pytest.mark.parametrize(
+        "image, names",
+        [
+            ([f(1, 1), f(1, 1), f(1, 2)], "[a0,a0],[a0,a0],[a0,a1)"),  # one interval twice
+            ([f(1, 1), f(1, 2)], "[a0,a0],[a0,a1)"),  # rigid, two of three
+            ([], ""),
+        ],
+        ids=["repeated", "two-of-three", "empty"],
+    )
+    def test_non_maximal_images_raise(self, image, names):
+        with pytest.raises(NotMaximalRigidImageError) as err:
+            fiber_reps(image, GRID1)
+        assert str(err.value) == f"NotMaximalRigidImage({names})"
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_exactly_the_maximal_rigid_images_have_fibers(self, n):
+        """Every (2n+1)-set on the segment quiver: a fiber iff maximal rigid."""
+        grid = Breakpoints.uniform(n)
+        q = segment_quiver(n)
+        maximal = {h.summands for h in enumerate_maximal_rigid(q)}
+        rejected = 0
+        for combo in itertools.combinations(all_intervals(q), 2 * n + 1):
+            if frozenset(combo) in maximal:
+                assert len(fiber_reps(combo, grid)) == 2**n
+            else:
+                with pytest.raises(NotMaximalRigidImageError):
+                    fiber_reps(combo, grid)
+                rejected += 1
+        assert rejected == {1: 15, 2: 2961}[n]
 
     def test_fiber_union_equals_direct_enumeration(self):
         for n in (1, 2, 3):
