@@ -16,7 +16,6 @@ from maxrigid import (
     enumerate_maximal_rigid,
     enumerate_maximal_rigid_reps,
     fiber_reps,
-    forced_anchor,
     project,
     projected_count,
     pull_back_summands,
@@ -39,9 +38,9 @@ for h in images:
 print("\nanchors are forced by the pulled-back summands, e.g. for the first set:")
 t_part = pull_back_summands(images[0].summands, n)
 print(f"  summands {' '.join(str(s) for s in t_part)}")
+forced = {rep.families[0].side: rep.families[0] for rep in fiber_reps(images[0].summands, grid)}
 for side in (RIGHT, LEFT):
-    anchor, kind = forced_anchor(0, side, t_part, n)
-    print(f"  side={side}: anchor a{anchor}, {kind}")
+    print(f"  side={side}: anchor a{forced[side].anchor}, {forced[side].anchor_kind}")
 
 print("\nthe count identity count(n) = 2^n * projected(n):")
 for m in range(1, 7):

@@ -7,13 +7,14 @@ Endpoint flavors become vertex choices on two auxiliary quivers:
   * the *segment* quiver has 2n+1 vertices: the breakpoints interleaved
     with one vertex per open segment.
 
-Projecting a breakpoint representation drops the generic families and
-rewrites each anchored summand on the refined quiver, then merges each
-segment's two satellites into the segment vertex (a bijection on interval
-modules); ``project`` does both in one step.  Over maximal rigid sets it is
-onto and every image has exactly 2^n preimages: per segment the family side
-is left or right, and for each side the summands force the anchor, which
-``fiber_reps`` reads off one pass over the family rows of ``_Tables.adj``.
+``project`` maps a breakpoint representation to the segment quiver: families
+vanish, closed ends stay on breakpoint vertices and open ends move inward to
+the segment vertex.  ``condense`` and ``expand`` translate between the
+refined and segment quivers (a bijection on interval modules).  Over maximal
+rigid sets ``project`` is onto and every image has exactly 2^n preimages:
+per segment the family side is left or right, and for each side the summands
+force the anchor, which ``fiber_reps`` reads off one pass over the family
+rows of ``_Tables.adj``.
 
 ``discretized_compatible`` is the independent oracle for the interval
 compatibility predicate: it replays a pair of flavored intervals as
@@ -34,36 +35,16 @@ from .continuous import (
     BreakpointRep,
     Breakpoints,
     BreakSummand,
-    FamilyChoice,
-    Side,
     _tables,
     validate_rep,
 )
-from .intervals import CLOSED, OPEN, BoundaryKind, Interval
+from .counting import claim
+from .intervals import CLOSED, OPEN, Interval
 from .finite import FiniteInterval, LinearQuiver, ext_dim
-
-
-class NoAnchorError(RuntimeError):
-    """No admissible family anchor survives against the given summands."""
-
-
-class AmbiguousAnchorError(RuntimeError):
-    """More than one family anchor survives; the summands underdetermine it."""
 
 
 class NotMaximalRigidImageError(ValueError):
     """``fiber_reps`` got a segment-quiver set that is not maximal rigid."""
-
-
-def refined_quiver(n: int) -> LinearQuiver:
-    """The 3n+1 vertex quiver a_0, a_0+, a_1-, a_1, ..., a_n-, a_n."""
-    labels = []
-    for i in range(n + 1):
-        labels.append(f"a{i}")
-        if i < n:
-            labels.append(f"a{i}+")
-            labels.append(f"a{i + 1}-")
-    return LinearQuiver(3 * n + 1, tuple(labels))
 
 
 def segment_quiver(n: int) -> LinearQuiver:
@@ -99,17 +80,6 @@ class RefinedRep:
                 raise ValueError(f"summand {s} ends at a right satellite")
 
 
-def to_refined(rep: BreakpointRep) -> RefinedRep:
-    """Rewrite the anchored summands on the refined quiver; families vanish."""
-    validate_rep(rep)
-    out = set()
-    for s in rep.summands:
-        a = 3 * s.lo + 1 if s.lo_kind is CLOSED else 3 * s.lo + 2
-        b = 3 * s.hi + 1 if s.hi_kind is CLOSED else 3 * s.hi
-        out.add(FiniteInterval(a, b))
-    return RefinedRep(rep.grid.n, frozenset(out))
-
-
 def condense(refined: RefinedRep) -> frozenset[FiniteInterval]:
     """Merge satellites into segment vertices: a bijection onto the segment quiver."""
     out = set()
@@ -140,7 +110,7 @@ def expand(image: Iterable[FiniteInterval], n: int) -> RefinedRep:
 
 
 def project(rep: BreakpointRep) -> frozenset[FiniteInterval]:
-    """``condense(to_refined(rep))`` in one step: a_i is 2i+1, an OPEN (== 1) end moves inward."""
+    """The summands' image on the segment quiver: a_i is 2i+1, an OPEN (== 1) end moves inward."""
     validate_rep(rep)
     return frozenset(
         FiniteInterval(2 * s.lo + 1 + s.lo_kind, 2 * s.hi + 1 - s.hi_kind) for s in rep.summands
@@ -159,46 +129,17 @@ def pull_back_summands(image: Iterable[FiniteInterval], n: int) -> tuple[BreakSu
     return tuple(sorted(out))
 
 
-def _forced_families(n: int, smask: int, keys: Iterable) -> list[FamilyChoice]:
-    """Per (segment, side) key, the one family row of ``_tables(n)`` holding all of ``smask``."""
-    tables = _tables(n)
-    survivors: dict[tuple[int, Side], list[FamilyChoice]] = {}  # the table's own objects
-    for fam, row in zip(tables.families, tables.adj[len(tables.summands) :]):
-        if row & smask == smask:
-            survivors.setdefault((fam.segment, fam.side), []).append(fam)
-    out = []
-    for segment, side in keys:
-        fams = survivors.get((segment, side), [])
-        if not fams:
-            raise NoAnchorError(f"no anchor for segment {segment}, side {side}")
-        if len(fams) > 1:
-            anchors = [(fam.anchor, fam.anchor_kind) for fam in fams]
-            raise AmbiguousAnchorError(f"anchors {anchors} all fit segment {segment}, side {side}")
-        out.append(fams[0])
-    return out
-
-
-def forced_anchor(
-    segment: int, side: Side, summands: Iterable[BreakSummand], n: int
-) -> tuple[int, BoundaryKind]:
-    """The unique (anchor, flavor) whose family is compatible with the summands.
-
-    Searched in the pass over the family rows of ``_Tables.adj`` that
-    ``fiber_reps`` makes.  Zero or several survivors mean the summands do
-    not come from a maximal rigid projection and abort loudly.
-    """
-    (fam,) = _forced_families(n, _tables(n).mask(summands), [(segment, Side(side))])
-    return fam.anchor, fam.anchor_kind
-
-
 def fiber_reps(image: Iterable[FiniteInterval], grid: Breakpoints) -> list[BreakpointRep]:
     """The 2^n preimages of a maximal rigid segment-quiver set.
 
     Raises NotMaximalRigidImageError unless the pulled-back summands are
     2n+1 distinct vertices forming a clique of ``_Tables.adj``: exact, as
     compatibility is Ext vanishing on images and 2n+1 rigid modules tilt.
-    The reps share the summands and the table's families and come in
-    ``rep_sort_key`` order: ``product`` takes "left" before "right".
+    The forced families are then the family rows that hold every summand,
+    and a ``claim`` checks there is one per (segment, side).  Table order
+    is dataclass order and "left" < "right", so the survivors pair up per
+    segment and ``product`` yields the reps in ``rep_sort_key`` order.  The
+    reps share the summands and the table's own family objects.
     """
     n = grid.n
     tables = _tables(n)
@@ -206,7 +147,10 @@ def fiber_reps(image: Iterable[FiniteInterval], grid: Breakpoints) -> list[Break
     smask = tables.mask(summands)
     if not len(summands) == smask.bit_count() == 2 * n + 1 or not is_clique(tables.adj, smask):
         raise NotMaximalRigidImageError(f"NotMaximalRigidImage({','.join(map(str, summands))})")
-    fams = _forced_families(n, smask, itertools.product(range(n), (LEFT, RIGHT)))
+    rows = tables.adj[len(tables.summands) :]
+    fams = [fam for fam, row in zip(tables.families, rows) if row & smask == smask]
+    sides = list(itertools.product(range(n), (LEFT, RIGHT)))
+    claim([(fam.segment, fam.side) for fam in fams] == sides, "one forced anchor per segment side")
     pairs = zip(fams[0::2], fams[1::2])  # (left, right) per segment
     return [BreakpointRep(grid, summands, fs) for fs in itertools.product(*pairs)]
 

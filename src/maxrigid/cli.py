@@ -23,6 +23,7 @@ from .continuous import (
     InvalidRepError,
     MissingFamilyError,
     Side,
+    _check_cap,
     enumerate_maximal_rigid_reps,
     is_uniform,
     validate_rep,
@@ -238,6 +239,7 @@ def _check_printable(name: str, bits: int) -> None:
 
 
 def cmd_enumerate(args) -> int:
+    _check_cap(args.n, args.max_n)  # before the grid allocates n + 1 fractions
     grid = Breakpoints.uniform(args.n)
     reps = enumerate_maximal_rigid_reps(grid, max_n=args.max_n)
     if args.format == "json":
@@ -373,7 +375,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (bridge.NoAnchorError, bridge.AmbiguousAnchorError, counting.ClaimError) as exc:
+    except counting.ClaimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (

@@ -314,8 +314,8 @@ class _Tables:
     every member of one is compatible with every member of the other.
     Rigidity is ``cliques.is_clique``, maximality
     ``cliques.is_maximal_clique`` within the summands, enumeration
-    ``cliques.max_cliques`` on the whole graph, and
-    ``bridge.forced_anchor`` reads the same rows.
+    ``cliques.max_cliques`` on the whole graph, and ``bridge.fiber_reps``
+    reads the family rows.
 
     Every pair is decided on integer ranks: breakpoint i is ``2 * i`` and
     the one generic position of segment j is ``2 * j + 1``.  That is the
@@ -396,17 +396,14 @@ def is_maximal_rigid(rep: BreakpointRep) -> bool:
     return is_maximal_clique(tables.adj, mask, tables.summand_mask)
 
 
-def canonicalize(rep: BreakpointRep) -> BreakpointRep:
-    """Sort summands and families; equal canonical forms = isomorphic encodings."""
-    return BreakpointRep(
-        grid=rep.grid,
-        summands=tuple(sorted(rep.summands)),
-        families=tuple(sorted(rep.families)),
-    )
-
-
 def rep_sort_key(rep: BreakpointRep):
     return (rep.summands, rep.families)
+
+
+def _check_cap(n: int, max_n: int) -> None:
+    """Raise ResourceLimitError if ``enumerate_maximal_rigid_reps`` refuses n segments."""
+    if n > max_n:
+        raise ResourceLimitError(f"n={n} exceeds cap {max_n}; raise max_n to proceed")
 
 
 def enumerate_maximal_rigid_reps(grid: Breakpoints, max_n: int = 5) -> list[BreakpointRep]:
@@ -435,8 +432,7 @@ def enumerate_maximal_rigid_reps(grid: Breakpoints, max_n: int = 5) -> list[Brea
     its summand tuple.
     """
     n = grid.n
-    if n > max_n:
-        raise ResourceLimitError(f"n={n} exceeds cap {max_n}; raise max_n to proceed")
+    _check_cap(n, max_n)
     tables = _tables(n)
     split = len(tables.summands)
     groups: dict[int, list[tuple[int, ...]]] = {}

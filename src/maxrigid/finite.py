@@ -62,9 +62,6 @@ class LinearQuiver:
         if interval.b > self.m:
             raise ValueError(f"interval {interval} out of range on A_{self.m}")
 
-    def label(self, v: int) -> str:
-        return self.labels[v - 1] if self.labels else str(v)
-
 
 @dataclass(frozen=True)
 class RigidSet:

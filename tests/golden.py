@@ -17,8 +17,9 @@ from maxrigid import (
     BreakSummand,
     FamilyChoice,
     FiniteInterval,
-    canonicalize,
 )
+
+from oracles import canonicalize
 
 
 def _rep(grid, summands, family):

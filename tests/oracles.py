@@ -1,4 +1,4 @@
-"""Independent oracles for the maximality tables and the finite enumeration.
+"""Independent oracles for the maximality tables, the finite enumeration and the fiber route.
 
 ``maxrigid.continuous`` decides rigidity, maximality and uniformity on one
 integer rank per segment.  The helpers here decide the same questions the
@@ -16,9 +16,13 @@ older, longer way, so that the suite can compare the two:
   * ``finite_max_cliques`` lists the maximal rigid sets on A_m by
     Bron-Kerbosch on the pairwise compatibility graph, the route
     ``finite.enumerate_maximal_rigid`` took before the Catalan recursion.
-  * ``fiber_by_anchor`` expands a fiber with one ``forced_anchor`` call per
-    (segment, side) and new ``FamilyChoice`` objects, the route
-    ``bridge.fiber_reps`` took before its single pass over the family rows.
+  * ``searched_anchors`` finds the anchors a side admits with ``compatible``
+    on sampled family members, and ``fiber_by_anchor`` builds a fiber from
+    them with new ``FamilyChoice`` objects; ``bridge.fiber_reps`` reads the
+    same anchors off the family rows of ``_Tables.adj``.
+  * ``to_refined`` and ``refined_quiver`` are the refined-quiver route:
+    ``condense(to_refined(rep))`` is ``project``'s oracle.
+  * ``canonicalize`` sorts an encoding's summands and families.
 """
 
 from __future__ import annotations
@@ -37,14 +41,16 @@ from maxrigid import (
     RIGHT,
     BreakpointRep,
     FamilyChoice,
+    FiniteInterval,
     Interval,
     InvalidRepError,
+    LinearQuiver,
     NotRigidError,
     Point,
+    RefinedRep,
     all_break_summands,
     all_family_choices,
     compatible,
-    forced_anchor,
     pull_back_summands,
     sample_offsets,
     validate_rep,
@@ -351,12 +357,35 @@ def finite_max_cliques(m: int) -> list[tuple[int, ...]]:
     return sorted(tuple(bits(mask)) for mask in max_cliques(_pair_tables(m)[2]))
 
 
+def searched_anchors(segment, side, summands, n) -> list[tuple]:
+    """Every (anchor, flavor) on this side of the segment whose family members
+    at the default sample offsets are compatible with every summand."""
+    ivals = [s.as_interval() for s in summands]
+    anchors = range(segment + 1, n + 1) if side is RIGHT else range(0, segment + 1)
+    xs = [Point.generic(segment, off) for off in sample_offsets(2)]
+    return [
+        (anchor, kind)
+        for anchor in anchors
+        for kind in (CLOSED, OPEN)
+        if all(
+            compatible(m, iv)
+            for x in xs
+            for m in FamilyChoice(segment, side, anchor, kind).members(x)
+            for iv in ivals
+        )
+    ]
+
+
 def fiber_by_anchor(image, grid) -> list[BreakpointRep]:
-    """The preimages of a maximal rigid segment-quiver set, anchor by anchor."""
+    """The preimages of a maximal rigid segment-quiver set, anchor by searched anchor.
+
+    Raises ValueError unless every side of every segment admits exactly one anchor.
+    """
     n = grid.n
     summands = pull_back_summands(image, n)
-    pairs = itertools.product(range(n), (LEFT, RIGHT))
-    anchors = {(j, side): forced_anchor(j, side, summands, n) for j, side in pairs}
+    anchors = {}
+    for j, side in itertools.product(range(n), (LEFT, RIGHT)):
+        (anchors[(j, side)],) = searched_anchors(j, side, summands, n)
     out = []
     for sides in itertools.product((LEFT, RIGHT), repeat=n):
         families = tuple(
@@ -364,3 +393,34 @@ def fiber_by_anchor(image, grid) -> list[BreakpointRep]:
         )
         out.append(BreakpointRep(grid=grid, summands=summands, families=families))
     return out
+
+
+def refined_quiver(n: int) -> LinearQuiver:
+    """The 3n+1 vertex quiver a_0, a_0+, a_1-, a_1, ..., a_n-, a_n."""
+    labels = []
+    for i in range(n + 1):
+        labels.append(f"a{i}")
+        if i < n:
+            labels.append(f"a{i}+")
+            labels.append(f"a{i + 1}-")
+    return LinearQuiver(3 * n + 1, tuple(labels))
+
+
+def to_refined(rep: BreakpointRep) -> RefinedRep:
+    """Rewrite the anchored summands on the refined quiver; families vanish."""
+    validate_rep(rep)
+    out = set()
+    for s in rep.summands:
+        a = 3 * s.lo + 1 if s.lo_kind is CLOSED else 3 * s.lo + 2
+        b = 3 * s.hi + 1 if s.hi_kind is CLOSED else 3 * s.hi
+        out.add(FiniteInterval(a, b))
+    return RefinedRep(rep.grid.n, frozenset(out))
+
+
+def canonicalize(rep: BreakpointRep) -> BreakpointRep:
+    """Sort summands and families; equal canonical forms = isomorphic encodings."""
+    return BreakpointRep(
+        grid=rep.grid,
+        summands=tuple(sorted(rep.summands)),
+        families=tuple(sorted(rep.families)),
+    )

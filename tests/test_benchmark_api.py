@@ -2,12 +2,14 @@
 
 The harness under ``perfbench/`` is read here with ``ast`` only, never
 imported: every ``CALLS`` entry of ``worker.py`` and every attribute the
-harness reads off the imported package (``mr.<name>``) must exist.
+harness reads off the imported package (``mr.<name>``) must exist.  The
+package's ``__all__`` is checked against what it actually binds.
 """
 
 import ast
 import importlib
 import pathlib
+import types
 
 import pytest
 
@@ -69,3 +71,18 @@ def test_calls_resolve(name):
 @pytest.mark.parametrize("name", _package_attributes())
 def test_package_attributes_resolve(name):
     _resolve(name)
+
+
+def test_all_is_the_public_namespace():
+    """Every public non-module name is exported once, and nothing else is.
+
+    A name left in ``__all__`` after its definition moved, or a new import
+    never exported, fails here.
+    """
+    public = {
+        name
+        for name, obj in vars(maxrigid).items()
+        if not name.startswith("_") and not isinstance(obj, types.ModuleType)
+    }
+    assert sorted(maxrigid.__all__) == sorted(public)
+    assert len(maxrigid.__all__) == 59

@@ -11,7 +11,6 @@ from maxrigid import (
     LEFT,
     OPEN,
     RIGHT,
-    AmbiguousAnchorError,
     BreakpointRep,
     Breakpoints,
     BreakSummand,
@@ -21,7 +20,6 @@ from maxrigid import (
     Interval,
     InvalidRepError,
     MissingFamilyError,
-    NoAnchorError,
     NotMaximalRigidImageError,
     Point,
     RefinedRep,
@@ -34,21 +32,20 @@ from maxrigid import (
     enumerate_maximal_rigid_reps,
     expand,
     fiber_reps,
-    forced_anchor,
     is_maximal_rigid,
     is_rigid_set,
     is_uniform,
     project,
     pull_back_summands,
-    refined_quiver,
-    sample_offsets,
     segment_quiver,
-    to_refined,
 )
-from maxrigid import continuous, verify
+from maxrigid import bridge, continuous, verify
+from maxrigid.cliques import bits
+from maxrigid.counting import ClaimError
+from maxrigid.finite import _pair_tables
 
 from golden import five_projected_sets, ten_reps
-from oracles import fiber_by_anchor
+from oracles import fiber_by_anchor, refined_quiver, to_refined
 
 GRID1 = Breakpoints.uniform(1)
 GOLDEN = ten_reps(GRID1)
@@ -191,6 +188,24 @@ class TestProjection:
                 )
                 assert project(rep) == frozenset(subset)
 
+    def test_summand_graph_is_the_segment_quiver_graph(self):
+        """Under ``project``, the summand block of ``_Tables(n).adj`` is A_{2n+1}'s graph.
+
+        ``fiber_reps`` rests on this: a (2n+1)-set is maximal rigid on the
+        segment quiver exactly when its pull-back is a summand clique.
+        """
+        for n in range(1, 9):
+            tables = continuous._Tables(n)
+            ivs, index, adj = _pair_tables(2 * n + 1)
+            grid = Breakpoints.uniform(n)
+            families = tuple(FamilyChoice(j, RIGHT, n, CLOSED) for j in range(n))
+            images = [project(BreakpointRep(grid, (s,), families)) for s in tables.summands]
+            perm = [index[iv] for (iv,) in images]
+            assert sorted(perm) == list(range(len(ivs))), n
+            for si, row in enumerate(tables.adj[: len(tables.summands)]):
+                image_row = sum(1 << perm[sj] for sj in bits(row & tables.summand_mask))
+                assert image_row == adj[perm[si]], (n, tables.summands[si])
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_equals_condense_of_to_refined(self, n):
         """``project`` skips the refined quiver; the two-step route is its oracle."""
@@ -217,6 +232,8 @@ class TestProjection:
 
 
 class TestForcedAnchor:
+    """The summands force each side's anchor; ``fiber_reps`` lists the (left, right) families."""
+
     def test_right_side_of_the_first_golden_pullback(self):
         t_part = pull_back_summands(PROJECTED[0], 1)
         assert t_part == tuple(
@@ -228,60 +245,16 @@ class TestForcedAnchor:
                 ]
             )
         )
-        assert forced_anchor(0, RIGHT, t_part, 1) == (1, CLOSED)
-        assert forced_anchor(0, LEFT, t_part, 1) == (0, OPEN)
+        assert [r.families for r in fiber_reps(PROJECTED[0], GRID1)] == [
+            (FamilyChoice(0, LEFT, 0, OPEN),),
+            (FamilyChoice(0, RIGHT, 1, CLOSED),),
+        ]
 
     def test_point_heavy_pullback(self):
-        t_part = pull_back_summands(PROJECTED[3], 1)
-        assert forced_anchor(0, RIGHT, t_part, 1) == (1, CLOSED)
-        assert forced_anchor(0, LEFT, t_part, 1) == (0, CLOSED)
-
-    def test_empty_summands_are_ambiguous(self):
-        with pytest.raises(AmbiguousAnchorError) as err:
-            forced_anchor(0, RIGHT, (), 1)
-        assert str(err.value) == (
-            "anchors [(1, <BoundaryKind.CLOSED: 0>), (1, <BoundaryKind.OPEN: 1>)]"
-            " all fit segment 0, side right"
-        )
-
-    def test_blocking_summands_leave_no_anchor(self):
-        blockers = (
-            BreakSummand(0, CLOSED, 1, OPEN),
-            BreakSummand(0, OPEN, 1, CLOSED),
-            BreakSummand(1, CLOSED, 1, CLOSED),
-        )
-        with pytest.raises(NoAnchorError) as err:
-            forced_anchor(0, RIGHT, blockers, 1)
-        assert str(err.value) == "no anchor for segment 0, side right"
-
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_agrees_with_a_search_over_sampled_members(self, n):
-        """Both sides of every segment of every maximal rigid image."""
-        for h in enumerate_maximal_rigid(segment_quiver(n)):
-            summands = pull_back_summands(h.summands, n)
-            for j in range(n):
-                for side in (LEFT, RIGHT):
-                    (found,) = _searched_anchors(j, side, summands, n)
-                    assert forced_anchor(j, side, summands, n) == found, (h, j, side)
-
-
-def _searched_anchors(segment, side, summands, n):
-    """Every (anchor, flavor) whose family members at the default sample
-    offsets are compatible with every summand, by direct search."""
-    ivals = [s.as_interval() for s in summands]
-    anchors = range(segment + 1, n + 1) if side is RIGHT else range(0, segment + 1)
-    xs = [Point.generic(segment, off) for off in sample_offsets(2)]
-    return [
-        (anchor, kind)
-        for anchor in anchors
-        for kind in (CLOSED, OPEN)
-        if all(
-            compatible(m, iv)
-            for x in xs
-            for m in FamilyChoice(segment, side, anchor, kind).members(x)
-            for iv in ivals
-        )
-    ]
+        assert [r.families for r in fiber_reps(PROJECTED[3], GRID1)] == [
+            (FamilyChoice(0, LEFT, 0, CLOSED),),
+            (FamilyChoice(0, RIGHT, 1, CLOSED),),
+        ]
 
 
 def test_segment_quiver_counts_match_the_formula():
@@ -331,8 +304,10 @@ class TestFibers:
     def test_one_pass_equals_the_anchor_by_anchor_route(self, n):
         """Every image at n <= 3 and 500 seeded ones at n = 4, order included.
 
-        The reps share the table's own families, and each projects back to
-        its image by both ``project`` and the refined route.
+        The oracle searches each side's anchors with ``compatible`` on
+        sampled family members and finds exactly one.  The reps share the
+        table's own families, and each projects back to its image by both
+        ``project`` and the refined route.
         """
         grid = Breakpoints.uniform(n)
         images = [h.summands for h in enumerate_maximal_rigid(segment_quiver(n))]
@@ -359,6 +334,13 @@ class TestFibers:
         with pytest.raises(NotMaximalRigidImageError) as err:
             fiber_reps(image, GRID1)
         assert str(err.value) == f"NotMaximalRigidImage({names})"
+
+    def test_a_missing_forced_anchor_is_a_failed_claim(self, monkeypatch):
+        """Past the maximality check, a side without one forced anchor is a bug."""
+        monkeypatch.setattr(bridge, "is_clique", lambda adj, mask: True)
+        with pytest.raises(ClaimError) as err:
+            fiber_reps([f(1, 1), f(1, 2), f(2, 3)], GRID1)
+        assert str(err.value) == "one forced anchor per segment side"
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_exactly_the_maximal_rigid_images_have_fibers(self, n):

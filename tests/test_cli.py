@@ -144,6 +144,20 @@ class TestEnumerate:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("n", ["6", "2000000"])
+    def test_n_over_the_enumeration_cap_rejected(self, capsys, monkeypatch, n):
+        """Refused before the grid of n + 1 points is built, with the enumerator's message."""
+
+        def no_grid(*args):
+            raise AssertionError("Breakpoints.uniform must not be called")
+
+        monkeypatch.setattr(Breakpoints, "uniform", no_grid)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "enumerate", "--n", n)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [f"error: n={n} exceeds cap 5; raise max_n to proceed"]
+
 
 class TestCheck:
     def test_valid_rep(self, tmp_path, capsys):

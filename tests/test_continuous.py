@@ -28,7 +28,6 @@ from maxrigid import (
     ResourceLimitError,
     all_break_summands,
     all_family_choices,
-    canonicalize,
     compatible,
     continuous_count,
     enumerate_maximal_rigid_reps,
@@ -45,6 +44,7 @@ from maxrigid.continuous import _tables, rep_sort_key
 from golden import ten_reps
 from oracles import (
     DEFAULT_FRESH,
+    canonicalize,
     endpoint_profile,
     generic_addable,
     live_candidates,
