@@ -45,7 +45,7 @@ from maxrigid.counting import ClaimError
 from maxrigid.finite import _pair_tables
 
 from golden import five_projected_sets, ten_reps
-from oracles import fiber_by_anchor, refined_quiver, to_refined
+from oracles import fiber_by_anchor, refined_quiver, searched_anchors, to_refined
 
 GRID1 = Breakpoints.uniform(1)
 GOLDEN = ten_reps(GRID1)
@@ -255,6 +255,23 @@ class TestForcedAnchor:
             (FamilyChoice(0, LEFT, 0, CLOSED),),
             (FamilyChoice(0, RIGHT, 1, CLOSED),),
         ]
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_agrees_with_a_search_over_sampled_members(self, n):
+        """Both sides of every segment of every maximal rigid image."""
+        grid = Breakpoints.uniform(n)
+        for h in enumerate_maximal_rigid(segment_quiver(n)):
+            summands = pull_back_summands(h.summands, n)
+            read = {
+                (f.segment, f.side): (f.anchor, f.anchor_kind)
+                for r in fiber_reps(h.summands, grid)
+                for f in r.families
+            }
+            assert len(read) == 2 * n, h
+            for j in range(n):
+                for side in (LEFT, RIGHT):
+                    (found,) = searched_anchors(j, side, summands, n)
+                    assert read[(j, side)] == found, (h, j, side)
 
 
 def test_segment_quiver_counts_match_the_formula():
