@@ -14,7 +14,9 @@ refined and segment quivers (a bijection on interval modules).  Over maximal
 rigid sets ``project`` is onto and every image has exactly 2^n preimages:
 per segment the family side is left or right, and for each side the summands
 force the anchor, which ``fiber_reps`` reads off one pass over the family
-rows of ``_Tables.adj``.
+rows of ``_Tables.adj``.  Both stay on integers until they build their
+output: ``fiber_reps`` maps each image interval (a, b) to its summand vertex
+through one index per n, and ``project`` unions cached one-interval sets.
 
 ``discretized_compatible`` is the independent oracle for the interval
 compatibility predicate: it replays a pair of flavored intervals as
@@ -24,17 +26,19 @@ satellites) and asks for Ext vanishing in both directions.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
-from .cliques import is_clique
+from .cliques import bits, is_clique
 from .continuous import (
     LEFT,
     RIGHT,
     BreakpointRep,
     Breakpoints,
     BreakSummand,
+    Side,
     _tables,
     validate_rep,
 )
@@ -109,11 +113,21 @@ def expand(image: Iterable[FiniteInterval], n: int) -> RefinedRep:
     return RefinedRep(n, frozenset(out))
 
 
+@functools.cache
+def _single(a: int, b: int) -> frozenset[FiniteInterval]:
+    return frozenset((FiniteInterval(a, b),))
+
+
 def project(rep: BreakpointRep) -> frozenset[FiniteInterval]:
-    """The summands' image on the segment quiver: a_i is 2i+1, an OPEN (== 1) end moves inward."""
+    """The summands' image on the segment quiver: a_i is 2i+1, an OPEN (== 1) end moves inward.
+
+    The image is the union of cached one-interval frozensets, one per
+    vertex pair: ``union`` copies the hashes they store, so no
+    ``FiniteInterval`` is built or hashed per call.
+    """
     validate_rep(rep)
-    return frozenset(
-        FiniteInterval(2 * s.lo + 1 + s.lo_kind, 2 * s.hi + 1 - s.hi_kind) for s in rep.summands
+    return frozenset().union(
+        *[_single(2 * s.lo + 1 + s.lo_kind, 2 * s.hi + 1 - s.hi_kind) for s in rep.summands]
     )
 
 
@@ -129,27 +143,48 @@ def pull_back_summands(image: Iterable[FiniteInterval], n: int) -> tuple[BreakSu
     return tuple(sorted(out))
 
 
+@functools.cache
+def _image_index(n: int) -> tuple[dict[tuple[int, int], int], list[tuple[int, Side]]]:
+    """The summand vertex of each segment-quiver interval (a, b), and the (segment, side) pairs.
+
+    The vertices are those of ``_tables(n)`` and the end map is ``project``'s.
+    """
+    index = {
+        (2 * s.lo + 1 + s.lo_kind, 2 * s.hi + 1 - s.hi_kind): v
+        for v, s in enumerate(_tables(n).summands)
+    }
+    return index, list(itertools.product(range(n), (LEFT, RIGHT)))
+
+
 def fiber_reps(image: Iterable[FiniteInterval], grid: Breakpoints) -> list[BreakpointRep]:
     """The 2^n preimages of a maximal rigid segment-quiver set.
 
-    Raises NotMaximalRigidImageError unless the pulled-back summands are
-    2n+1 distinct vertices forming a clique of ``_Tables.adj``: exact, as
-    compatibility is Ext vanishing on images and 2n+1 rigid modules tilt.
-    The forced families are then the family rows that hold every summand,
-    and a ``claim`` checks there is one per (segment, side).  Table order
-    is dataclass order and "left" < "right", so the survivors pair up per
-    segment and ``product`` yields the reps in ``rep_sort_key`` order.  The
-    reps share the summands and the table's own family objects.
+    Reads ``image`` once and maps each interval to its summand vertex of
+    ``_Tables.adj``.  Raises NotMaximalRigidImageError unless those are
+    2n+1 distinct vertices forming a clique: exact, as compatibility is Ext
+    vanishing on images and 2n+1 rigid modules tilt.  The forced families
+    are then the family rows that hold every summand, and a ``claim`` checks
+    there is one per (segment, side).  Vertex order is dataclass order and
+    "left" < "right", so the summands come out sorted, the families pair up
+    per segment and ``product`` yields the reps in ``rep_sort_key`` order.
+    The reps share the table's own summand and family objects.
     """
     n = grid.n
     tables = _tables(n)
-    summands = pull_back_summands(image, n)
-    smask = tables.mask(summands)
-    if not len(summands) == smask.bit_count() == 2 * n + 1 or not is_clique(tables.adj, smask):
-        raise NotMaximalRigidImageError(f"NotMaximalRigidImage({','.join(map(str, summands))})")
+    index, sides = _image_index(n)
+    image = list(image)
+    smask = 0
+    for s in image:
+        v = index.get((s.a, s.b))
+        if v is None:
+            raise ValueError(f"summand {s} out of range on the segment quiver")
+        smask |= 1 << v
+    if not len(image) == smask.bit_count() == 2 * n + 1 or not is_clique(tables.adj, smask):
+        names = ",".join(map(str, pull_back_summands(image, n)))
+        raise NotMaximalRigidImageError(f"NotMaximalRigidImage({names})")
+    summands = tuple(tables.summands[v] for v in bits(smask))
     rows = tables.adj[len(tables.summands) :]
     fams = [fam for fam, row in zip(tables.families, rows) if row & smask == smask]
-    sides = list(itertools.product(range(n), (LEFT, RIGHT)))
     claim([(fam.segment, fam.side) for fam in fams] == sides, "one forced anchor per segment side")
     pairs = zip(fams[0::2], fams[1::2])  # (left, right) per segment
     return [BreakpointRep(grid, summands, fs) for fs in itertools.product(*pairs)]

@@ -218,16 +218,19 @@ def validate_rep(rep: BreakpointRep) -> None:
 
     Checks summand index ranges and distinctness, one family per segment,
     and the side/anchor range constraint (a right family must anchor
-    beyond its segment, a left family at or before it).
+    beyond its segment, a left family at or before it).  The first fault in
+    summand order, then family order, is the one raised.
     """
     n = rep.grid.n
     seen_summands = set()
     for s in rep.summands:
         if s.lo < 0 or s.hi > n:
             raise InvalidRepError(f"SummandIndexOutOfRange({s})")
-        if s in seen_summands:
-            raise DuplicateSummandError(s)
+        # one dataclass __hash__ per summand: add, then see whether the set grew
+        k = len(seen_summands)
         seen_summands.add(s)
+        if len(seen_summands) == k:
+            raise DuplicateSummandError(s)
     by_segment: dict[int, FamilyChoice] = {}
     for f in rep.families:
         if not 0 <= f.segment < n:
@@ -239,9 +242,8 @@ def validate_rep(rep: BreakpointRep) -> None:
             raise BadAnchorRangeError(f)
         if f.side is LEFT and not 0 <= f.anchor <= f.segment:
             raise BadAnchorRangeError(f)
-    for j in range(n):
-        if j not in by_segment:
-            raise MissingFamilyError(j)
+    if len(by_segment) < n:
+        raise MissingFamilyError(next(j for j in range(n) if j not in by_segment))
 
 
 def is_uniform(rep: BreakpointRep) -> bool:

@@ -23,6 +23,9 @@ older, longer way, so that the suite can compare the two:
   * ``to_refined`` and ``refined_quiver`` are the refined-quiver route:
     ``condense(to_refined(rep))`` is ``project``'s oracle.
   * ``canonicalize`` sorts an encoding's summands and families.
+  * ``validate_rep_two_loops`` is ``validate_rep`` as it was written with a
+    membership test before each insertion and a scan over every segment for
+    a missing family; the library's version must raise the same first error.
 """
 
 from __future__ import annotations
@@ -39,12 +42,16 @@ from maxrigid import (
     LEFT,
     OPEN,
     RIGHT,
+    BadAnchorRangeError,
     BreakpointRep,
+    DuplicateFamilyError,
+    DuplicateSummandError,
     FamilyChoice,
     FiniteInterval,
     Interval,
     InvalidRepError,
     LinearQuiver,
+    MissingFamilyError,
     NotRigidError,
     Point,
     RefinedRep,
@@ -424,3 +431,29 @@ def canonicalize(rep: BreakpointRep) -> BreakpointRep:
         summands=tuple(sorted(rep.summands)),
         families=tuple(sorted(rep.families)),
     )
+
+
+def validate_rep_two_loops(rep: BreakpointRep) -> None:
+    """``validate_rep`` with one hash per membership test and one per insertion."""
+    n = rep.grid.n
+    seen_summands = set()
+    for s in rep.summands:
+        if s.lo < 0 or s.hi > n:
+            raise InvalidRepError(f"SummandIndexOutOfRange({s})")
+        if s in seen_summands:
+            raise DuplicateSummandError(s)
+        seen_summands.add(s)
+    by_segment: dict[int, FamilyChoice] = {}
+    for f in rep.families:
+        if not 0 <= f.segment < n:
+            raise InvalidRepError(f"SegmentOutOfRange({f.segment})")
+        if f.segment in by_segment:
+            raise DuplicateFamilyError(f.segment)
+        by_segment[f.segment] = f
+        if f.side is RIGHT and not f.segment + 1 <= f.anchor <= n:
+            raise BadAnchorRangeError(f)
+        if f.side is LEFT and not 0 <= f.anchor <= f.segment:
+            raise BadAnchorRangeError(f)
+    for j in range(n):
+        if j not in by_segment:
+            raise MissingFamilyError(j)

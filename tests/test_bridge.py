@@ -206,11 +206,24 @@ class TestProjection:
                 image_row = sum(1 << perm[sj] for sj in bits(row & tables.summand_mask))
                 assert image_row == adj[perm[si]], (n, tables.summands[si])
 
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_equals_condense_of_to_refined(self, n):
-        """``project`` skips the refined quiver; the two-step route is its oracle."""
-        for rep in enumerate_maximal_rigid_reps(Breakpoints.uniform(n)):
-            assert project(rep) == condense(to_refined(rep)), rep
+        """``project`` skips the refined quiver; the two-step route is its oracle.
+
+        Every maximal rigid rep at n <= 3 and the fibers of 300 seeded images
+        at n = 4, each also rebuilt from new ``BreakSummand`` objects, so the
+        answer cannot rest on the table's objects.
+        """
+        grid = Breakpoints.uniform(n)
+        if n < 4:
+            reps = enumerate_maximal_rigid_reps(grid)
+        else:
+            images = [h.summands for h in enumerate_maximal_rigid(segment_quiver(n))]
+            reps = [r for h in random.Random(40).sample(images, 300) for r in fiber_reps(h, grid)]
+        for rep in reps:
+            fresh = tuple(BreakSummand(s.lo, s.lo_kind, s.hi, s.hi_kind) for s in rep.summands)
+            rebuilt = BreakpointRep(grid, fresh, rep.families)
+            assert project(rep) == project(rebuilt) == condense(to_refined(rebuilt)), rep
 
     @pytest.mark.parametrize(
         "summands, families, error, message",
@@ -322,20 +335,22 @@ class TestFibers:
         """Every image at n <= 3 and 500 seeded ones at n = 4, order included.
 
         The oracle searches each side's anchors with ``compatible`` on
-        sampled family members and finds exactly one.  The reps share the
-        table's own families, and each projects back to its image by both
-        ``project`` and the refined route.
+        sampled family members and finds exactly one.  An iterator gives the
+        same fiber as the set, so the image is read once.  The reps share
+        the table's own summands and families, and each projects back to its
+        image by both ``project`` and the refined route.
         """
         grid = Breakpoints.uniform(n)
         images = [h.summands for h in enumerate_maximal_rigid(segment_quiver(n))]
         if n == 4:
             images = random.Random(4).sample(images, 500)
-        table_families = {id(fam) for fam in continuous._tables(n).families}
+        tables = continuous._tables(n)
+        table_objects = {id(obj) for obj in tables.summands + tables.families}
         for image in images:
             reps = fiber_reps(image, grid)
-            assert reps == fiber_by_anchor(image, grid), image
+            assert reps == fiber_by_anchor(image, grid) == fiber_reps(iter(image), grid), image
             for r in reps:
-                assert all(id(fam) in table_families for fam in r.families)
+                assert all(id(obj) in table_objects for obj in r.summands + r.families)
                 assert project(r) == condense(to_refined(r)) == image
 
     @pytest.mark.parametrize(
@@ -348,9 +363,19 @@ class TestFibers:
         ids=["repeated", "two-of-three", "empty"],
     )
     def test_non_maximal_images_raise(self, image, names):
-        with pytest.raises(NotMaximalRigidImageError) as err:
-            fiber_reps(image, GRID1)
-        assert str(err.value) == f"NotMaximalRigidImage({names})"
+        """The message lists the pulled-back summands, repeats included, from an iterator too."""
+        for read in (list, iter):
+            with pytest.raises(NotMaximalRigidImageError) as err:
+                fiber_reps(read(image), GRID1)
+            assert str(err.value) == f"NotMaximalRigidImage({names})"
+
+    def test_out_of_range_images_raise(self):
+        """An interval past vertex 2n+1 is refused before maximality is asked."""
+        for read in (list, iter):
+            with pytest.raises(ValueError) as err:
+                fiber_reps(read([f(1, 1), f(2, 4), f(1, 3)]), GRID1)
+            assert type(err.value) is ValueError
+            assert str(err.value) == "summand [2,4] out of range on the segment quiver"
 
     def test_a_missing_forced_anchor_is_a_failed_claim(self, monkeypatch):
         """Past the maximality check, a side without one forced anchor is a bug."""

@@ -54,6 +54,7 @@ from oracles import (
     sample_model,
     sampled_masks,
     sweep,
+    validate_rep_two_loops,
 )
 
 GRID1 = Breakpoints.uniform(1)
@@ -62,6 +63,15 @@ GOLDEN = ten_reps(GRID1)
 
 def rep(grid, summands, families):
     return BreakpointRep(grid=grid, summands=tuple(summands), families=tuple(families))
+
+
+def _first_error(check, candidate):
+    """The (type, message) of the error ``check`` raises on the encoding, or None."""
+    try:
+        check(candidate)
+    except InvalidRepError as exc:
+        return type(exc), str(exc)
+    return None
 
 
 class TestValidate:
@@ -96,6 +106,99 @@ class TestValidate:
             validate_rep(
                 rep(GRID1, [BreakSummand(0, CLOSED, 2, CLOSED)], [FamilyChoice(0, RIGHT, 1, CLOSED)])
             )
+
+    @pytest.mark.parametrize(
+        "order, message",
+        [
+            ("s s far", "DuplicateSummand([a0,a1])"),
+            ("far s s", "SummandIndexOutOfRange([a0,a3])"),
+            ("s far s", "SummandIndexOutOfRange([a0,a3])"),
+        ],
+    )
+    def test_first_summand_fault_wins(self, order, message):
+        s, far = BreakSummand(0, CLOSED, 1, CLOSED), BreakSummand(0, CLOSED, 3, CLOSED)
+        summands = [{"s": s, "far": far}[name] for name in order.split()]
+        candidate = rep(Breakpoints.uniform(2), summands, [FamilyChoice(0, RIGHT, 5, OPEN)])
+        for check in (validate_rep, validate_rep_two_loops):
+            with pytest.raises(InvalidRepError) as err:
+                check(candidate)
+            assert str(err.value) == message
+
+    def test_every_order_of_mixed_faults(self):
+        """Every order and prefix of three summands and four families.
+
+        Among them a repeated and an out-of-range summand, a doubled family,
+        a bad anchor and a segment out of range; short prefixes miss families.
+        """
+        grid = Breakpoints.uniform(3)
+        summands = [BreakSummand(0, CLOSED, 1, OPEN)] * 2 + [BreakSummand(2, OPEN, 4, CLOSED)]
+        families = [
+            FamilyChoice(1, RIGHT, 3, CLOSED),
+            FamilyChoice(1, LEFT, 0, OPEN),  # a second family on segment 1
+            FamilyChoice(0, RIGHT, 0, CLOSED),  # anchor not beyond the segment
+            FamilyChoice(3, LEFT, 0, CLOSED),  # segment out of range
+        ]
+        seen = set()
+        for ss in itertools.permutations(summands):
+            for k in range(len(ss) + 1):
+                for fs in itertools.permutations(families):
+                    for m in range(len(fs) + 1):
+                        candidate = rep(grid, ss[:k], fs[:m])
+                        got = _first_error(validate_rep, candidate)
+                        assert got == _first_error(validate_rep_two_loops, candidate), candidate
+                        seen.add(got and got[1].split("(")[0])
+        assert seen == {
+            "SummandIndexOutOfRange", "DuplicateSummand", "SegmentOutOfRange",
+            "DuplicateFamily", "BadAnchorRange", "MissingFamily",
+        }
+
+    def test_first_error_equals_the_two_loop_oracle(self):
+        """3,000 seeded encodings at n = 1..4 with up to four faults each, anywhere.
+
+        The faults are summands out of range, repeated summands (equal, not
+        the same object), families dropped, doubled, anchored out of range
+        or on a segment out of range.
+        """
+        rng = random.Random(12)
+        kinds = {}
+        for n in (1, 2, 3, 4):
+            grid = Breakpoints.uniform(n)
+            summands = all_break_summands(n)
+            per_segment = [[f for f in all_family_choices(n) if f.segment == j] for j in range(n)]
+            for _ in range(750):
+                chosen = rng.sample(summands, rng.randrange(2 * n + 3))
+                fams = [rng.choice(fs) for fs in per_segment]
+                for fault in rng.choices(range(6), k=rng.randrange(5)):
+                    j, kind = rng.randrange(n), rng.choice((CLOSED, OPEN))
+                    if fault == 0:
+                        lo, hi = rng.randrange(n + 1), n + rng.randrange(1, 3)
+                        item = BreakSummand(lo, kind, hi, CLOSED)
+                    elif fault == 1:
+                        t = rng.choice(chosen or summands)
+                        item = BreakSummand(t.lo, t.lo_kind, t.hi, t.hi_kind)
+                    elif fault == 2:
+                        if fams:
+                            del fams[rng.randrange(len(fams))]
+                        continue
+                    elif fault == 3:
+                        item = rng.choice(per_segment[j])
+                    elif fault == 4:
+                        side, anchors = rng.choice([(RIGHT, range(j + 1)), (LEFT, range(j + 1, n + 1))])
+                        item = FamilyChoice(j, side, rng.choice(anchors), kind)
+                    else:
+                        item = FamilyChoice(n + rng.randrange(2), RIGHT, n + 2, CLOSED)
+                    target = chosen if isinstance(item, BreakSummand) else fams
+                    target.insert(rng.randrange(len(target) + 1), item)
+                candidate = rep(grid, chosen, fams)
+                got = _first_error(validate_rep, candidate)
+                assert got == _first_error(validate_rep_two_loops, candidate), candidate
+                name = got and got[1].split("(")[0]
+                kinds[name] = kinds.get(name, 0) + 1
+        assert set(kinds) == {
+            None, "SummandIndexOutOfRange", "DuplicateSummand", "SegmentOutOfRange",
+            "DuplicateFamily", "BadAnchorRange", "MissingFamily",
+        }
+        assert min(kinds.values()) >= 100, kinds
 
 
 class TestSampleModel:
