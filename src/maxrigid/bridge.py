@@ -44,7 +44,7 @@ from .continuous import (
 )
 from .counting import claim
 from .intervals import CLOSED, OPEN, Interval
-from .finite import FiniteInterval, LinearQuiver, ext_dim
+from .finite import FiniteInterval, LinearQuiver, _single, ext_dim
 
 
 class NotMaximalRigidImageError(ValueError):
@@ -52,13 +52,11 @@ class NotMaximalRigidImageError(ValueError):
 
 
 def segment_quiver(n: int) -> LinearQuiver:
-    """The 2n+1 vertex quiver a_0, a_01, a_1, a_12, ..., a_n."""
-    labels = []
-    for i in range(n + 1):
-        labels.append(f"a{i}")
-        if i < n:
-            labels.append(f"a{i}{i + 1}")
-    return LinearQuiver(2 * n + 1, tuple(labels))
+    """The 2n+1 vertex quiver a_0, a_01, a_1, a_12, ..., a_n.
+
+    Vertex 2i+1 is breakpoint a_i and vertex 2i+2 the open segment from a_i to a_{i+1}.
+    """
+    return LinearQuiver(2 * n + 1)
 
 
 @dataclass(frozen=True)
@@ -113,17 +111,11 @@ def expand(image: Iterable[FiniteInterval], n: int) -> RefinedRep:
     return RefinedRep(n, frozenset(out))
 
 
-@functools.cache
-def _single(a: int, b: int) -> frozenset[FiniteInterval]:
-    return frozenset((FiniteInterval(a, b),))
-
-
 def project(rep: BreakpointRep) -> frozenset[FiniteInterval]:
     """The summands' image on the segment quiver: a_i is 2i+1, an OPEN (== 1) end moves inward.
 
-    The image is the union of cached one-interval frozensets, one per
-    vertex pair: ``union`` copies the hashes they store, so no
-    ``FiniteInterval`` is built or hashed per call.
+    The image is the union of the cached one-interval sets
+    ``finite._single``, so no ``FiniteInterval`` is built or hashed per call.
     """
     validate_rep(rep)
     return frozenset().union(

@@ -21,14 +21,14 @@ from .continuous import (
     BreakSummand,
     FamilyChoice,
     InvalidRepError,
+    MAX_N,
     MissingFamilyError,
     Side,
-    _check_cap,
     enumerate_maximal_rigid_reps,
     is_uniform,
     validate_rep,
 )
-from .finite import LinearQuiver, ResourceLimitError, enumerate_maximal_rigid
+from .finite import MAX_M, LinearQuiver, ResourceLimitError, _check_cap, enumerate_maximal_rigid
 from .intervals import CLOSED, OPEN, BoundaryKind, InvalidIntervalError
 
 _KINDS = {"closed": CLOSED, "open": OPEN}
@@ -45,19 +45,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="enumerate maximal rigid encodings on n segments")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--format", choices=("table", "json"), default="table")
-    p.add_argument("--max-n", type=int, default=5)
+    p.add_argument("--max-n", type=int, default=MAX_N)
 
     p = sub.add_parser("count", help="closed-form counts, optionally cross-checked by enumeration")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--mode", choices=("formula", "enumerate", "both"), default="both")
     p.add_argument("--format", choices=("table", "json"), default="table")
-    p.add_argument("--max-n", type=int, default=5)
+    p.add_argument("--max-n", type=int, default=MAX_N)
 
     p = sub.add_parser("finite", help="maximal rigid sets on the linear quiver with m vertices")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--enumerate", action="store_true")
     p.add_argument("--format", choices=("table", "json"), default="table")
-    p.add_argument("--max-m", type=int, default=15)
+    p.add_argument("--max-m", type=int, default=MAX_M)
 
     p = sub.add_parser("verify", help="run the internal cross-check suites")
     p.add_argument("--n", type=int, default=2)
@@ -239,7 +239,7 @@ def _check_printable(name: str, bits: int) -> None:
 
 
 def cmd_enumerate(args) -> int:
-    _check_cap(args.n, args.max_n)  # before the grid allocates n + 1 fractions
+    _check_cap("n", args.n, args.max_n)  # before the grid allocates n + 1 fractions
     grid = Breakpoints.uniform(args.n)
     reps = enumerate_maximal_rigid_reps(grid, max_n=args.max_n)
     if args.format == "json":
@@ -344,9 +344,8 @@ def cmd_verify(args) -> int:
     if args.n < 1:
         raise counting.NonPositiveCountError("segment count must be >= 1")
     # the checks enumerate every rep up to n, so they share the enumerator's default cap
-    (cap,) = enumerate_maximal_rigid_reps.__defaults__
-    if args.n > cap:
-        raise ResourceLimitError(f"n={args.n} exceeds the verify cap {cap}")
+    if args.n > MAX_N:
+        raise ResourceLimitError(f"n={args.n} exceeds the verify cap {MAX_N}")
     failures = 0
     for label, ok in verify.checks(args.n, args.seed):
         print(("ok: " if ok else "FAIL: ") + label)

@@ -29,6 +29,7 @@ on a segment already collides with, or has the shape of, every one of them
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -36,7 +37,7 @@ from typing import Iterable
 
 from .cliques import bits, is_clique, is_maximal_clique, max_cliques
 from .counting import NonPositiveCountError, claim
-from .finite import ResourceLimitError
+from .finite import _check_cap
 from .intervals import (
     CLOSED,
     OPEN,
@@ -59,6 +60,8 @@ class Side(str, Enum):
 
 LEFT = Side.LEFT
 RIGHT = Side.RIGHT
+
+MAX_N = 5  # the enumeration cap: n=5 already has 1,881,152 maximal rigid reps
 
 
 class InvalidRepError(ValueError):
@@ -202,10 +205,6 @@ class BreakpointRep:
     grid: Breakpoints
     summands: tuple[BreakSummand, ...]
     families: tuple[FamilyChoice, ...]
-
-    @property
-    def n(self) -> int:
-        return self.grid.n
 
 
 def sample_offsets(k: int) -> tuple[Fraction, ...]:
@@ -367,18 +366,12 @@ class _Tables:
                     self.adj[u] |= 1 << v
                     self.adj[v] |= 1 << u
 
-    def mask(self, summands: Iterable[BreakSummand], families: Iterable[FamilyChoice] = ()) -> int:
+    def mask(self, summands: Iterable[BreakSummand], families: Iterable[FamilyChoice]) -> int:
         """The vertex bitmask of the given summands and families."""
         return sum({1 << self.sindex[s] for s in summands} | {1 << self.findex[f] for f in families})
 
 
-_TABLES_CACHE: dict[int, _Tables] = {}
-
-
-def _tables(n: int) -> _Tables:
-    if n not in _TABLES_CACHE:
-        _TABLES_CACHE[n] = _Tables(n)
-    return _TABLES_CACHE[n]
+_tables = functools.cache(_Tables)
 
 
 def is_maximal_rigid(rep: BreakpointRep) -> bool:
@@ -402,13 +395,7 @@ def rep_sort_key(rep: BreakpointRep):
     return (rep.summands, rep.families)
 
 
-def _check_cap(n: int, max_n: int) -> None:
-    """Raise ResourceLimitError if ``enumerate_maximal_rigid_reps`` refuses n segments."""
-    if n > max_n:
-        raise ResourceLimitError(f"n={n} exceeds cap {max_n}; raise max_n to proceed")
-
-
-def enumerate_maximal_rigid_reps(grid: Breakpoints, max_n: int = 5) -> list[BreakpointRep]:
+def enumerate_maximal_rigid_reps(grid: Breakpoints, max_n: int = MAX_N) -> list[BreakpointRep]:
     """All maximal rigid encodings on the grid, canonical and sorted.
 
     These are the maximal cliques of ``_Tables.adj`` that hold one family
@@ -431,10 +418,11 @@ def enumerate_maximal_rigid_reps(grid: Breakpoints, max_n: int = 5) -> list[Brea
     vertex ranges follow ``all_break_summands`` and ``all_family_choices``,
     which are canonically sorted, so vertex order is dataclass order and
     the result is in ``rep_sort_key`` order.  The reps of one group share
-    its summand tuple.
+    its summand tuple.  ``max_n`` (default ``MAX_N``) guards against
+    accidental huge runs.
     """
     n = grid.n
-    _check_cap(n, max_n)
+    _check_cap("n", n, max_n)
     tables = _tables(n)
     split = len(tables.summands)
     groups: dict[int, list[tuple[int, ...]]] = {}

@@ -16,9 +16,9 @@ recursion on the vertex that only the longest module covers.
 
 from __future__ import annotations
 
+import functools
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
 from typing import Iterable
 
@@ -26,8 +26,17 @@ from .cliques import is_clique, is_maximal_clique
 from .counting import NonPositiveCountError, claim
 
 
+MAX_M = 15  # Catalan(15) is already ~9.7 million sets
+
+
 class ResourceLimitError(ValueError):
     """Enumeration request beyond the configured size cap."""
+
+
+def _check_cap(name: str, value: int, cap: int) -> None:
+    """Raise ResourceLimitError if ``value`` exceeds ``cap``; ``name`` is n or m."""
+    if value > cap:
+        raise ResourceLimitError(f"{name}={value} exceeds cap {cap}; raise max_{name} to proceed")
 
 
 @dataclass(frozen=True, order=True)
@@ -45,18 +54,22 @@ class FiniteInterval:
         return f"[{self.a},{self.b}]"
 
 
+@functools.cache
+def _single(a: int, b: int) -> frozenset[FiniteInterval]:
+    """{[a, b]}, built once: ``frozenset().union`` of these copies the hashes
+    they store, where ``frozenset`` of intervals calls the dataclass ``__hash__``."""
+    return frozenset((FiniteInterval(a, b),))
+
+
 @dataclass(frozen=True)
 class LinearQuiver:
-    """The quiver with vertices 1..m and arrows i -> i+1; labels optional."""
+    """The quiver with vertices 1..m and arrows i -> i+1."""
 
     m: int
-    labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
         if self.m < 1:
             raise NonPositiveCountError(f"vertex count must be >= 1, got {self.m}")
-        if self.labels is not None and len(self.labels) != self.m:
-            raise ValueError("label count does not match vertex count")
 
     def check(self, interval: FiniteInterval) -> None:
         if interval.b > self.m:
@@ -65,9 +78,11 @@ class LinearQuiver:
 
 @dataclass(frozen=True)
 class RigidSet:
-    """A pairwise Ext-compatible set of pairwise distinct interval modules."""
+    """A pairwise Ext-compatible set of pairwise distinct interval modules.
 
-    quiver: LinearQuiver
+    No quiver is stored: a tilting set on A_m contains [1, m], which fixes m.
+    """
+
     summands: frozenset[FiniteInterval]
 
     def sorted_summands(self) -> tuple[FiniteInterval, ...]:
@@ -156,7 +171,7 @@ def euler_form(q: LinearQuiver, i: FiniteInterval, j: FiniteInterval) -> int:
     return on_vertices - on_arrows
 
 
-@lru_cache(maxsize=None)
+@functools.cache
 def _pair_tables(m: int) -> tuple[tuple[FiniteInterval, ...], dict, list[int]]:
     """Interval list, index map, and compatibility bitmask adjacency for A_m."""
     q = LinearQuiver(m)
@@ -201,7 +216,7 @@ def is_maximal_rigid_set(q: LinearQuiver, summands: Iterable[FiniteInterval]) ->
     return is_clique(adj, mask) and is_maximal_clique(adj, mask, (1 << len(adj)) - 1)
 
 
-def enumerate_maximal_rigid(q: LinearQuiver, max_m: int = 15) -> list[RigidSet]:
+def enumerate_maximal_rigid(q: LinearQuiver, max_m: int = MAX_M) -> list[RigidSet]:
     """All maximal rigid sets on A_m, sorted by their sorted summands.
 
     The maximal rigid sets are the tilting sets.  The tilting sets on a
@@ -225,13 +240,11 @@ def enumerate_maximal_rigid(q: LinearQuiver, max_m: int = 15) -> list[RigidSet]:
     A set is kept as the ascending tuple of its indices in
     ``all_intervals``, which lists [a, b] at start[a] + (b - a); index
     order is the dataclass order there, so sorting the tuples sorts the
-    sets.  The cap guards against accidental huge runs (Catalan(15) is
-    already ~9.7 million sets).
+    sets, each built as a union of ``_single`` sets.  ``max_m`` (default
+    ``MAX_M``) guards against accidental huge runs.
     """
-    if q.m > max_m:
-        raise ResourceLimitError(f"m={q.m} exceeds cap {max_m}; raise max_m to proceed")
+    _check_cap("m", q.m, max_m)
     m = q.m
-    ivs = all_intervals(q)
     start = [0] * (m + 2)
     for a in range(1, m + 1):
         start[a + 1] = start[a] + m - a + 1
@@ -252,10 +265,8 @@ def enumerate_maximal_rigid(q: LinearQuiver, max_m: int = 15) -> list[RigidSet]:
     keys = tilting.pop((1, m))
     tilting.clear()  # the shorter ranges are freed before the sets are built
     keys.sort()
-    # union copies the hashes the singletons store; frozenset(...) of the
-    # intervals would call the dataclass __hash__ m times per set
-    single = [frozenset((iv,)) for iv in ivs]
+    single = [_single(iv.a, iv.b) for iv in all_intervals(q)]
     empty = frozenset()
     for i, key in enumerate(keys):
-        keys[i] = RigidSet(q, empty.union(*map(single.__getitem__, key)))
+        keys[i] = RigidSet(empty.union(*map(single.__getitem__, key)))
     return keys

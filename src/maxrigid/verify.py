@@ -8,10 +8,10 @@ and the tests cannot drift apart.
 
 from __future__ import annotations
 
+import functools
 import random
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterator
 
 from . import bridge, counting, finite
@@ -105,11 +105,12 @@ def random_compatibility(
     return f"compatibility matches the discretized Ext oracle ({pairs} random pairs, seed {seed})", ok
 
 
-@lru_cache(maxsize=1)
+@functools.cache
 def enumerations(n: int) -> tuple[tuple[BreakpointRep, ...], tuple[finite.RigidSet, ...]]:
     """The direct enumeration on n uniform segments and the segment-quiver sets.
 
-    The last n is cached so that the per-n checks below share one enumeration.
+    Cached so that the per-n checks below share one enumeration; ``checks``
+    clears the cache after each n, so it holds one n at a time.
     """
     reps = tuple(enumerate_maximal_rigid_reps(Breakpoints.uniform(n)))
     return reps, tuple(finite.enumerate_maximal_rigid(bridge.segment_quiver(n)))
@@ -179,5 +180,6 @@ def checks(n: int, seed: int) -> Iterator[Result]:
         yield from enumeration_counts(k)
         yield from projection_fibers(k)
         yield fiber_expansion(k)
+        enumerations.cache_clear()
         yield round_trip(k)
     yield count_identities()

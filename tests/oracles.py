@@ -305,15 +305,15 @@ def maximal_oracle(
     ivals = sample_model(rep, samples_per_segment).intervals
     if not all(compatible(a, b) for a, b in itertools.combinations(ivals, 2)):
         raise NotRigidError("NotRigid")
-    summands = all_break_summands(rep.n)
+    summands = all_break_summands(rep.grid.n)
     present = set(rep.summands)
     for s in summands:
         if s not in present and all(compatible(s.as_interval(), iv) for iv in ivals):
             return False
-    families = all_family_choices(rep.n)
+    families = all_family_choices(rep.grid.n)
     smask = sum(1 << summands.index(s) for s in rep.summands)
     fmask = sum(1 << families.index(f) for f in rep.families)
-    sw = sweep(rep.n, tuple(fresh), samples_per_segment)
+    sw = sweep(rep.grid.n, tuple(fresh), samples_per_segment)
     return not generic_addable(live_candidates(sw, fmask), smask)
 
 
@@ -404,13 +404,7 @@ def fiber_by_anchor(image, grid) -> list[BreakpointRep]:
 
 def refined_quiver(n: int) -> LinearQuiver:
     """The 3n+1 vertex quiver a_0, a_0+, a_1-, a_1, ..., a_n-, a_n."""
-    labels = []
-    for i in range(n + 1):
-        labels.append(f"a{i}")
-        if i < n:
-            labels.append(f"a{i}+")
-            labels.append(f"a{i + 1}-")
-    return LinearQuiver(3 * n + 1, tuple(labels))
+    return LinearQuiver(3 * n + 1)
 
 
 def to_refined(rep: BreakpointRep) -> RefinedRep:

@@ -60,12 +60,10 @@ class TestQuivers:
     def test_refined_layout(self):
         q = refined_quiver(2)
         assert q.m == 7
-        assert q.labels == ("a0", "a0+", "a1-", "a1", "a1+", "a2-", "a2")
 
     def test_segment_layout(self):
         q = segment_quiver(2)
         assert q.m == 5
-        assert q.labels == ("a0", "a01", "a1", "a12", "a2")
 
 
 class TestToRefined:
@@ -110,6 +108,24 @@ class TestCondenseExpand:
     def test_breakpoints_fixed(self):
         t = RefinedRep(1, frozenset({f(1, 4)}))
         assert condense(t) == frozenset({f(1, 3)})
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: pull_back_summands([f(1, 1), f(2, 4)], 1),
+             "summand [2,4] out of range on the segment quiver"),
+            (lambda: expand([f(1, 1), f(2, 4)], 1),
+             "summand [2,4] out of range on the segment quiver"),
+            (lambda: RefinedRep(1, frozenset({f(1, 5)})),
+             "summand [1,5] out of range on the refined quiver"),
+        ],
+        ids=["pull_back_summands", "expand", "RefinedRep"],
+    )
+    def test_out_of_range_summands_raise(self, build, message):
+        with pytest.raises(ValueError) as err:
+            build()
+        assert type(err.value) is ValueError
+        assert str(err.value) == message
 
     def test_roundtrip_on_all_small_sets(self):
         for n in (1, 2):
@@ -311,12 +327,15 @@ class TestFibers:
                 assert is_maximal_rigid(r)
                 assert project(r) == h.summands
 
-    def test_fiber_route_builds_no_sweep_masks(self, monkeypatch):
+    def test_fiber_route_builds_no_sweep_masks(self):
         """Anchors read the one table of the grid's n, and nothing else is cached."""
-        monkeypatch.setattr(continuous, "_TABLES_CACHE", {})
+        continuous._tables.cache_clear()
         projectives = [f(i, 9) for i in range(1, 10)]  # maximal rigid on A_9
         assert len(fiber_reps(projectives, Breakpoints.uniform(4))) == 16
-        assert list(continuous._TABLES_CACHE) == [4]
+        assert continuous._tables.cache_info().currsize == 1
+        hits = continuous._tables.cache_info().hits
+        continuous._tables(4)
+        assert continuous._tables.cache_info().hits == hits + 1
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_fibers_come_in_rep_sort_key_order(self, n):
@@ -428,3 +447,8 @@ class TestDiscretizedOracle:
     def test_agrees_on_random_pairs(self):
         label, ok = verify.random_compatibility(seed=5, pairs=2000, denominator=48, offsets=5)
         assert ok, label
+
+    def test_random_pairs_report_a_disagreement(self, monkeypatch):
+        monkeypatch.setattr(verify, "compatible", lambda a, b: not compatible(a, b))
+        label, ok = verify.random_compatibility(seed=5, pairs=10)
+        assert not ok, label

@@ -55,6 +55,14 @@ class TestCount:
             "match": True,
         }
 
+    def test_stdout_digest(self, capsys):
+        # sha256 of the stdout of `maxrigid count --n 3 --mode both`
+        code, out, _ = run(capsys, "count", "--n", "3", "--mode", "both")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "c28988a5cb870ccebf0db3f215a104ce45eb366c30823fec99f248c6ac1e25c9"
+        )
+
 
 class TestFinite:
     def test_enumerate_lists_sets(self, capsys):
@@ -83,6 +91,8 @@ class TestFinite:
              "af107f433f26507e88737be18d9f4cc1e8a33658e2a47ae2d15430c08f36f200"),
             (("--m", "6", "--enumerate", "--format", "json"),
              "98d047f8f9c4031e418fb80915ab91d641d8449fb6fa634ba0d98339659e16c3"),
+            (("--m", "12"),
+             "cc46751e9c763c0b1d7db7a1dd7ff4edf7c198f50077509cf867ebc9db685f6f"),
         ],
     )
     def test_stdout_digest(self, capsys, argv, digest):
@@ -290,6 +300,9 @@ class TestCheck:
             ["0", "1e-4000000", "1"],
             ["0", "0.5", "1"],
             ["0", " 1/2", "1"],
+            # exact, but not strictly increasing from 0 to 1
+            ["0", "1", "1"],
+            ["1/4", "1/2", "1"],
         ],
     )
     def test_non_exact_alpha_rejected(self, tmp_path, capsys, alpha):
@@ -309,6 +322,27 @@ class TestCheck:
         assert time.process_time() - start < 0.5
         assert code == 2
         assert "BadAlpha" in err
+
+    @pytest.mark.parametrize(
+        "payload, name",
+        [
+            ({"n": 2, "alpha": ["0", "1"], "t_part": [], "families": []},
+             "AlphaLengthMismatch(n=2, points=2)"),
+            ({"n": 1, "t_part": [[0, "closed", 1, "closed"]], "families": []},
+             "NotAnObject(t_part entry)"),
+            ({"n": 1, "t_part": {"lo": 0}, "families": []}, "NotAList(t_part)"),
+            # no alpha and fewer families than segments: the first unnamed segment
+            ({"n": 3, "families": [
+                {"segment": 0, "side": "right", "anchor": 1, "anchor_kind": "closed"}]},
+             "MissingFamily(1)"),
+        ],
+        ids=["alpha-length", "entry-not-an-object", "t_part-not-a-list", "precheck-missing-family"],
+    )
+    def test_decode_errors_are_named(self, tmp_path, capsys, payload, name):
+        path = tmp_path / "rep.json"
+        path.write_text(json.dumps(payload))
+        code, out, err = run(capsys, "check", str(path))
+        assert (code, out, err) == (2, "", f"error: {name}\n")
 
     def test_oversized_n_rejected_before_the_grid(self, tmp_path, capsys):
         path = tmp_path / "rep.json"
@@ -418,6 +452,21 @@ class TestFlags:
         assert err.startswith("Traceback")
         assert f"{error.__name__}: " in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("count", "--n", "2", "--mode", "both"), ("finite", "--m", "3", "--enumerate")],
+    )
+    def test_enumeration_formula_mismatch_exits_1(self, capsys, monkeypatch, argv):
+        real = cli.enumerate_maximal_rigid
+
+        def one_short(quiver, **kwargs):
+            return real(quiver, **kwargs)[1:]
+
+        monkeypatch.setattr(cli, "enumerate_maximal_rigid", one_short)
+        code, out, _ = run(capsys, *argv)
+        assert code == 1
+        assert out.splitlines()[-1].endswith("false")
+
     def test_unknown_flag(self, capsys):
         code, _, _ = run(capsys, "count", "--n", "1", "--bogus")
         assert code == 2
@@ -475,6 +524,14 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert err.splitlines() == [f"error: n={n} exceeds the verify cap 5"]
+
+    def test_stdout_digest(self, capsys):
+        # sha256 of the stdout of `maxrigid verify --n 3 --seed 7`
+        code, out, _ = run(capsys, "verify", "--n", "3", "--seed", "7")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "6974e28aa04f180519e1f8a3209bcf24fa6f5ef4c1a37a8bf3f4b08a9d817c70"
+        )
 
     def test_failed_check_exits_1(self, capsys, monkeypatch):
         monkeypatch.setattr(verify, "count_identities", lambda: ("count identities hold", False))

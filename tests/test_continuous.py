@@ -20,6 +20,7 @@ from maxrigid import (
     DuplicateFamilyError,
     DuplicateSummandError,
     FamilyChoice,
+    FiniteInterval,
     Interval,
     InvalidRepError,
     MissingFamilyError,
@@ -100,6 +101,23 @@ class TestValidate:
         fams = [FamilyChoice(0, RIGHT, 1, CLOSED), FamilyChoice(0, LEFT, 0, OPEN)]
         with pytest.raises(DuplicateFamilyError):
             validate_rep(rep(GRID1, [], fams))
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: Breakpoints((0,)), "need at least two breakpoints"),
+            (lambda: FiniteInterval(2, 1), "bad interval bounds [2,1]"),
+            (lambda: FamilyChoice(-1, RIGHT, 1, CLOSED),
+             "segment and anchor indices must be nonnegative"),
+            (lambda: Point(0, 1), "segment offset outside [0, 1): 1"),
+        ],
+        ids=["one-breakpoint", "inverted-finite-interval", "negative-segment", "offset-one"],
+    )
+    def test_constructors_reject_bad_values(self, build, message):
+        with pytest.raises(ValueError) as err:
+            build()
+        assert type(err.value) is ValueError
+        assert str(err.value) == message
 
     def test_summand_out_of_range(self):
         with pytest.raises(Exception, match="SummandIndexOutOfRange"):
