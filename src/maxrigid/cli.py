@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
-from fractions import Fraction
 
 from . import bridge, counting, verify
 from .continuous import (
@@ -24,6 +22,7 @@ from .continuous import (
     MAX_N,
     MissingFamilyError,
     Side,
+    _lowest_unnamed,
     enumerate_maximal_rigid_reps,
     is_uniform,
     validate_rep,
@@ -32,7 +31,6 @@ from .finite import MAX_M, LinearQuiver, ResourceLimitError, _check_cap, enumera
 from .intervals import CLOSED, OPEN, BoundaryKind, InvalidIntervalError
 
 _KINDS = {"closed": CLOSED, "open": OPEN}
-_RATIONAL = re.compile(r"-?\d+(/\d+)?", re.ASCII)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -118,21 +116,10 @@ def _int(value) -> int:
     return value
 
 
-def _exact(value) -> Fraction:
-    """A grid point: a JSON integer or a string that ``str(Fraction)`` writes.
-
-    Anything else raises TypeError before ``Fraction`` sees it: Fraction
-    would take a float at its binary value, a boolean as 0 or 1, and would
-    expand a decimal exponent such as ``"1e-4000000"`` into a power of ten.
-    """
-    if type(value) is int or type(value) is str and _RATIONAL.fullmatch(value):
-        return Fraction(value)
-    raise TypeError(f"not an exact rational: {value!r}")
-
-
 def rep_from_dict(data: dict) -> BreakpointRep:
     """Decode and strictly type a JSON encoding; ``validate_rep`` checks the rest.
 
+    ``alpha`` goes to ``Breakpoints`` as decoded; what it refuses is ``BadAlpha``.
     The summands and families are decoded before the grid is built, so that
     an ``n`` no family list could cover is rejected as ``MissingFamily``
     without allocating a uniform grid of that size.
@@ -188,18 +175,14 @@ def rep_from_dict(data: dict) -> BreakpointRep:
         if not isinstance(data["alpha"], list):
             raise InvalidRepError("BadAlpha")
         try:
-            grid = Breakpoints(tuple(_exact(v) for v in data["alpha"]))
+            grid = Breakpoints(tuple(data["alpha"]))
         except (TypeError, ValueError, ZeroDivisionError):
             raise InvalidRepError("BadAlpha") from None
         if grid.n != n:
             raise InvalidRepError(f"AlphaLengthMismatch(n={n}, points={grid.n + 1})")
     elif n > len(families):
         # a valid encoding names each of the n segments exactly once
-        named = {f.segment for f in families}
-        missing = 0
-        while missing in named:
-            missing += 1
-        raise MissingFamilyError(missing)
+        raise MissingFamilyError(_lowest_unnamed({f.segment for f in families}, n))
     else:
         grid = Breakpoints.uniform(n)
     return BreakpointRep(grid=grid, summands=tuple(summands), families=tuple(families))
@@ -213,12 +196,6 @@ def pretty_rep(rep: BreakpointRep) -> str:
 
 # ---------------------------------------------------------------------------
 # subcommands
-
-
-def _print_table(rows: list[list[str]]) -> None:
-    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
-    for row in rows:
-        print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
 
 
 def _check_printable(name: str, bits: int) -> None:
@@ -255,36 +232,34 @@ def cmd_enumerate(args) -> int:
 def cmd_count(args) -> int:
     # continuous_count(n) < 2^(5n+1), and it bounds projected_count(n)
     _check_printable(f"continuous_count({args.n})", 5 * args.n + 1)
-    enumerated = None
-    enumerated_projected = None
+    enumerated = enumerated_projected = match = None
     if args.mode in ("enumerate", "both"):
         grid = Breakpoints.uniform(args.n)
         enumerated = len(enumerate_maximal_rigid_reps(grid, max_n=args.max_n))
         enumerated_projected = len(
             enumerate_maximal_rigid(bridge.segment_quiver(args.n))
         )
-    report = counting.report_for(args.n, enumerated, enumerated_projected)
+    formula = counting.continuous_count(args.n)
+    projected = counting.projected_count(args.n)
+    if enumerated is not None:
+        match = (enumerated, enumerated_projected) == (formula, projected)
+    row = {
+        "n": args.n,
+        "formula_count": formula,
+        "projected_formula_count": projected,
+        "enumerated_count": enumerated,
+        "enumerated_projected_count": enumerated_projected,
+        "match": match,
+    }
     if args.format == "json":
-        print(json.dumps(report.to_dict(), indent=2))
+        print(json.dumps(row, indent=2))
     else:
-        show = lambda v: "-" if v is None else str(v)
-        match = report.match
-        _print_table(
-            [
-                ["n", "formula", "projected", "enumerated", "projected_enumerated", "match"],
-                [
-                    str(report.n),
-                    str(report.formula_count),
-                    str(report.projected_formula_count),
-                    show(report.enumerated_count),
-                    show(report.enumerated_projected_count),
-                    "-" if match is None else str(match).lower(),
-                ],
-            ]
-        )
-    if report.match is False:
-        return 1
-    return 0
+        header = ["n", "formula", "projected", "enumerated", "projected_enumerated", "match"]
+        cells = ["-" if v is None else str(v).lower() for v in row.values()]
+        widths = [max(len(h), len(c)) for h, c in zip(header, cells)]
+        for line in (header, cells):
+            print("  ".join(c.ljust(w) for c, w in zip(line, widths)).rstrip())
+    return 1 if match is False else 0
 
 
 def cmd_finite(args) -> int:

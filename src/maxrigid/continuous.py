@@ -46,7 +46,9 @@ from .intervals import (
     Interval,
     InvertedIntervalError,
     Point,
+    _check_kinds,
     _compatible_ends,
+    _exact,
 )
 
 
@@ -109,6 +111,7 @@ class BreakSummand:
 
     def __post_init__(self):
         # the checks ``as_interval`` would make, on the indices themselves
+        _check_kinds(self.lo_kind, self.hi_kind)
         for i in (self.lo, self.hi):
             if i < 0:
                 raise ValueError(f"negative point index: {i}")
@@ -144,6 +147,7 @@ class FamilyChoice:
     anchor_kind: BoundaryKind
 
     def __post_init__(self):
+        _check_kinds(self.anchor_kind)
         if self.segment < 0 or self.anchor < 0:
             raise ValueError("segment and anchor indices must be nonnegative")
         if not isinstance(self.side, Side):
@@ -173,12 +177,16 @@ class FamilyChoice:
 
 @dataclass(frozen=True)
 class Breakpoints:
-    """The subdivision 0 = a_0 < a_1 < ... < a_n = 1 (exact rationals)."""
+    """The subdivision 0 = a_0 < a_1 < ... < a_n = 1 (exact rationals).
+
+    Each value goes through ``intervals._exact``, so a float, a boolean or
+    a decimal or exponent string raises TypeError.
+    """
 
     values: tuple[Fraction, ...]
 
     def __post_init__(self):
-        vals = tuple(Fraction(v) for v in self.values)
+        vals = tuple(map(_exact, self.values))
         object.__setattr__(self, "values", vals)
         if len(vals) < 2:
             raise ValueError("need at least two breakpoints")
@@ -212,6 +220,11 @@ def sample_offsets(k: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(i, k + 1) for i in range(1, k + 1))
 
 
+def _lowest_unnamed(named, n: int) -> int:
+    """The lowest of segments 0..n-1 not in ``named``; the caller knows one is missing."""
+    return next(j for j in range(n) if j not in named)
+
+
 def validate_rep(rep: BreakpointRep) -> None:
     """Raise InvalidRepError unless the encoding is well formed.
 
@@ -242,7 +255,7 @@ def validate_rep(rep: BreakpointRep) -> None:
         if f.side is LEFT and not 0 <= f.anchor <= f.segment:
             raise BadAnchorRangeError(f)
     if len(by_segment) < n:
-        raise MissingFamilyError(next(j for j in range(n) if j not in by_segment))
+        raise MissingFamilyError(_lowest_unnamed(by_segment, n))
 
 
 def is_uniform(rep: BreakpointRep) -> bool:

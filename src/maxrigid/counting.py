@@ -1,9 +1,8 @@
-"""Exact closed-form counts and their consistency identities."""
+"""Exact closed-form counts; each count ``claim``s the identity it must satisfy."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 
 class ClaimError(RuntimeError):
@@ -54,49 +53,3 @@ def continuous_count(n: int) -> int:
     claim(rem == 0, "continuous count division must be exact")
     claim(value == 2**n * projected_count(n), "continuous count must be 2^n projected")
     return value
-
-
-@dataclass(frozen=True)
-class CountReport:
-    """Formula counts next to (optional) enumerated counts for one n."""
-
-    n: int
-    formula_count: int
-    projected_formula_count: int
-    enumerated_count: int | None = None
-    enumerated_projected_count: int | None = None
-
-    def __post_init__(self):
-        claim(self.formula_count == 2**self.n * self.projected_formula_count, "fibers of size 2^n")
-
-    @property
-    def match(self) -> bool | None:
-        """True/False once something was enumerated, None otherwise."""
-        pairs = [
-            (self.enumerated_count, self.formula_count),
-            (self.enumerated_projected_count, self.projected_formula_count),
-        ]
-        seen = [(got, want) for got, want in pairs if got is not None]
-        if not seen:
-            return None
-        return all(got == want for got, want in seen)
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "formula_count": self.formula_count,
-            "projected_formula_count": self.projected_formula_count,
-            "enumerated_count": self.enumerated_count,
-            "enumerated_projected_count": self.enumerated_projected_count,
-            "match": self.match,
-        }
-
-
-def report_for(n: int, enumerated: int | None = None, enumerated_projected: int | None = None) -> CountReport:
-    return CountReport(
-        n=n,
-        formula_count=continuous_count(n),
-        projected_formula_count=projected_count(n),
-        enumerated_count=enumerated,
-        enumerated_projected_count=enumerated_projected,
-    )

@@ -4,7 +4,8 @@ The point domain is combinatorial: a point is either a breakpoint
 ``a_0 < a_1 < ... < a_n`` of a subdivision of [0, 1], or a generic point
 strictly inside one of the open segments ``(a_j, a_{j+1})``.  Positions
 inside a segment are exact rationals, so point equality is exact and no
-comparison ever touches floating point.
+comparison ever touches floating point: ``Point`` and ``continuous.Breakpoints``
+take only what ``_exact``, the one exact-rational rule, accepts.
 
 An interval carries an independent closed/open flag at each end, giving
 the four shapes [a,b], [a,b), (a,b] and (a,b).  Two intervals are
@@ -25,6 +26,7 @@ independent discretized Ext computation in :mod:`maxrigid.bridge`.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
@@ -56,6 +58,30 @@ class InvertedIntervalError(InvalidIntervalError):
     """Upper endpoint strictly below the lower endpoint."""
 
 
+_RATIONAL = re.compile(r"-?\d+(/\d+)?", re.ASCII)
+
+
+def _exact(value) -> Fraction:
+    """``value`` as a Fraction: a Fraction, an int, or a string ``str(Fraction)`` writes.
+
+    Anything else raises TypeError before ``Fraction`` sees it: Fraction
+    would take a float at its binary value, a boolean as 0 or 1, and would
+    expand a decimal exponent such as ``"1e-4000000"`` into a power of ten.
+    """
+    if isinstance(value, Fraction):
+        return value
+    if type(value) is int or type(value) is str and _RATIONAL.fullmatch(value):
+        return Fraction(value)
+    raise TypeError(f"not an exact rational: {value!r}")
+
+
+def _check_kinds(*kinds) -> None:
+    """Raise TypeError unless every kind is a BoundaryKind (0 is not CLOSED)."""
+    for kind in kinds:
+        if not isinstance(kind, BoundaryKind):
+            raise TypeError(f"not a BoundaryKind: {kind!r}")
+
+
 @dataclass(frozen=True, order=True)
 class Point:
     """A breakpoint (offset 0) or a generic point inside a segment.
@@ -65,7 +91,8 @@ class Point:
     segment, rescaled to (0, 1).  Lexicographic order on
     ``(index, offset)`` is the order on the line: breakpoint ``i``
     precedes every generic point of segment ``i``, which precedes
-    breakpoint ``i + 1``.
+    breakpoint ``i + 1``.  ``offset`` goes through ``_exact``, so a float,
+    a boolean or a decimal or exponent string raises TypeError.
     """
 
     index: int
@@ -74,8 +101,7 @@ class Point:
     def __post_init__(self):
         if self.index < 0:
             raise ValueError(f"negative point index: {self.index}")
-        if not isinstance(self.offset, Fraction):
-            object.__setattr__(self, "offset", Fraction(self.offset))
+        object.__setattr__(self, "offset", _exact(self.offset))
         if not 0 <= self.offset < 1:
             raise ValueError(f"segment offset outside [0, 1): {self.offset}")
 
@@ -85,7 +111,7 @@ class Point:
 
     @classmethod
     def generic(cls, segment: int, offset) -> "Point":
-        offset = Fraction(offset)
+        offset = _exact(offset)
         if not 0 < offset < 1:
             raise ValueError(f"generic offset must lie strictly in (0, 1): {offset}")
         return cls(segment, offset)
@@ -114,6 +140,7 @@ class Interval:
     hi_kind: BoundaryKind
 
     def __post_init__(self):
+        _check_kinds(self.lo_kind, self.hi_kind)
         if self.hi < self.lo:
             raise InvertedIntervalError(f"InvertedInterval({self.lo} > {self.hi})")
         if self.lo == self.hi and (self.lo_kind is not CLOSED or self.hi_kind is not CLOSED):

@@ -85,4 +85,4 @@ def test_all_is_the_public_namespace():
         if not name.startswith("_") and not isinstance(obj, types.ModuleType)
     }
     assert sorted(maxrigid.__all__) == sorted(public)
-    assert len(maxrigid.__all__) == 59
+    assert len(maxrigid.__all__) == 58

@@ -11,6 +11,7 @@ import pathlib
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +21,7 @@ import maxrigid
 from maxrigid import cli, counting, enumerate_maximal_rigid_reps, verify
 
 from golden import ten_reps
-from maxrigid import Breakpoints
+from maxrigid import Breakpoints, Point
 
 
 def run(capsys, *argv):
@@ -55,13 +56,28 @@ class TestCount:
             "match": True,
         }
 
-    def test_stdout_digest(self, capsys):
-        # sha256 of the stdout of `maxrigid count --n 3 --mode both`
-        code, out, _ = run(capsys, "count", "--n", "3", "--mode", "both")
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (("--n", "3", "--mode", "both"),
+             "c28988a5cb870ccebf0db3f215a104ce45eb366c30823fec99f248c6ac1e25c9"),
+            # the same bytes as --mode both: the formula columns are always printed
+            (("--n", "3", "--mode", "enumerate"),
+             "c28988a5cb870ccebf0db3f215a104ce45eb366c30823fec99f248c6ac1e25c9"),
+            (("--n", "2", "--format", "json"),
+             "3035bdbd7809a25419336a7390c21606194e0dc32820071d960fe54e6b3c9393"),
+            (("--n", "2", "--mode", "formula", "--format", "json"),
+             "8b77a0c4fadf2ddcdb63e8a0a26f106cc165fc8a2ef10215f9ad0a35b240c78a"),
+            (("--n", "4", "--mode", "formula"),
+             "f9c9bb005536686c0db06265158c35e49cea179064a0168cb866d30679c71bac"),
+        ],
+        ids=["n3-both", "n3-enumerate", "n2-json", "n2-formula-json", "n4-formula"],
+    )
+    def test_stdout_digest(self, capsys, argv, digest):
+        # sha256 of the stdout of `maxrigid count ...`
+        code, out, _ = run(capsys, "count", *argv)
         assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == (
-            "c28988a5cb870ccebf0db3f215a104ce45eb366c30823fec99f248c6ac1e25c9"
-        )
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestFinite:
@@ -324,6 +340,39 @@ class TestCheck:
         assert "BadAlpha" in err
 
     @pytest.mark.parametrize(
+        "value, exact",
+        [
+            (0.5, False),
+            (True, False),
+            ("0.5", False),
+            ("1e-9", False),
+            (" 1/3", False),
+            # the non-exact entries of test_non_exact_alpha_rejected
+            (0.1, False),
+            (False, False),
+            ("1e-4000000", False),
+            (" 1/2", False),
+            (Fraction(1, 3), True),
+            ("1/3", True),
+        ],
+        ids=repr,
+    )
+    def test_library_refuses_what_the_cli_refuses(self, value, exact):
+        """``Breakpoints`` and ``Point`` own the rule that makes ``check`` say BadAlpha."""
+        if not exact:
+            with pytest.raises(TypeError):
+                Breakpoints((0, value, 1))
+            with pytest.raises(TypeError):
+                Point.generic(0, value)
+            return
+        assert Breakpoints((0, value, 1)).values == (0, Fraction(1, 3), 1)
+        assert Point.generic(0, value).offset == Fraction(1, 3)
+        for n in (1, 2, 5):
+            values = Breakpoints.uniform(n).values
+            assert values == tuple(Fraction(i, n) for i in range(n + 1))
+            assert all(type(v) is Fraction for v in values)
+
+    @pytest.mark.parametrize(
         "payload, name",
         [
             ({"n": 2, "alpha": ["0", "1"], "t_part": [], "families": []},
@@ -416,7 +465,8 @@ class TestFlags:
             raise AssertionError("the count was computed")
 
         monkeypatch.setattr(counting, "catalan", computed)
-        monkeypatch.setattr(counting, "report_for", computed)
+        monkeypatch.setattr(counting, "continuous_count", computed)
+        monkeypatch.setattr(counting, "projected_count", computed)
         start = time.perf_counter()
         code, out, err = run(capsys, *argv, "--format", fmt)
         assert time.perf_counter() - start < 1.0
@@ -550,6 +600,18 @@ class TestClaims:
             for path in sorted(pathlib.Path(maxrigid.__file__).parent.glob("*.py"))
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
             if isinstance(node, ast.Assert)
+        ]
+        assert found == []
+
+    def test_no_inexact_arithmetic_in_the_library(self):
+        """No true division and no float or round: counts and points stay exact."""
+        found = [
+            f"{path.name}:{node.lineno}"
+            for path in sorted(pathlib.Path(maxrigid.__file__).parent.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
+            or isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in ("float", "round")
         ]
         assert found == []
 

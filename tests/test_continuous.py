@@ -103,20 +103,28 @@ class TestValidate:
             validate_rep(rep(GRID1, [], fams))
 
     @pytest.mark.parametrize(
-        "build, message",
+        "build, error, message",
         [
-            (lambda: Breakpoints((0,)), "need at least two breakpoints"),
-            (lambda: FiniteInterval(2, 1), "bad interval bounds [2,1]"),
-            (lambda: FamilyChoice(-1, RIGHT, 1, CLOSED),
+            (lambda: Breakpoints((0,)), ValueError, "need at least two breakpoints"),
+            (lambda: FiniteInterval(2, 1), ValueError, "bad interval bounds [2,1]"),
+            (lambda: FamilyChoice(-1, RIGHT, 1, CLOSED), ValueError,
              "segment and anchor indices must be nonnegative"),
-            (lambda: Point(0, 1), "segment offset outside [0, 1): 1"),
+            (lambda: Point(0, 1), ValueError, "segment offset outside [0, 1): 1"),
+            # 0 equals CLOSED, but a kind that is not a BoundaryKind would print
+            # as open, or make a closed point module look empty
+            (lambda: BreakSummand(0, 0, 1, 0), TypeError, "not a BoundaryKind: 0"),
+            (lambda: BreakSummand(0, 0, 0, 0), TypeError, "not a BoundaryKind: 0"),
+            (lambda: Interval(Point(0), 0, Point(0), 0), TypeError, "not a BoundaryKind: 0"),
+            (lambda: FamilyChoice(0, RIGHT, 1, 0), TypeError, "not a BoundaryKind: 0"),
         ],
-        ids=["one-breakpoint", "inverted-finite-interval", "negative-segment", "offset-one"],
+        ids=["one-breakpoint", "inverted-finite-interval", "negative-segment", "offset-one",
+             "int-kinds-summand", "int-kinds-point-summand", "int-kinds-point-interval",
+             "int-kind-family"],
     )
-    def test_constructors_reject_bad_values(self, build, message):
-        with pytest.raises(ValueError) as err:
+    def test_constructors_reject_bad_values(self, build, error, message):
+        with pytest.raises(error) as err:
             build()
-        assert type(err.value) is ValueError
+        assert type(err.value) is error
         assert str(err.value) == message
 
     def test_summand_out_of_range(self):

@@ -1,8 +1,8 @@
-"""Closed-form counts, their oracles, and the report container."""
+"""Closed-form counts, their oracles, and the identities they claim."""
 
 import pytest
 
-from maxrigid import CountReport, binomial, catalan, continuous_count, projected_count
+from maxrigid import binomial, catalan, continuous_count, counting, projected_count
 from maxrigid.counting import ClaimError
 
 
@@ -76,21 +76,8 @@ class TestContinuousCount:
         for n in range(1, 65):
             assert continuous_count(n) == 2**n * projected_count(n)
 
-
-class TestReport:
-    def test_identity_enforced(self):
-        with pytest.raises(ClaimError):
-            CountReport(n=1, formula_count=11, projected_formula_count=5)
-
-    def test_match_flags(self):
-        plain = CountReport(n=1, formula_count=10, projected_formula_count=5)
-        assert plain.match is None
-        good = CountReport(1, 10, 5, enumerated_count=10, enumerated_projected_count=5)
-        assert good.match is True
-        bad = CountReport(1, 10, 5, enumerated_count=9)
-        assert bad.match is False
-
-    def test_to_dict_round(self):
-        rep = CountReport(2, 168, 42, 168, 42)
-        d = rep.to_dict()
-        assert d["n"] == 2 and d["match"] is True and d["formula_count"] == 168
+    def test_identity_enforced(self, monkeypatch):
+        real = counting.projected_count
+        monkeypatch.setattr(counting, "projected_count", lambda n: real(n) + 1)
+        with pytest.raises(ClaimError, match=r"^continuous count must be 2\^n projected$"):
+            continuous_count(1)
