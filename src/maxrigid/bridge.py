@@ -15,8 +15,9 @@ rigid sets ``project`` is onto and every image has exactly 2^n preimages:
 per segment the family side is left or right, and for each side the summands
 force the anchor, which ``fiber_reps`` reads off one pass over the family
 rows of ``_Tables.adj``.  Both stay on integers until they build their
-output: ``fiber_reps`` maps each image interval (a, b) to its summand vertex
-through one index per n, and ``project`` unions cached one-interval sets.
+output: the code b * b + a of an image interval [a, b] indexes
+``_Tables.code_vertex`` in ``fiber_reps`` and cached one-interval sets in
+``project`` (``BreakSummand.code``).
 
 ``discretized_compatible`` is the independent oracle for the interval
 compatibility predicate: it replays a pair of flavored intervals as
@@ -39,8 +40,8 @@ from .continuous import (
     Breakpoints,
     BreakSummand,
     Side,
+    _summand_codes,
     _tables,
-    validate_rep,
 )
 from .counting import claim
 from .intervals import CLOSED, OPEN, Interval
@@ -114,13 +115,13 @@ def expand(image: Iterable[FiniteInterval], n: int) -> RefinedRep:
 def project(rep: BreakpointRep) -> frozenset[FiniteInterval]:
     """The summands' image on the segment quiver: a_i is 2i+1, an OPEN (== 1) end moves inward.
 
-    The image is the union of the cached one-interval sets
-    ``finite._single``, so no ``FiniteInterval`` is built or hashed per call.
+    Validated as by ``validate_rep``, each summand code b * b + a picks the
+    cached set ``finite._single(a, b)`` from a per-n list: no ``FiniteInterval``
+    is built per call, and no dataclass ``__hash__`` runs.
     """
-    validate_rep(rep)
-    return frozenset().union(
-        *[_single(2 * s.lo + 1 + s.lo_kind, 2 * s.hi + 1 - s.hi_kind) for s in rep.summands]
-    )
+    codes = _summand_codes(rep)  # an invalid rep raises before the list is built
+    singles = _image_index(rep.grid.n)[0]
+    return frozenset().union(*[singles[c] for c in codes])
 
 
 def pull_back_summands(image: Iterable[FiniteInterval], n: int) -> tuple[BreakSummand, ...]:
@@ -136,23 +137,21 @@ def pull_back_summands(image: Iterable[FiniteInterval], n: int) -> tuple[BreakSu
 
 
 @functools.cache
-def _image_index(n: int) -> tuple[dict[tuple[int, int], int], list[tuple[int, Side]]]:
-    """The summand vertex of each segment-quiver interval (a, b), and the (segment, side) pairs.
-
-    The vertices are those of ``_tables(n)`` and the end map is ``project``'s.
-    """
-    index = {
-        (2 * s.lo + 1 + s.lo_kind, 2 * s.hi + 1 - s.hi_kind): v
-        for v, s in enumerate(_tables(n).summands)
-    }
-    return index, list(itertools.product(range(n), (LEFT, RIGHT)))
+def _image_index(n: int) -> tuple[list, list[tuple[int, Side]]]:
+    """``_single(a, b)`` at code b * b + a for every interval of the segment quiver,
+    None at the other ints below the largest code, and the (segment, side) pairs."""
+    top = 2 * n + 1
+    singles = [None] * (top * top + top + 1)
+    for a, b in itertools.combinations_with_replacement(range(1, top + 1), 2):
+        singles[b * b + a] = _single(a, b)
+    return singles, list(itertools.product(range(n), (LEFT, RIGHT)))
 
 
 def fiber_reps(image: Iterable[FiniteInterval], grid: Breakpoints) -> list[BreakpointRep]:
     """The 2^n preimages of a maximal rigid segment-quiver set.
 
-    Reads ``image`` once and maps each interval to its summand vertex of
-    ``_Tables.adj``.  Raises NotMaximalRigidImageError unless those are
+    Reads ``image`` once and maps each interval [a, b] to its summand vertex
+    (code b * b + a).  Raises NotMaximalRigidImageError unless those are
     2n+1 distinct vertices forming a clique: exact, as compatibility is Ext
     vanishing on images and 2n+1 rigid modules tilt.  The forced families
     are then the family rows that hold every summand, and a ``claim`` checks
@@ -162,15 +161,13 @@ def fiber_reps(image: Iterable[FiniteInterval], grid: Breakpoints) -> list[Break
     The reps share the table's own summand and family objects.
     """
     n = grid.n
-    tables = _tables(n)
-    index, sides = _image_index(n)
+    tables, sides = _tables(n), _image_index(n)[1]
     image = list(image)
     smask = 0
     for s in image:
-        v = index.get((s.a, s.b))
-        if v is None:
+        if s.b > 2 * n + 1:
             raise ValueError(f"summand {s} out of range on the segment quiver")
-        smask |= 1 << v
+        smask |= 1 << tables.code_vertex[s.b * s.b + s.a]
     if not len(image) == smask.bit_count() == 2 * n + 1 or not is_clique(tables.adj, smask):
         names = ",".join(map(str, pull_back_summands(image, n)))
         raise NotMaximalRigidImageError(f"NotMaximalRigidImage({names})")

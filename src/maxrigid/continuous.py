@@ -30,10 +30,9 @@ on a segment already collides with, or has the shape of, every one of them
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable
 
 from .cliques import bits, is_clique, is_maximal_clique, max_cliques
 from .counting import NonPositiveCountError, claim
@@ -46,6 +45,7 @@ from .intervals import (
     Interval,
     InvertedIntervalError,
     Point,
+    _check_ints,
     _check_kinds,
     _compatible_ends,
     _exact,
@@ -102,16 +102,23 @@ class NotRigidError(ValueError):
 
 @dataclass(frozen=True, order=True)
 class BreakSummand:
-    """A flavored interval with both endpoints at breakpoints, by index."""
+    """A flavored interval with both endpoints at breakpoints, by index.
+
+    ``code`` is b * b + a for the image [a, b] under ``bridge.project``; as
+    1 <= a <= b, equal codes mean equal summands, whatever n.  It takes no
+    part in equality, hashing, ordering or printing.
+    """
 
     lo: int
     lo_kind: BoundaryKind
     hi: int
     hi_kind: BoundaryKind
+    code: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # the checks ``as_interval`` would make, on the indices themselves
         _check_kinds(self.lo_kind, self.hi_kind)
+        _check_ints(self.lo, self.hi)
         for i in (self.lo, self.hi):
             if i < 0:
                 raise ValueError(f"negative point index: {i}")
@@ -119,6 +126,8 @@ class BreakSummand:
             raise InvertedIntervalError(f"InvertedInterval(a{self.lo} > a{self.hi})")
         if self.lo == self.hi and (self.lo_kind is not CLOSED or self.hi_kind is not CLOSED):
             raise EmptyIntervalError(f"EmptyInterval(open end at a{self.lo})")
+        b = 2 * self.hi + 1 - self.hi_kind
+        object.__setattr__(self, "code", b * b + 2 * self.lo + 1 + self.lo_kind)
 
     def as_interval(self) -> Interval:
         return Interval(
@@ -148,6 +157,7 @@ class FamilyChoice:
 
     def __post_init__(self):
         _check_kinds(self.anchor_kind)
+        _check_ints(self.segment, self.anchor)
         if self.segment < 0 or self.anchor < 0:
             raise ValueError("segment and anchor indices must be nonnegative")
         if not isinstance(self.side, Side):
@@ -225,24 +235,16 @@ def _lowest_unnamed(named, n: int) -> int:
     return next(j for j in range(n) if j not in named)
 
 
-def validate_rep(rep: BreakpointRep) -> None:
-    """Raise InvalidRepError unless the encoding is well formed.
-
-    Checks summand index ranges and distinctness, one family per segment,
-    and the side/anchor range constraint (a right family must anchor
-    beyond its segment, a left family at or before it).  The first fault in
-    summand order, then family order, is the one raised.
-    """
+def _summand_codes(rep: BreakpointRep) -> set[int]:
+    """Make ``validate_rep``'s checks; the set of the summands' ``code``s."""
     n = rep.grid.n
-    seen_summands = set()
+    codes = set()
     for s in rep.summands:
         if s.lo < 0 or s.hi > n:
             raise InvalidRepError(f"SummandIndexOutOfRange({s})")
-        # one dataclass __hash__ per summand: add, then see whether the set grew
-        k = len(seen_summands)
-        seen_summands.add(s)
-        if len(seen_summands) == k:
+        if s.code in codes:
             raise DuplicateSummandError(s)
+        codes.add(s.code)
     by_segment: dict[int, FamilyChoice] = {}
     for f in rep.families:
         if not 0 <= f.segment < n:
@@ -256,6 +258,19 @@ def validate_rep(rep: BreakpointRep) -> None:
             raise BadAnchorRangeError(f)
     if len(by_segment) < n:
         raise MissingFamilyError(_lowest_unnamed(by_segment, n))
+    return codes
+
+
+def validate_rep(rep: BreakpointRep) -> None:
+    """Raise InvalidRepError unless the encoding is well formed.
+
+    Checks summand index ranges and distinctness (by ``BreakSummand.code``,
+    so no dataclass ``__hash__`` runs), one family per segment, and the
+    side/anchor range constraint (a right family must anchor beyond its
+    segment, a left family at or before it).  The first fault in summand
+    order, then family order, is the one raised.
+    """
+    _summand_codes(rep)
 
 
 def is_uniform(rep: BreakpointRep) -> bool:
@@ -288,9 +303,8 @@ def is_rigid(rep: BreakpointRep) -> bool:
     one family are always nested, and a valid rep has one family per
     segment, so the graph's edges cover every pair that has to be checked.
     """
-    validate_rep(rep)
-    tables = _tables(rep.grid.n)
-    return is_clique(tables.adj, tables.mask(rep.summands, rep.families))
+    tables, mask = _vertex_mask(rep)
+    return is_clique(tables.adj, mask)
 
 
 def all_break_summands(n: int) -> list[BreakSummand]:
@@ -322,11 +336,11 @@ class _Tables:
 
     Vertex ``si < S`` is the breakpoint summand ``summands[si]`` and vertex
     ``S + fi`` is the family choice ``families[fi]``, where ``S`` is the
-    summand count; ``sindex`` and ``findex`` map a summand or family to its
-    vertex, and ``summand_mask`` holds the summand vertices.  ``adj[v]``
-    is the neighbor bitmask of vertex v: two vertices are adjacent when
-    every member of one is compatible with every member of the other.
-    Rigidity is ``cliques.is_clique``, maximality
+    summand count; ``code_vertex[s.code]`` is the vertex of summand ``s``,
+    ``findex`` maps a family to its vertex, and ``summand_mask`` holds the
+    summand vertices.  ``adj[v]`` is the neighbor bitmask of vertex v: two
+    vertices are adjacent when every member of one is compatible with every
+    member of the other.  Rigidity is ``cliques.is_clique``, maximality
     ``cliques.is_maximal_clique`` within the summands, enumeration
     ``cliques.max_cliques`` on the whole graph, and ``bridge.fiber_reps``
     reads the family rows.
@@ -365,7 +379,8 @@ class _Tables:
     def __init__(self, n: int):
         self.n = n
         self.summands = all_break_summands(n)
-        self.sindex = {s: i for i, s in enumerate(self.summands)}
+        vertex = {s.code: v for v, s in enumerate(self.summands)}
+        self.code_vertex = [vertex.get(c) for c in range(max(vertex) + 1)]
         self.families = all_family_choices(n)
         self.findex = {f: len(self.summands) + i for i, f in enumerate(self.families)}
         self.summand_mask = (1 << len(self.summands)) - 1
@@ -379,12 +394,16 @@ class _Tables:
                     self.adj[u] |= 1 << v
                     self.adj[v] |= 1 << u
 
-    def mask(self, summands: Iterable[BreakSummand], families: Iterable[FamilyChoice]) -> int:
-        """The vertex bitmask of the given summands and families."""
-        return sum({1 << self.sindex[s] for s in summands} | {1 << self.findex[f] for f in families})
-
 
 _tables = functools.cache(_Tables)
+
+
+def _vertex_mask(rep: BreakpointRep) -> tuple[_Tables, int]:
+    """Validate the rep; its n's tables and its vertex bitmask (a valid rep names each once)."""
+    codes = _summand_codes(rep)
+    tables = _tables(rep.grid.n)
+    vertex, findex = tables.code_vertex, tables.findex
+    return tables, sum([1 << vertex[c] for c in codes] + [1 << findex[f] for f in rep.families])
 
 
 def is_maximal_rigid(rep: BreakpointRep) -> bool:
@@ -396,9 +415,7 @@ def is_maximal_rigid(rep: BreakpointRep) -> bool:
     generic endpoint, so it is already present, or is incompatible with a
     member of that family (the argument is in ``_Tables``).
     """
-    validate_rep(rep)
-    tables = _tables(rep.grid.n)
-    mask = tables.mask(rep.summands, rep.families)
+    tables, mask = _vertex_mask(rep)
     if not is_clique(tables.adj, mask):
         raise NotRigidError("NotRigid")
     return is_maximal_clique(tables.adj, mask, tables.summand_mask)

@@ -24,6 +24,7 @@ from typing import Iterable
 
 from .cliques import is_clique, is_maximal_clique
 from .counting import NonPositiveCountError, claim
+from .intervals import _check_ints
 
 
 MAX_M = 15  # Catalan(15) is already ~9.7 million sets
@@ -47,6 +48,7 @@ class FiniteInterval:
     b: int
 
     def __post_init__(self):
+        _check_ints(self.a, self.b)
         if not 1 <= self.a <= self.b:
             raise ValueError(f"bad interval bounds [{self.a},{self.b}]")
 

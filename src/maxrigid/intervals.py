@@ -58,7 +58,7 @@ class InvertedIntervalError(InvalidIntervalError):
     """Upper endpoint strictly below the lower endpoint."""
 
 
-_RATIONAL = re.compile(r"-?\d+(/\d+)?", re.ASCII)
+_RATIONAL = re.compile(r"(-?\d+)(?:/(\d+))?", re.ASCII)
 
 
 def _exact(value) -> Fraction:
@@ -70,8 +70,10 @@ def _exact(value) -> Fraction:
     """
     if isinstance(value, Fraction):
         return value
-    if type(value) is int or type(value) is str and _RATIONAL.fullmatch(value):
+    if type(value) is int:
         return Fraction(value)
+    if type(value) is str and (match := _RATIONAL.fullmatch(value)):
+        return Fraction(int(match[1]), int(match[2] or 1))  # "1/0" raises ZeroDivisionError
     raise TypeError(f"not an exact rational: {value!r}")
 
 
@@ -80,6 +82,13 @@ def _check_kinds(*kinds) -> None:
     for kind in kinds:
         if not isinstance(kind, BoundaryKind):
             raise TypeError(f"not a BoundaryKind: {kind!r}")
+
+
+def _check_ints(*indices) -> None:
+    """Raise TypeError unless every index is a plain int (a float or a bool is not)."""
+    for i in indices:
+        if type(i) is not int:
+            raise TypeError(f"not an int index: {i!r}")
 
 
 @dataclass(frozen=True, order=True)

@@ -26,6 +26,10 @@ older, longer way, so that the suite can compare the two:
   * ``validate_rep_two_loops`` is ``validate_rep`` as it was written with a
     membership test before each insertion and a scan over every segment for
     a missing family; the library's version must raise the same first error.
+  * ``hash_mask`` and ``image_vertices`` index summands by their dataclass
+    hash and segment-quiver images by their (a, b) tuple, as ``_Tables.mask``
+    and ``bridge._image_index`` did before summands had integer codes;
+    ``_Tables.code_vertex`` must give the same vertices.
 """
 
 from __future__ import annotations
@@ -63,6 +67,7 @@ from maxrigid import (
     validate_rep,
 )
 from maxrigid.cliques import bits, max_cliques
+from maxrigid.continuous import _tables
 from maxrigid.finite import _pair_tables
 from maxrigid.intervals import _compatible_ends
 
@@ -451,3 +456,26 @@ def validate_rep_two_loops(rep: BreakpointRep) -> None:
     for j in range(n):
         if j not in by_segment:
             raise MissingFamilyError(j)
+
+
+@functools.cache
+def _summand_index(n: int) -> dict:
+    return {s: v for v, s in enumerate(_tables(n).summands)}
+
+
+def hash_mask(n: int, summands, families) -> int:
+    """The vertex bitmask of summands and families, each looked up by its dataclass hash."""
+    sindex, findex = _summand_index(n), _tables(n).findex
+    return sum({1 << sindex[s] for s in summands} | {1 << findex[f] for f in families})
+
+
+@functools.cache
+def image_vertices(n: int) -> dict[tuple[int, int], int]:
+    """The summand vertex of each segment-quiver interval, keyed by its (a, b) tuple.
+
+    The ends are ``project``'s: a_i is 2i+1 and an open end moves inward.
+    """
+    return {
+        (2 * s.lo + 1 + s.lo_kind, 2 * s.hi + 1 - s.hi_kind): v
+        for v, s in enumerate(_tables(n).summands)
+    }

@@ -33,11 +33,13 @@ from maxrigid import (
     expand,
     fiber_reps,
     is_maximal_rigid,
+    is_rigid,
     is_rigid_set,
     is_uniform,
     project,
     pull_back_summands,
     segment_quiver,
+    validate_rep,
 )
 from maxrigid import bridge, continuous, verify
 from maxrigid.cliques import bits
@@ -45,7 +47,7 @@ from maxrigid.counting import ClaimError
 from maxrigid.finite import _pair_tables
 
 from golden import five_projected_sets, ten_reps
-from oracles import fiber_by_anchor, refined_quiver, searched_anchors, to_refined
+from oracles import fiber_by_anchor, image_vertices, refined_quiver, searched_anchors, to_refined
 
 GRID1 = Breakpoints.uniform(1)
 GOLDEN = ten_reps(GRID1)
@@ -260,6 +262,13 @@ class TestProjection:
             assert (type(err.value), str(err.value)) == (error, message)
 
 
+    def test_an_invalid_rep_raises_before_the_per_n_list_is_built(self, monkeypatch):
+        """The list has (2n+1)(2n+2)+1 entries, so a malformed rep must not pay for it."""
+        monkeypatch.setattr(bridge, "_image_index", None)  # calling it would raise TypeError
+        with pytest.raises(MissingFamilyError):
+            project(BreakpointRep(Breakpoints.uniform(50), (), ()))
+
+
 class TestForcedAnchor:
     """The summands force each side's anchor; ``fiber_reps`` lists the (left, right) families."""
 
@@ -418,6 +427,50 @@ class TestFibers:
                     fiber_reps(combo, grid)
                 rejected += 1
         assert rejected == {1: 15, 2: 2961}[n]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_code_index_gives_the_tuple_index_vertices(self, n):
+        """Every image: ``code_vertex`` at b * b + a is the vertex the (a, b) dict names."""
+        grid = Breakpoints.uniform(n)
+        tables = continuous._tables(n)
+        index = image_vertices(n)
+        for h in enumerate_maximal_rigid(segment_quiver(n)):
+            vertices = [index[(s.a, s.b)] for s in h.summands]
+            assert [tables.code_vertex[s.b * s.b + s.a] for s in h.summands] == vertices, h
+            first = fiber_reps(h.summands, grid)[0]
+            assert first.summands == tuple(tables.summands[v] for v in sorted(vertices)), h
+
+    def test_no_summand_is_hashed(self, monkeypatch):
+        """With ``BreakSummand.__hash__`` raising, every n=3 rep and image still goes through.
+
+        The caches are emptied under the patch, so building the tables and
+        the image index hashes no summand either.
+        """
+        grid = Breakpoints.uniform(3)
+        reps = enumerate_maximal_rigid_reps(grid)
+        images = [project(r) for r in reps]
+        targets = [h.summands for h in enumerate_maximal_rigid(segment_quiver(3))]
+        fibers = [fiber_reps(h, grid) for h in targets]
+        doubled = BreakpointRep(grid, reps[0].summands[:1] * 2, reps[0].families)
+
+        class Hashed(Exception):
+            pass
+
+        def refuse(self):
+            raise Hashed(self)
+
+        monkeypatch.setattr(BreakSummand, "__hash__", refuse)
+        with pytest.raises(Hashed):
+            hash(reps[0].summands[0])
+        continuous._tables.cache_clear()
+        bridge._image_index.cache_clear()
+        for r, image in zip(reps, images):
+            validate_rep(r)
+            assert is_rigid(r) and is_maximal_rigid(r)
+            assert project(r) == image
+        assert [fiber_reps(h, grid) for h in targets] == fibers
+        with pytest.raises(DuplicateSummandError):
+            validate_rep(doubled)
 
     def test_fiber_union_equals_direct_enumeration(self):
         for n in (1, 2, 3):

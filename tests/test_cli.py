@@ -316,6 +316,8 @@ class TestCheck:
             ["0", "1e-4000000", "1"],
             ["0", "0.5", "1"],
             ["0", " 1/2", "1"],
+            # exact in form, but a zero denominator
+            ["0", "1/0", "1"],
             # exact, but not strictly increasing from 0 to 1
             ["0", "1", "1"],
             ["1/4", "1/2", "1"],

@@ -1,8 +1,11 @@
 """Breakpoint representations: validation, uniformity, rigidity, maximality."""
 
+import copy
+import dataclasses
 import hashlib
 import itertools
 import json
+import pickle
 import random
 from fractions import Fraction
 
@@ -35,12 +38,13 @@ from maxrigid import (
     is_maximal_rigid,
     is_rigid,
     is_uniform,
+    project,
     validate_rep,
 )
 
 from maxrigid import cli
 from maxrigid.cliques import bits, max_cliques
-from maxrigid.continuous import _tables, rep_sort_key
+from maxrigid.continuous import _tables, _vertex_mask, rep_sort_key
 
 from golden import ten_reps
 from oracles import (
@@ -48,6 +52,7 @@ from oracles import (
     canonicalize,
     endpoint_profile,
     generic_addable,
+    hash_mask,
     live_candidates,
     maximal_oracle,
     profile_uniform,
@@ -116,10 +121,22 @@ class TestValidate:
             (lambda: BreakSummand(0, 0, 0, 0), TypeError, "not a BoundaryKind: 0"),
             (lambda: Interval(Point(0), 0, Point(0), 0), TypeError, "not a BoundaryKind: 0"),
             (lambda: FamilyChoice(0, RIGHT, 1, 0), TypeError, "not a BoundaryKind: 0"),
+            # an index that is not a plain int would become a float list index,
+            # or print as aTrue
+            (lambda: BreakSummand(0.5, CLOSED, 1, CLOSED), TypeError, "not an int index: 0.5"),
+            (lambda: BreakSummand(0.0, CLOSED, 1, CLOSED), TypeError, "not an int index: 0.0"),
+            (lambda: BreakSummand(0, CLOSED, 1.0, CLOSED), TypeError, "not an int index: 1.0"),
+            (lambda: BreakSummand(True, CLOSED, 1, CLOSED), TypeError, "not an int index: True"),
+            (lambda: FamilyChoice(0.0, RIGHT, True, CLOSED), TypeError, "not an int index: 0.0"),
+            (lambda: FamilyChoice(0, RIGHT, True, CLOSED), TypeError, "not an int index: True"),
+            (lambda: FiniteInterval(1.0, 2), TypeError, "not an int index: 1.0"),
+            (lambda: FiniteInterval(True, True), TypeError, "not an int index: True"),
         ],
         ids=["one-breakpoint", "inverted-finite-interval", "negative-segment", "offset-one",
              "int-kinds-summand", "int-kinds-point-summand", "int-kinds-point-interval",
-             "int-kind-family"],
+             "int-kind-family", "float-lo-summand", "float-zero-lo-summand", "float-hi-summand",
+             "bool-lo-summand", "float-segment-family", "bool-anchor-family",
+             "float-finite-interval", "bool-finite-interval"],
     )
     def test_constructors_reject_bad_values(self, build, error, message):
         with pytest.raises(error) as err:
@@ -225,6 +242,53 @@ class TestValidate:
             "DuplicateFamily", "BadAnchorRange", "MissingFamily",
         }
         assert min(kinds.values()) >= 100, kinds
+
+
+class TestSummandCode:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_codes_are_distinct_and_pack_the_projected_ends(self, n):
+        """``code`` is b * b + a for the summand's image [a, b] under ``project``."""
+        grid = Breakpoints.uniform(n)
+        families = tuple(FamilyChoice(j, RIGHT, n, CLOSED) for j in range(n))
+        summands = all_break_summands(n)
+        for s in summands:
+            (image,) = project(rep(grid, [s], families))
+            assert s.code == image.b * image.b + image.a, s
+        assert len({s.code for s in summands}) == len(summands)
+
+    def test_code_takes_no_part_in_the_value(self):
+        s = BreakSummand(0, OPEN, 2, CLOSED)
+        other = BreakSummand(0, OPEN, 2, CLOSED)
+        object.__setattr__(other, "code", -1)
+        assert s.code == 5 * 5 + 2
+        assert s == other and not s != other
+        assert hash(s) == hash(other) == hash((0, OPEN, 2, CLOSED))
+        assert not s < other and not other < s and s <= other and s >= other
+        assert sorted([other, BreakSummand(0, CLOSED, 2, CLOSED)])[1] is other
+        assert repr(s) == repr(other) and "code" not in repr(s)
+        assert str(s) == str(other) == "(a0,a2]"
+
+    def test_code_survives_pickle_copy_and_replace(self):
+        s = BreakSummand(1, CLOSED, 3, OPEN)
+        for again in (pickle.loads(pickle.dumps(s)), copy.copy(s), copy.deepcopy(s),
+                      dataclasses.replace(s)):
+            assert again == s and again.code == s.code
+        moved = dataclasses.replace(s, hi=4)
+        assert moved.code == BreakSummand(1, CLOSED, 4, OPEN).code != s.code
+        with pytest.raises(ValueError):
+            dataclasses.replace(s, code=0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_code_index_gives_the_hash_masks(self, n):
+        """Every maximal rigid rep, minus one summand and plus one foreign summand."""
+        grid = Breakpoints.uniform(n)
+        summands = all_break_summands(n)
+        for r in enumerate_maximal_rigid_reps(grid):
+            variants = [r]
+            variants += [rep(grid, [s for s in r.summands if s != drop], r.families) for drop in r.summands]
+            variants += [rep(grid, r.summands + (s,), r.families) for s in summands if s not in r.summands]
+            for v in variants:
+                assert _vertex_mask(v)[1] == hash_mask(n, v.summands, v.families), v
 
 
 class TestSampleModel:

@@ -17,7 +17,7 @@ from maxrigid import (
     compatible,
     discretized_compatible,
 )
-from maxrigid.intervals import _compatible_ends
+from maxrigid.intervals import _compatible_ends, _exact
 
 
 def bp(i):
@@ -54,6 +54,19 @@ class TestConstruction:
             Point.generic(0, Fraction(0))
         with pytest.raises(ValueError):
             Point.generic(0, Fraction(1))
+
+
+class TestExact:
+    @pytest.mark.parametrize(
+        "text", ["0", "-0", "7", "-3/4", "007/010", "6/4", "-0/5", "12345678901234567890/3"]
+    )
+    def test_a_string_parses_as_fraction_does(self, text):
+        value = _exact(text)
+        assert type(value) is Fraction and value == Fraction(text)
+
+    def test_a_zero_denominator_raises_as_fraction_does(self):
+        with pytest.raises(ZeroDivisionError):
+            _exact("1/0")
 
 
 class TestPointOrder:
