@@ -13,8 +13,8 @@ the segment vertex.  ``condense`` and ``expand`` translate between the
 refined and segment quivers (a bijection on interval modules).  Over maximal
 rigid sets ``project`` is onto and every image has exactly 2^n preimages:
 per segment the family side is left or right, and for each side the summands
-force the anchor, which ``fiber_reps`` reads off one pass over the family
-rows of ``_Tables.adj``.  Both stay on integers until they build their
+force the anchor, which ``fiber_reps`` reads off the summands' common closed
+neighbourhood in ``_Tables``.  Both stay on integers until they build their
 output: the code b * b + a of an image interval [a, b] indexes
 ``_Tables.code_vertex`` in ``fiber_reps`` and cached one-interval sets in
 ``project`` (``BreakSummand.code``).
@@ -32,7 +32,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
-from .cliques import bits, is_clique
+from .cliques import bits, common_neighbourhood
 from .continuous import (
     LEFT,
     RIGHT,
@@ -154,11 +154,11 @@ def fiber_reps(image: Iterable[FiniteInterval], grid: Breakpoints) -> list[Break
     (code b * b + a).  Raises NotMaximalRigidImageError unless those are
     2n+1 distinct vertices forming a clique: exact, as compatibility is Ext
     vanishing on images and 2n+1 rigid modules tilt.  The forced families
-    are then the family rows that hold every summand, and a ``claim`` checks
-    there is one per (segment, side).  Vertex order is dataclass order and
-    "left" < "right", so the summands come out sorted, the families pair up
-    per segment and ``product`` yields the reps in ``rep_sort_key`` order.
-    The reps share the table's own summand and family objects.
+    are the family bits of the summands' ``common_neighbourhood``, and a
+    ``claim`` checks there is one per (segment, side).  Vertex order is
+    dataclass order and "left" < "right", so the summands come out sorted,
+    the families pair up per segment and ``product`` yields the reps in
+    ``rep_sort_key`` order.  The reps share the table's own objects.
     """
     n = grid.n
     tables, sides = _tables(n), _image_index(n)[1]
@@ -168,12 +168,13 @@ def fiber_reps(image: Iterable[FiniteInterval], grid: Breakpoints) -> list[Break
         if s.b > 2 * n + 1:
             raise ValueError(f"summand {s} out of range on the segment quiver")
         smask |= 1 << tables.code_vertex[s.b * s.b + s.a]
-    if not len(image) == smask.bit_count() == 2 * n + 1 or not is_clique(tables.adj, smask):
+    vertices = bits(smask)
+    common = common_neighbourhood(tables.closed, vertices)
+    if not len(image) == len(vertices) == 2 * n + 1 or common & smask != smask:
         names = ",".join(map(str, pull_back_summands(image, n)))
         raise NotMaximalRigidImageError(f"NotMaximalRigidImage({names})")
-    summands = tuple(tables.summands[v] for v in bits(smask))
-    rows = tables.adj[len(tables.summands) :]
-    fams = [fam for fam, row in zip(tables.families, rows) if row & smask == smask]
+    summands = tuple(tables.summands[v] for v in vertices)
+    fams = [tables.families[fi] for fi in bits(common >> len(tables.summands))]
     claim([(fam.segment, fam.side) for fam in fams] == sides, "one forced anchor per segment side")
     pairs = zip(fams[0::2], fams[1::2])  # (left, right) per segment
     return [BreakpointRep(grid, summands, fs) for fs in itertools.product(*pairs)]

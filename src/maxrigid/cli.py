@@ -24,7 +24,6 @@ from .continuous import (
     Side,
     _lowest_unnamed,
     enumerate_maximal_rigid_reps,
-    is_uniform,
     validate_rep,
 )
 from .finite import MAX_M, LinearQuiver, ResourceLimitError, _check_cap, enumerate_maximal_rigid
@@ -306,12 +305,9 @@ def cmd_check(args) -> int:
     with open(args.path, encoding="utf-8") as fh:
         data = _load_json(fh)
     rep = rep_from_dict(data)
-    validate_rep(rep)
-    uniform = is_uniform(rep)
-    print(
-        f"ok: n={rep.grid.n}, {len(rep.summands)} summands, "
-        f"{len(rep.families)} families, uniform={str(uniform).lower()}"
-    )
+    validate_rep(rep)  # a valid encoding is uniform (``is_uniform``)
+    n, summands, families = rep.grid.n, len(rep.summands), len(rep.families)
+    print(f"ok: n={n}, {summands} summands, {families} families, uniform=true")
     return 0
 
 

@@ -3,7 +3,7 @@
 Vertices are bit positions and ``adjacency[v]`` is the neighbor bitmask of
 vertex ``v``, without the bit of ``v`` itself.  A rigid object is a clique
 of its model's compatibility graph and a maximal rigid one is a maximal
-clique, so ``is_clique`` and ``is_maximal_clique`` decide both, and
+clique; ``common_neighbourhood`` of its vertices decides both, and
 ``max_cliques`` (Bron-Kerbosch with pivoting) lists the maximal cliques.
 The inner loops are pure bit arithmetic; output order is deterministic for
 a given adjacency.
@@ -11,21 +11,18 @@ a given adjacency.
 
 from __future__ import annotations
 
-from typing import Sequence
+import functools
+import operator
+from typing import Iterable, Sequence
 
 
-def is_clique(adjacency: Sequence[int], mask: int) -> bool:
-    """Whether the vertices of ``mask`` are pairwise adjacent."""
-    return all((adjacency[v] | 1 << v) & mask == mask for v in bits(mask))
+def common_neighbourhood(closed: Sequence[int], vertices: Iterable[int]) -> int:
+    """The AND of the closed rows ``adjacency[v] | 1 << v`` over ``vertices`` (-1 if none).
 
-
-def is_maximal_clique(adjacency: Sequence[int], mask: int, within: int) -> bool:
-    """Whether no vertex of ``within`` outside the clique ``mask`` extends it.
-
-    ``mask`` must be a clique (``is_clique``); the answer is then whether it
-    is maximal among the cliques of ``mask | within``.
+    For that ``common`` and the vertices' ``mask``: ``mask`` is a clique iff ``common & mask ==
+    mask``, and a clique is maximal within ``within`` iff ``common & within == mask & within``.
     """
-    return not any(adjacency[v] & mask == mask for v in bits(within & ~mask))
+    return functools.reduce(operator.and_, map(closed.__getitem__, vertices), -1)
 
 
 def max_cliques(adjacency: Sequence[int]) -> list[int]:

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
-from .cliques import bits, is_clique, is_maximal_clique, max_cliques
+from .cliques import bits, common_neighbourhood, max_cliques
 from .counting import NonPositiveCountError, claim
 from .finite import _check_cap
 from .intervals import (
@@ -303,8 +303,8 @@ def is_rigid(rep: BreakpointRep) -> bool:
     one family are always nested, and a valid rep has one family per
     segment, so the graph's edges cover every pair that has to be checked.
     """
-    tables, mask = _vertex_mask(rep)
-    return is_clique(tables.adj, mask)
+    _, mask, common = _vertex_mask(rep)
+    return common & mask == mask
 
 
 def all_break_summands(n: int) -> list[BreakSummand]:
@@ -336,14 +336,12 @@ class _Tables:
 
     Vertex ``si < S`` is the breakpoint summand ``summands[si]`` and vertex
     ``S + fi`` is the family choice ``families[fi]``, where ``S`` is the
-    summand count; ``code_vertex[s.code]`` is the vertex of summand ``s``,
-    ``findex`` maps a family to its vertex, and ``summand_mask`` holds the
-    summand vertices.  ``adj[v]`` is the neighbor bitmask of vertex v: two
-    vertices are adjacent when every member of one is compatible with every
-    member of the other.  Rigidity is ``cliques.is_clique``, maximality
-    ``cliques.is_maximal_clique`` within the summands, enumeration
-    ``cliques.max_cliques`` on the whole graph, and ``bridge.fiber_reps``
-    reads the family rows.
+    summand count: summand ``s`` is ``code_vertex[s.code]``, and family ``f``
+    is ``S + (2n + 2) * f.segment + 2 * f.anchor + f.anchor_kind`` (segment j
+    holds left anchors 0..j, then right ones).  Two vertices are adjacent in
+    ``adj`` when every member of one is compatible with every member of the
+    other; ``cliques.common_neighbourhood`` over ``closed[v] = adj[v] | 1 << v``
+    decides rigidity, maximality and ``bridge.fiber_reps``' forced families.
 
     Every pair is decided on integer ranks: breakpoint i is ``2 * i`` and
     the one generic position of segment j is ``2 * j + 1``.  That is the
@@ -382,7 +380,6 @@ class _Tables:
         vertex = {s.code: v for v, s in enumerate(self.summands)}
         self.code_vertex = [vertex.get(c) for c in range(max(vertex) + 1)]
         self.families = all_family_choices(n)
-        self.findex = {f: len(self.summands) + i for i, f in enumerate(self.families)}
         self.summand_mask = (1 << len(self.summands)) - 1
 
         members = [((s.lo * 2, s.lo_kind, s.hi * 2, s.hi_kind),) for s in self.summands]
@@ -393,17 +390,20 @@ class _Tables:
                 if all(_compatible_ends(*a, *b) for a in ends for b in members[v]):
                     self.adj[u] |= 1 << v
                     self.adj[v] |= 1 << u
+        self.closed = [row | 1 << v for v, row in enumerate(self.adj)]
 
 
 _tables = functools.cache(_Tables)
 
 
-def _vertex_mask(rep: BreakpointRep) -> tuple[_Tables, int]:
-    """Validate the rep; its n's tables and its vertex bitmask (a valid rep names each once)."""
+def _vertex_mask(rep: BreakpointRep) -> tuple[_Tables, int, int]:
+    """Validate the rep; its n's tables, vertex bitmask and ``common_neighbourhood``."""
     codes = _summand_codes(rep)
     tables = _tables(rep.grid.n)
-    vertex, findex = tables.code_vertex, tables.findex
-    return tables, sum([1 << vertex[c] for c in codes] + [1 << findex[f] for f in rep.families])
+    vertex, base, step = tables.code_vertex, len(tables.summands), 2 * tables.n + 2
+    vertices = [vertex[c] for c in codes]
+    vertices += [base + step * f.segment + 2 * f.anchor + f.anchor_kind for f in rep.families]
+    return tables, sum([1 << v for v in vertices]), common_neighbourhood(tables.closed, vertices)
 
 
 def is_maximal_rigid(rep: BreakpointRep) -> bool:
@@ -415,10 +415,10 @@ def is_maximal_rigid(rep: BreakpointRep) -> bool:
     generic endpoint, so it is already present, or is incompatible with a
     member of that family (the argument is in ``_Tables``).
     """
-    tables, mask = _vertex_mask(rep)
-    if not is_clique(tables.adj, mask):
+    tables, mask, common = _vertex_mask(rep)
+    if common & mask != mask:
         raise NotRigidError("NotRigid")
-    return is_maximal_clique(tables.adj, mask, tables.summand_mask)
+    return common & tables.summand_mask == mask & tables.summand_mask
 
 
 def rep_sort_key(rep: BreakpointRep):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterable
 
-from .cliques import is_clique, is_maximal_clique
+from .cliques import bits, common_neighbourhood
 from .counting import NonPositiveCountError, claim
 from .intervals import _check_ints
 
@@ -190,19 +190,24 @@ def _pair_tables(m: int) -> tuple[tuple[FiniteInterval, ...], dict, list[int]]:
     return ivs, index, adj
 
 
-def _mask_of(q: LinearQuiver, summands: Iterable[FiniteInterval]) -> int:
+@functools.cache
+def _closed_rows(m: int) -> list[int]:
+    return [row | 1 << v for v, row in enumerate(_pair_tables(m)[2])]
+
+
+def _mask_and_common(q: LinearQuiver, summands: Iterable[FiniteInterval]) -> tuple[int, int]:
     _, index, _ = _pair_tables(q.m)
     mask = 0
     for s in summands:
         q.check(s)
         mask |= 1 << index[s]
-    return mask
+    return mask, common_neighbourhood(_closed_rows(q.m), bits(mask))
 
 
 def is_rigid_set(q: LinearQuiver, summands: Iterable[FiniteInterval]) -> bool:
     """Ext^1 vanishes for every ordered pair of summands (self pairs included)."""
-    _, _, adj = _pair_tables(q.m)
-    return is_clique(adj, _mask_of(q, summands))
+    mask, common = _mask_and_common(q, summands)
+    return common & mask == mask
 
 
 def is_tilting(q: LinearQuiver, summands: Iterable[FiniteInterval]) -> bool:
@@ -212,10 +217,9 @@ def is_tilting(q: LinearQuiver, summands: Iterable[FiniteInterval]) -> bool:
 
 
 def is_maximal_rigid_set(q: LinearQuiver, summands: Iterable[FiniteInterval]) -> bool:
-    """Rigid and not extendable by any interval module outside the set."""
-    _, _, adj = _pair_tables(q.m)
-    mask = _mask_of(q, summands)
-    return is_clique(adj, mask) and is_maximal_clique(adj, mask, (1 << len(adj)) - 1)
+    """Rigid and not extendable: the summands' common closed neighbourhood is the set."""
+    mask, common = _mask_and_common(q, summands)
+    return common == mask
 
 
 def enumerate_maximal_rigid(q: LinearQuiver, max_m: int = MAX_M) -> list[RigidSet]:

@@ -100,14 +100,15 @@ class Point:
     segment, rescaled to (0, 1).  Lexicographic order on
     ``(index, offset)`` is the order on the line: breakpoint ``i``
     precedes every generic point of segment ``i``, which precedes
-    breakpoint ``i + 1``.  ``offset`` goes through ``_exact``, so a float,
-    a boolean or a decimal or exponent string raises TypeError.
+    breakpoint ``i + 1``.  A float or boolean ``index`` raises TypeError, as
+    does an ``offset`` that ``_exact`` refuses: a float, boolean or decimal string.
     """
 
     index: int
     offset: Fraction = Fraction(0)
 
     def __post_init__(self):
+        _check_ints(self.index)
         if self.index < 0:
             raise ValueError(f"negative point index: {self.index}")
         object.__setattr__(self, "offset", _exact(self.offset))

@@ -29,7 +29,12 @@ older, longer way, so that the suite can compare the two:
   * ``hash_mask`` and ``image_vertices`` index summands by their dataclass
     hash and segment-quiver images by their (a, b) tuple, as ``_Tables.mask``
     and ``bridge._image_index`` did before summands had integer codes;
-    ``_Tables.code_vertex`` must give the same vertices.
+    ``_Tables.code_vertex`` must give the same vertices.  ``findex`` looks
+    families up by their dataclass hash, as ``_Tables.findex`` did before
+    family vertices came by formula.
+  * ``is_clique`` and ``is_maximal_clique`` test one row per vertex, as
+    the library did before it read both verdicts off
+    ``cliques.common_neighbourhood``.
 """
 
 from __future__ import annotations
@@ -463,10 +468,27 @@ def _summand_index(n: int) -> dict:
     return {s: v for v, s in enumerate(_tables(n).summands)}
 
 
+@functools.cache
+def findex(n: int) -> dict:
+    """The vertex of each family choice at n, keyed by the choice (its dataclass hash)."""
+    tables = _tables(n)
+    return {f: len(tables.summands) + i for i, f in enumerate(tables.families)}
+
+
 def hash_mask(n: int, summands, families) -> int:
     """The vertex bitmask of summands and families, each looked up by its dataclass hash."""
-    sindex, findex = _summand_index(n), _tables(n).findex
-    return sum({1 << sindex[s] for s in summands} | {1 << findex[f] for f in families})
+    sindex, fvertex = _summand_index(n), findex(n)
+    return sum({1 << sindex[s] for s in summands} | {1 << fvertex[f] for f in families})
+
+
+def is_clique(adjacency, mask: int) -> bool:
+    """Whether the vertices of ``mask`` are pairwise adjacent, one row at a time."""
+    return all((adjacency[v] | 1 << v) & mask == mask for v in bits(mask))
+
+
+def is_maximal_clique(adjacency, mask: int, within: int) -> bool:
+    """Whether no vertex of ``within`` outside the clique ``mask`` extends it, one row at a time."""
+    return not any(adjacency[v] & mask == mask for v in bits(within & ~mask))
 
 
 @functools.cache

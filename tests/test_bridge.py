@@ -407,7 +407,10 @@ class TestFibers:
 
     def test_a_missing_forced_anchor_is_a_failed_claim(self, monkeypatch):
         """Past the maximality check, a side without one forced anchor is a bug."""
-        monkeypatch.setattr(bridge, "is_clique", lambda adj, mask: True)
+        # the AND is the summands' own mask: a clique that no family extends
+        monkeypatch.setattr(
+            bridge, "common_neighbourhood", lambda rows, vertices: sum(1 << v for v in vertices)
+        )
         with pytest.raises(ClaimError) as err:
             fiber_reps([f(1, 1), f(1, 2), f(2, 3)], GRID1)
         assert str(err.value) == "one forced anchor per segment side"
@@ -441,7 +444,8 @@ class TestFibers:
             assert first.summands == tuple(tables.summands[v] for v in sorted(vertices)), h
 
     def test_no_summand_is_hashed(self, monkeypatch):
-        """With ``BreakSummand.__hash__`` raising, every n=3 rep and image still goes through.
+        """With ``BreakSummand.__hash__`` and ``FamilyChoice.__hash__`` raising, every n=3
+        rep and image still goes through.
 
         The caches are emptied under the patch, so building the tables and
         the image index hashes no summand either.
@@ -460,8 +464,11 @@ class TestFibers:
             raise Hashed(self)
 
         monkeypatch.setattr(BreakSummand, "__hash__", refuse)
+        monkeypatch.setattr(FamilyChoice, "__hash__", refuse)
         with pytest.raises(Hashed):
             hash(reps[0].summands[0])
+        with pytest.raises(Hashed):
+            hash(reps[0].families[0])
         continuous._tables.cache_clear()
         bridge._image_index.cache_clear()
         for r, image in zip(reps, images):

@@ -1,9 +1,9 @@
-"""Clique predicates and maximal-clique enumeration against a brute-force subset filter."""
+"""Clique verdicts and maximal-clique enumeration against a brute-force subset filter."""
 
 import random
 from itertools import combinations
 
-from maxrigid.cliques import bits, is_clique, is_maximal_clique, max_cliques
+from maxrigid.cliques import bits, common_neighbourhood, max_cliques
 
 
 def brute_max_cliques(adj, n, subset):
@@ -50,28 +50,33 @@ def brute_is_clique(adj, mask):
 
 
 def test_predicates_against_bruteforce():
-    """``is_clique`` and ``is_maximal_clique`` on seeded random graphs and subsets.
+    """The verdicts read off ``common_neighbourhood`` on seeded random graphs and subsets.
 
-    A clique inside ``within`` is maximal there exactly when it is among the
-    brute-force maximal cliques of ``within``; cliques that stick out of
-    ``within`` are maximal when no vertex of ``within`` joins them.
+    With ``common`` the AND of the closed rows over ``mask``, the set is a
+    clique when ``common & mask == mask`` and a clique is maximal within
+    ``within`` when ``common & within == mask & within``.  A clique inside
+    ``within`` is maximal there exactly when it is among the brute-force
+    maximal cliques of ``within``; cliques that stick out of ``within`` are
+    maximal when no vertex of ``within`` joins them.
     """
     rng = random.Random(11)
     seen = set()
     for trial in range(300):
         n = rng.randrange(1, 10)
         adj = random_graph(rng, n, rng.choice([0.2, 0.5, 0.8]))
+        closed = [row | 1 << v for v, row in enumerate(adj)]
         within = rng.randrange(1 << n)
         maximal = brute_max_cliques(adj, n, within)
         cliques = [c for c in range(1 << n) if brute_is_clique(adj, c)]
         masks = [rng.randrange(1 << n), rng.choice(cliques), rng.choice(cliques) & within]
         masks += [rng.choice(maximal)]
         for mask in masks:
-            clique = is_clique(adj, mask)
+            common = common_neighbourhood(closed, bits(mask))
+            clique = common & mask == mask
             assert clique == brute_is_clique(adj, mask), (trial, adj, mask)
             if not clique:
                 continue
-            got = is_maximal_clique(adj, mask, within)
+            got = common & within == mask & within
             joins = any(brute_is_clique(adj, mask | 1 << v) for v in bits(within & ~mask))
             assert got == (not joins), (trial, adj, mask, within)
             if mask & ~within == 0:

@@ -51,8 +51,11 @@ from oracles import (
     DEFAULT_FRESH,
     canonicalize,
     endpoint_profile,
+    findex,
     generic_addable,
     hash_mask,
+    is_clique,
+    is_maximal_clique,
     live_candidates,
     maximal_oracle,
     profile_uniform,
@@ -131,12 +134,17 @@ class TestValidate:
             (lambda: FamilyChoice(0, RIGHT, True, CLOSED), TypeError, "not an int index: True"),
             (lambda: FiniteInterval(1.0, 2), TypeError, "not an int index: 1.0"),
             (lambda: FiniteInterval(True, True), TypeError, "not an int index: True"),
+            (lambda: Point(True), TypeError, "not an int index: True"),
+            (lambda: Point(0.5), TypeError, "not an int index: 0.5"),
+            (lambda: Point.breakpoint(1.0), TypeError, "not an int index: 1.0"),
+            (lambda: Point.generic(True, "1/2"), TypeError, "not an int index: True"),
         ],
         ids=["one-breakpoint", "inverted-finite-interval", "negative-segment", "offset-one",
              "int-kinds-summand", "int-kinds-point-summand", "int-kinds-point-interval",
              "int-kind-family", "float-lo-summand", "float-zero-lo-summand", "float-hi-summand",
              "bool-lo-summand", "float-segment-family", "bool-anchor-family",
-             "float-finite-interval", "bool-finite-interval"],
+             "float-finite-interval", "bool-finite-interval", "bool-point", "float-point",
+             "float-breakpoint", "bool-generic-point"],
     )
     def test_constructors_reject_bad_values(self, build, error, message):
         with pytest.raises(error) as err:
@@ -289,6 +297,45 @@ class TestSummandCode:
             variants += [rep(grid, r.summands + (s,), r.families) for s in summands if s not in r.summands]
             for v in variants:
                 assert _vertex_mask(v)[1] == hash_mask(n, v.summands, v.families), v
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_family_vertices_follow_the_formula(self, n):
+        """Each family's vertex, S + (2n+2)*segment + 2*anchor + kind, is its
+        ``all_family_choices`` index past the S summand vertices."""
+        grid = Breakpoints.uniform(n)
+        base = len(all_break_summands(n))
+        index = {f: base + i for i, f in enumerate(all_family_choices(n))}
+        filler = [FamilyChoice(j, LEFT, 0, CLOSED) for j in range(n)]
+        for fam in index:
+            families = filler[: fam.segment] + [fam] + filler[fam.segment + 1 :]
+            mask = _vertex_mask(rep(grid, [], families))[1]
+            assert mask == sum(1 << index[f] for f in families), fam
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_predicates_agree_with_the_row_oracles(self, n):
+        """``is_rigid`` and ``is_maximal_rigid`` against one row per vertex (``oracles``),
+        on every maximal rigid rep, the rep minus one summand and plus one foreign summand."""
+        grid = Breakpoints.uniform(n)
+        t = _tables(n)
+        seen = set()
+        for k, r in enumerate(enumerate_maximal_rigid_reps(grid)):
+            cut = k % len(r.summands)
+            dropped = r.summands[:cut] + r.summands[cut + 1 :]
+            foreign = [s for s in t.summands if s not in r.summands]
+            added = r.summands + (foreign[k % len(foreign)],)
+            for v in (r, rep(grid, dropped, r.families), rep(grid, added, r.families)):
+                mask = hash_mask(n, v.summands, v.families)
+                rigid = is_clique(t.adj, mask)
+                assert is_rigid(v) == rigid, v
+                if rigid:
+                    maximal = is_maximal_clique(t.adj, mask, t.summand_mask)
+                    assert is_maximal_rigid(v) == maximal, v
+                else:
+                    maximal = None
+                    with pytest.raises(NotRigidError):
+                        is_maximal_rigid(v)
+                seen.add((rigid, maximal))
+        assert seen == {(True, True), (True, False), (False, None)}
 
 
 class TestSampleModel:
@@ -785,8 +832,8 @@ class TestTables:
         """The graph leaves out every pair a rep cannot hold (see ``_Tables``)."""
         t = _tables(n)
         for fam in t.families:
-            same = [t.findex[g] for g in t.families if g.segment == fam.segment]
-            assert t.adj[t.findex[fam]] & sum(1 << v for v in same) == 0, fam
+            same = [findex(n)[g] for g in t.families if g.segment == fam.segment]
+            assert t.adj[findex(n)[fam]] & sum(1 << v for v in same) == 0, fam
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_one_rank_equals_every_sample_count(self, n):
