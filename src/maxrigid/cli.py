@@ -233,6 +233,9 @@ def cmd_count(args) -> int:
     _check_printable(f"continuous_count({args.n})", 5 * args.n + 1)
     enumerated = enumerated_projected = match = None
     if args.mode in ("enumerate", "both"):
+        # both caps before the grid is built and the reps are enumerated
+        _check_cap("n", args.n, args.max_n)
+        _check_cap("m", 2 * args.n + 1, MAX_M)  # the segment quiver of n segments
         grid = Breakpoints.uniform(args.n)
         enumerated = len(enumerate_maximal_rigid_reps(grid, max_n=args.max_n))
         enumerated_projected = len(

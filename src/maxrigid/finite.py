@@ -20,6 +20,7 @@ import functools
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import product
+from operator import itemgetter
 from typing import Iterable
 
 from .cliques import bits, common_neighbourhood
@@ -82,16 +83,24 @@ class LinearQuiver:
 class RigidSet:
     """A pairwise Ext-compatible set of pairwise distinct interval modules.
 
-    No quiver is stored: a tilting set on A_m contains [1, m], which fixes m.
+    ``members`` lists them in ascending (dataclass) order, each once, so
+    two sets are equal exactly when their members are; the constructor
+    does not check this.  No quiver is stored: a tilting set on A_m
+    contains [1, m], which fixes m.
     """
 
-    summands: frozenset[FiniteInterval]
+    members: tuple[FiniteInterval, ...]
+
+    @property
+    def summands(self) -> frozenset[FiniteInterval]:
+        """The members as a frozenset, as ``bridge.project`` returns them; built on each access."""
+        return frozenset(self.members)
 
     def sorted_summands(self) -> tuple[FiniteInterval, ...]:
-        return tuple(sorted(self.summands))
+        return self.members
 
     def __str__(self) -> str:
-        return "{" + ", ".join(str(s) for s in self.sorted_summands()) + "}"
+        return "{" + ", ".join(map(str, self.members)) + "}"
 
 
 def all_intervals(q: LinearQuiver) -> list[FiniteInterval]:
@@ -246,11 +255,14 @@ def enumerate_maximal_rigid(q: LinearQuiver, max_m: int = MAX_M) -> list[RigidSe
     A set is kept as the ascending tuple of its indices in
     ``all_intervals``, which lists [a, b] at start[a] + (b - a); index
     order is the dataclass order there, so sorting the tuples sorts the
-    sets, each built as a union of ``_single`` sets.  ``max_m`` (default
-    ``MAX_M``) guards against accidental huge runs.
+    sets, and each set's members are its tuple's intervals in that order.
+    ``max_m`` (default ``MAX_M``) guards against accidental huge runs.
     """
     _check_cap("m", q.m, max_m)
     m = q.m
+    ivs = all_intervals(q)
+    if m == 1:  # itemgetter of one index returns that item, not a 1-tuple
+        return [RigidSet((ivs[0],))]
     start = [0] * (m + 2)
     for a in range(1, m + 1):
         start[a + 1] = start[a] + m - a + 1
@@ -271,8 +283,6 @@ def enumerate_maximal_rigid(q: LinearQuiver, max_m: int = MAX_M) -> list[RigidSe
     keys = tilting.pop((1, m))
     tilting.clear()  # the shorter ranges are freed before the sets are built
     keys.sort()
-    single = [_single(iv.a, iv.b) for iv in all_intervals(q)]
-    empty = frozenset()
     for i, key in enumerate(keys):
-        keys[i] = RigidSet(empty.union(*map(single.__getitem__, key)))
+        keys[i] = RigidSet(itemgetter(*key)(ivs))
     return keys

@@ -145,7 +145,7 @@ def fiber_expansion(n: int) -> Result:
     """Expanding every segment-quiver set into its fiber gives the direct enumeration."""
     reps, projected = enumerations(n)
     grid = Breakpoints.uniform(n)
-    expanded = [r for h in projected for r in bridge.fiber_reps(h.summands, grid)]
+    expanded = [r for h in projected for r in bridge.fiber_reps(h.members, grid)]
     ok = tuple(sorted(expanded, key=rep_sort_key)) == reps
     return f"n={n}: fiber expansion reproduces the direct enumeration", ok
 

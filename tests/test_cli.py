@@ -56,6 +56,15 @@ class TestCount:
             "match": True,
         }
 
+    def test_segment_quiver_cap_refused_before_enumerating(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("enumerated before the cap check")
+
+        monkeypatch.setattr(cli, "enumerate_maximal_rigid_reps", refuse)
+        code, _, err = run(capsys, "count", "--n", "8", "--max-n", "8", "--mode", "enumerate")
+        assert code == 2
+        assert "m=17 exceeds cap 15" in err
+
     @pytest.mark.parametrize(
         "argv, digest",
         [
@@ -109,6 +118,10 @@ class TestFinite:
              "98d047f8f9c4031e418fb80915ab91d641d8449fb6fa634ba0d98339659e16c3"),
             (("--m", "12"),
              "cc46751e9c763c0b1d7db7a1dd7ff4edf7c198f50077509cf867ebc9db685f6f"),
+            (("--m", "11", "--enumerate"),
+             "754de33ff3b5ec9328fc500bb5d9fa7799c018c809a3bf21294d1a678db4dd5c"),
+            (("--m", "10", "--enumerate", "--format", "json"),
+             "7c697ffcf69302f6354455500b5fdbae8c1737de2ed1adf7ccc5903c9bf2a8d8"),
         ],
     )
     def test_stdout_digest(self, capsys, argv, digest):

@@ -19,7 +19,7 @@ from maxrigid import (
     is_rigid_set,
     is_tilting,
 )
-from maxrigid import verify
+from maxrigid import finite, verify
 from maxrigid.finite import _pair_tables
 
 from oracles import finite_max_cliques
@@ -153,6 +153,28 @@ class TestEnumeration:
                 assert long in s.summands
                 assert is_tilting(q, s.summands)
                 assert is_maximal_rigid_set(q, s.summands)
+
+    def test_members_are_ascending_and_match_summands_and_str(self):
+        for m in range(1, 10):
+            for s in enumerate_maximal_rigid(LinearQuiver(m)):
+                assert all(x < y for x, y in zip(s.members, s.members[1:])), s
+                assert s.summands == frozenset(s.members)
+                assert str(s) == "{" + ", ".join(map(str, sorted(frozenset(s.members)))) + "}"
+
+    def test_enumeration_hashes_no_interval(self, monkeypatch):
+        """The sets are built from index tuples, not from sets of intervals."""
+
+        class Hashed(Exception):
+            pass
+
+        def refuse(*args):
+            raise Hashed(args)
+
+        monkeypatch.setattr(FiniteInterval, "__hash__", refuse)
+        monkeypatch.setattr(finite, "_single", refuse)
+        with pytest.raises(Hashed):
+            hash(f(1, 1))
+        assert len(enumerate_maximal_rigid(LinearQuiver(8))) == catalan_by_recurrence(8)[8]
 
     @pytest.mark.parametrize("m", range(1, 11))
     def test_equals_the_bron_kerbosch_oracle(self, m):
