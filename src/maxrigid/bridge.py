@@ -15,9 +15,10 @@ rigid sets ``project`` is onto and every image has exactly 2^n preimages:
 per segment the family side is left or right, and for each side the summands
 force the anchor, which ``fiber_reps`` reads off the summands' common closed
 neighbourhood in ``_Tables``.  Both stay on integers until they build their
-output: the code b * b + a of an image interval [a, b] indexes
-``_Tables.code_vertex`` in ``fiber_reps`` and cached one-interval sets in
-``project`` (``BreakSummand.code``).
+output, by the code b * b + a of an image interval [a, b]
+(``BreakSummand.code``): ``fiber_reps`` indexes ``_Tables.code_vertex``
+with it, and ``project`` unions the one-interval sets ``_single`` caches
+by it, so ``project`` builds nothing sized by n.
 
 ``discretized_compatible`` is the independent oracle for the interval
 compatibility predicate: it replays a pair of flavored intervals as
@@ -30,22 +31,14 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+from math import isqrt
 from typing import Iterable
 
 from .cliques import bits, common_neighbourhood
-from .continuous import (
-    LEFT,
-    RIGHT,
-    BreakpointRep,
-    Breakpoints,
-    BreakSummand,
-    Side,
-    _summand_codes,
-    _tables,
-)
+from .continuous import BreakpointRep, Breakpoints, BreakSummand, _summand_codes, _tables
 from .counting import claim
 from .intervals import CLOSED, OPEN, Interval
-from .finite import FiniteInterval, LinearQuiver, _single, ext_dim
+from .finite import FiniteInterval, LinearQuiver, ext_dim
 
 
 class NotMaximalRigidImageError(ValueError):
@@ -112,16 +105,26 @@ def expand(image: Iterable[FiniteInterval], n: int) -> RefinedRep:
     return RefinedRep(n, frozenset(out))
 
 
+@functools.cache
+def _single(code: int) -> frozenset[FiniteInterval]:
+    """{[a, b]} for the code b * b + a, built once; as 1 <= a <= b, b is isqrt(code).
+
+    ``frozenset().union`` of these copies the hashes they store, where
+    ``frozenset`` of intervals calls the dataclass ``__hash__``.
+    """
+    b = isqrt(code)
+    return frozenset((FiniteInterval(code - b * b, b),))
+
+
 def project(rep: BreakpointRep) -> frozenset[FiniteInterval]:
     """The summands' image on the segment quiver: a_i is 2i+1, an OPEN (== 1) end moves inward.
 
-    Validated as by ``validate_rep``, each summand code b * b + a picks the
-    cached set ``finite._single(a, b)`` from a per-n list: no ``FiniteInterval``
-    is built per call, and no dataclass ``__hash__`` runs.
+    Validated as by ``validate_rep``, the image is the union of the cached
+    sets ``_single(code)`` of the summands' codes: no ``FiniteInterval`` is
+    built per call once the sets are cached, no dataclass ``__hash__`` runs,
+    and nothing sized by n is built.
     """
-    codes = _summand_codes(rep)  # an invalid rep raises before the list is built
-    singles = _image_index(rep.grid.n)[0]
-    return frozenset().union(*[singles[c] for c in codes])
+    return frozenset().union(*map(_single, _summand_codes(rep)))
 
 
 def pull_back_summands(image: Iterable[FiniteInterval], n: int) -> tuple[BreakSummand, ...]:
@@ -136,17 +139,6 @@ def pull_back_summands(image: Iterable[FiniteInterval], n: int) -> tuple[BreakSu
     return tuple(sorted(out))
 
 
-@functools.cache
-def _image_index(n: int) -> tuple[list, list[tuple[int, Side]]]:
-    """``_single(a, b)`` at code b * b + a for every interval of the segment quiver,
-    None at the other ints below the largest code, and the (segment, side) pairs."""
-    top = 2 * n + 1
-    singles = [None] * (top * top + top + 1)
-    for a, b in itertools.combinations_with_replacement(range(1, top + 1), 2):
-        singles[b * b + a] = _single(a, b)
-    return singles, list(itertools.product(range(n), (LEFT, RIGHT)))
-
-
 def fiber_reps(image: Iterable[FiniteInterval], grid: Breakpoints) -> list[BreakpointRep]:
     """The 2^n preimages of a maximal rigid segment-quiver set.
 
@@ -155,13 +147,13 @@ def fiber_reps(image: Iterable[FiniteInterval], grid: Breakpoints) -> list[Break
     2n+1 distinct vertices forming a clique: exact, as compatibility is Ext
     vanishing on images and 2n+1 rigid modules tilt.  The forced families
     are the family bits of the summands' ``common_neighbourhood``, and a
-    ``claim`` checks there is one per (segment, side).  Vertex order is
-    dataclass order and "left" < "right", so the summands come out sorted,
-    the families pair up per segment and ``product`` yields the reps in
-    ``rep_sort_key`` order.  The reps share the table's own objects.
+    ``claim`` checks there is one per (segment, side) (``_Tables.sides``).
+    Vertex order is dataclass order and "left" < "right", so the summands
+    come out sorted, the families pair up per segment and ``product``
+    yields the reps in ``rep_sort_key`` order.  The reps share the table's own objects.
     """
     n = grid.n
-    tables, sides = _tables(n), _image_index(n)[1]
+    tables = _tables(n)
     image = list(image)
     smask = 0
     for s in image:
@@ -175,7 +167,8 @@ def fiber_reps(image: Iterable[FiniteInterval], grid: Breakpoints) -> list[Break
         raise NotMaximalRigidImageError(f"NotMaximalRigidImage({names})")
     summands = tuple(tables.summands[v] for v in vertices)
     fams = [tables.families[fi] for fi in bits(common >> len(tables.summands))]
-    claim([(fam.segment, fam.side) for fam in fams] == sides, "one forced anchor per segment side")
+    sides = [(fam.segment, fam.side) for fam in fams]
+    claim(sides == tables.sides, "one forced anchor per segment side")
     pairs = zip(fams[0::2], fams[1::2])  # (left, right) per segment
     return [BreakpointRep(grid, summands, fs) for fs in itertools.product(*pairs)]
 

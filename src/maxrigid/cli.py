@@ -235,7 +235,12 @@ def cmd_count(args) -> int:
     if args.mode in ("enumerate", "both"):
         # both caps before the grid is built and the reps are enumerated
         _check_cap("n", args.n, args.max_n)
-        _check_cap("m", 2 * args.n + 1, MAX_M)  # the segment quiver of n segments
+        m = 2 * args.n + 1  # the vertex count of the segment quiver of n segments
+        if m > MAX_M:
+            raise ResourceLimitError(
+                f"the segment quiver of n={args.n} has m={m} vertices, over MAX_M={MAX_M},"
+                f" so count --mode enumerate stops at n={(MAX_M - 1) // 2}"
+            )
         grid = Breakpoints.uniform(args.n)
         enumerated = len(enumerate_maximal_rigid_reps(grid, max_n=args.max_n))
         enumerated_projected = len(

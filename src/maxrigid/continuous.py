@@ -105,7 +105,8 @@ class BreakSummand:
     """A flavored interval with both endpoints at breakpoints, by index.
 
     ``code`` is b * b + a for the image [a, b] under ``bridge.project``; as
-    1 <= a <= b, equal codes mean equal summands, whatever n.  It takes no
+    1 <= a <= b, equal codes mean equal summands, whatever n, and
+    b = isqrt(code) (``bridge._single`` keys its cache by it).  It takes no
     part in equality, hashing, ordering or printing.
     """
 
@@ -341,7 +342,8 @@ class _Tables:
     holds left anchors 0..j, then right ones).  Two vertices are adjacent in
     ``adj`` when every member of one is compatible with every member of the
     other; ``cliques.common_neighbourhood`` over ``closed[v] = adj[v] | 1 << v``
-    decides rigidity, maximality and ``bridge.fiber_reps``' forced families.
+    decides rigidity, maximality and ``bridge.fiber_reps``' forced families;
+    ``sides`` lists the (segment, side) pair of each of those in family order.
 
     Every pair is decided on integer ranks: breakpoint i is ``2 * i`` and
     the one generic position of segment j is ``2 * j + 1``.  That is the
@@ -380,6 +382,7 @@ class _Tables:
         vertex = {s.code: v for v, s in enumerate(self.summands)}
         self.code_vertex = [vertex.get(c) for c in range(max(vertex) + 1)]
         self.families = all_family_choices(n)
+        self.sides = [(j, side) for j in range(n) for side in (LEFT, RIGHT)]
         self.summand_mask = (1 << len(self.summands)) - 1
 
         members = [((s.lo * 2, s.lo_kind, s.hi * 2, s.hi_kind),) for s in self.summands]

@@ -57,13 +57,6 @@ class FiniteInterval:
         return f"[{self.a},{self.b}]"
 
 
-@functools.cache
-def _single(a: int, b: int) -> frozenset[FiniteInterval]:
-    """{[a, b]}, built once: ``frozenset().union`` of these copies the hashes
-    they store, where ``frozenset`` of intervals calls the dataclass ``__hash__``."""
-    return frozenset((FiniteInterval(a, b),))
-
-
 @dataclass(frozen=True)
 class LinearQuiver:
     """The quiver with vertices 1..m and arrows i -> i+1."""
@@ -182,35 +175,40 @@ def euler_form(q: LinearQuiver, i: FiniteInterval, j: FiniteInterval) -> int:
     return on_vertices - on_arrows
 
 
+def _rank(m: int, a: int, b: int) -> int:
+    """The index of [a, b] in ``all_intervals`` on A_m: the m - a' + 1 intervals
+    starting at each a' < a come first, then [a, a], ..., [a, b]."""
+    return (a - 1) * (2 * m + 2 - a) // 2 + b - a
+
+
 @functools.cache
-def _pair_tables(m: int) -> tuple[tuple[FiniteInterval, ...], dict, list[int]]:
-    """Interval list, index map, and compatibility bitmask adjacency for A_m."""
+def _pair_tables(m: int) -> list[int]:
+    """The closed compatibility rows of A_m, one per interval in ``_rank`` order.
+
+    Bit t of row s is set when the intervals of ranks s and t have no
+    Ext^1 either way; bit s is set too, as interval modules never
+    self-extend.  ``common_neighbourhood`` over these rows decides
+    ``is_rigid_set``, ``is_maximal_rigid_set`` and ``is_tilting``.
+    """
     q = LinearQuiver(m)
-    ivs = tuple(all_intervals(q))
-    index = {iv: k for k, iv in enumerate(ivs)}
-    adj = [0] * len(ivs)
+    ivs = all_intervals(q)
+    closed = [1 << s for s in range(len(ivs))]
     for s, i in enumerate(ivs):
         claim(ext_dim(q, i, i) == 0, "interval modules never self-extend")
         for t in range(s + 1, len(ivs)):
             j = ivs[t]
             if ext_dim(q, i, j) == 0 and ext_dim(q, j, i) == 0:
-                adj[s] |= 1 << t
-                adj[t] |= 1 << s
-    return ivs, index, adj
-
-
-@functools.cache
-def _closed_rows(m: int) -> list[int]:
-    return [row | 1 << v for v, row in enumerate(_pair_tables(m)[2])]
+                closed[s] |= 1 << t
+                closed[t] |= 1 << s
+    return closed
 
 
 def _mask_and_common(q: LinearQuiver, summands: Iterable[FiniteInterval]) -> tuple[int, int]:
-    _, index, _ = _pair_tables(q.m)
     mask = 0
     for s in summands:
         q.check(s)
-        mask |= 1 << index[s]
-    return mask, common_neighbourhood(_closed_rows(q.m), bits(mask))
+        mask |= 1 << _rank(q.m, s.a, s.b)
+    return mask, common_neighbourhood(_pair_tables(q.m), bits(mask))
 
 
 def is_rigid_set(q: LinearQuiver, summands: Iterable[FiniteInterval]) -> bool:
@@ -221,8 +219,8 @@ def is_rigid_set(q: LinearQuiver, summands: Iterable[FiniteInterval]) -> bool:
 
 def is_tilting(q: LinearQuiver, summands: Iterable[FiniteInterval]) -> bool:
     """Rigid, basic, and of full length m (the tilting count criterion)."""
-    unique = frozenset(summands)
-    return len(unique) == q.m and is_rigid_set(q, unique)
+    mask, common = _mask_and_common(q, summands)
+    return mask.bit_count() == q.m and common & mask == mask
 
 
 def is_maximal_rigid_set(q: LinearQuiver, summands: Iterable[FiniteInterval]) -> bool:
@@ -253,8 +251,8 @@ def enumerate_maximal_rigid(q: LinearQuiver, max_m: int = MAX_M) -> list[RigidSe
         tilting sets.
 
     A set is kept as the ascending tuple of its indices in
-    ``all_intervals``, which lists [a, b] at start[a] + (b - a); index
-    order is the dataclass order there, so sorting the tuples sorts the
+    ``all_intervals``, which lists [a, b] at ``_rank`` = start[a] + (b - a);
+    index order is the dataclass order there, so sorting the tuples sorts the
     sets, and each set's members are its tuple's intervals in that order.
     ``max_m`` (default ``MAX_M``) guards against accidental huge runs.
     """
@@ -263,9 +261,7 @@ def enumerate_maximal_rigid(q: LinearQuiver, max_m: int = MAX_M) -> list[RigidSe
     ivs = all_intervals(q)
     if m == 1:  # itemgetter of one index returns that item, not a 1-tuple
         return [RigidSet((ivs[0],))]
-    start = [0] * (m + 2)
-    for a in range(1, m + 1):
-        start[a + 1] = start[a] + m - a + 1
+    start = [_rank(m, a, a) for a in range(m + 2)]  # start[0] is never read
     tilting = {(a, a - 1): [()] for a in range(1, m + 2)}
     for length in range(1, m + 1):
         for a in range(1, m - length + 2):

@@ -16,6 +16,9 @@ older, longer way, so that the suite can compare the two:
   * ``finite_max_cliques`` lists the maximal rigid sets on A_m by
     Bron-Kerbosch on the pairwise compatibility graph, the route
     ``finite.enumerate_maximal_rigid`` took before the Catalan recursion.
+  * ``pair_tables`` is ``finite._pair_tables`` as it was before interval
+    ranks came by formula: the interval list, a ``{FiniteInterval: rank}``
+    dict and the open adjacency rows, from the pair loop over ``ext_dim``.
   * ``searched_anchors`` finds the anchors a side admits with ``compatible``
     on sampled family members, and ``fiber_by_anchor`` builds a fiber from
     them with new ``FamilyChoice`` objects; ``bridge.fiber_reps`` reads the
@@ -28,7 +31,7 @@ older, longer way, so that the suite can compare the two:
     a missing family; the library's version must raise the same first error.
   * ``hash_mask`` and ``image_vertices`` index summands by their dataclass
     hash and segment-quiver images by their (a, b) tuple, as ``_Tables.mask``
-    and ``bridge._image_index`` did before summands had integer codes;
+    and a per-n image index did before summands had integer codes;
     ``_Tables.code_vertex`` must give the same vertices.  ``findex`` looks
     families up by their dataclass hash, as ``_Tables.findex`` did before
     family vertices came by formula.
@@ -66,7 +69,9 @@ from maxrigid import (
     RefinedRep,
     all_break_summands,
     all_family_choices,
+    all_intervals,
     compatible,
+    ext_dim,
     pull_back_summands,
     sample_offsets,
     validate_rep,
@@ -371,7 +376,22 @@ def finite_max_cliques(m: int) -> list[tuple[int, ...]]:
     An index is a position in ``all_intervals``; the list is sorted, which
     is the order ``enumerate_maximal_rigid`` returns the sets in.
     """
-    return sorted(tuple(bits(mask)) for mask in max_cliques(_pair_tables(m)[2]))
+    adj = [row & ~(1 << v) for v, row in enumerate(_pair_tables(m))]
+    return sorted(tuple(bits(mask)) for mask in max_cliques(adj))
+
+
+def pair_tables(m: int) -> tuple[list[FiniteInterval], dict[FiniteInterval, int], list[int]]:
+    """The intervals of A_m, their ranks by dict and the compatibility rows
+    without the diagonal, one ``ext_dim`` pair at a time."""
+    q = LinearQuiver(m)
+    ivs = all_intervals(q)
+    index = {iv: k for k, iv in enumerate(ivs)}
+    adj = [0] * len(ivs)
+    for i, j in itertools.combinations(ivs, 2):
+        if ext_dim(q, i, j) == 0 and ext_dim(q, j, i) == 0:
+            adj[index[i]] |= 1 << index[j]
+            adj[index[j]] |= 1 << index[i]
+    return ivs, index, adj
 
 
 def searched_anchors(segment, side, summands, n) -> list[tuple]:

@@ -47,7 +47,14 @@ from maxrigid.counting import ClaimError
 from maxrigid.finite import _pair_tables
 
 from golden import five_projected_sets, ten_reps
-from oracles import fiber_by_anchor, image_vertices, refined_quiver, searched_anchors, to_refined
+from oracles import (
+    fiber_by_anchor,
+    image_vertices,
+    pair_tables,
+    refined_quiver,
+    searched_anchors,
+    to_refined,
+)
 
 GRID1 = Breakpoints.uniform(1)
 GOLDEN = ten_reps(GRID1)
@@ -214,7 +221,8 @@ class TestProjection:
         """
         for n in range(1, 9):
             tables = continuous._Tables(n)
-            ivs, index, adj = _pair_tables(2 * n + 1)
+            ivs, index, _ = pair_tables(2 * n + 1)
+            adj = [row & ~(1 << v) for v, row in enumerate(_pair_tables(2 * n + 1))]
             grid = Breakpoints.uniform(n)
             families = tuple(FamilyChoice(j, RIGHT, n, CLOSED) for j in range(n))
             images = [project(BreakpointRep(grid, (s,), families)) for s in tables.summands]
@@ -261,12 +269,19 @@ class TestProjection:
                 route(rep)
             assert (type(err.value), str(err.value)) == (error, message)
 
-
-    def test_an_invalid_rep_raises_before_the_per_n_list_is_built(self, monkeypatch):
-        """The list has (2n+1)(2n+2)+1 entries, so a malformed rep must not pay for it."""
-        monkeypatch.setattr(bridge, "_image_index", None)  # calling it would raise TypeError
+    def test_builds_nothing_sized_by_n(self):
+        """A malformed rep raises, and a valid n=300 rep projects onto its
+        pull-back image with no ``_tables`` build and one cached set per summand."""
         with pytest.raises(MissingFamilyError):
             project(BreakpointRep(Breakpoints.uniform(50), (), ()))
+        n = 300
+        image = frozenset([f(1, 2 * n + 1), f(2, 2), f(3, 7), f(7, 2 * n), f(2 * n + 1, 2 * n + 1)])
+        families = tuple(FamilyChoice(j, RIGHT, n, CLOSED) for j in range(n))
+        rep = BreakpointRep(Breakpoints.uniform(n), pull_back_summands(image, n), families)
+        tables, singles = continuous._tables.cache_info(), bridge._single.cache_info()
+        assert project(rep) == image
+        assert continuous._tables.cache_info().currsize == tables.currsize
+        assert bridge._single.cache_info().currsize <= singles.currsize + len(rep.summands)
 
 
 class TestForcedAnchor:
@@ -448,7 +463,7 @@ class TestFibers:
         rep and image still goes through.
 
         The caches are emptied under the patch, so building the tables and
-        the image index hashes no summand either.
+        the one-interval sets hashes no summand either.
         """
         grid = Breakpoints.uniform(3)
         reps = enumerate_maximal_rigid_reps(grid)
@@ -470,7 +485,7 @@ class TestFibers:
         with pytest.raises(Hashed):
             hash(reps[0].families[0])
         continuous._tables.cache_clear()
-        bridge._image_index.cache_clear()
+        bridge._single.cache_clear()
         for r, image in zip(reps, images):
             validate_rep(r)
             assert is_rigid(r) and is_maximal_rigid(r)

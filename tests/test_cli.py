@@ -63,7 +63,10 @@ class TestCount:
         monkeypatch.setattr(cli, "enumerate_maximal_rigid_reps", refuse)
         code, _, err = run(capsys, "count", "--n", "8", "--max-n", "8", "--mode", "enumerate")
         assert code == 2
-        assert "m=17 exceeds cap 15" in err
+        assert err.splitlines() == [
+            "error: the segment quiver of n=8 has m=17 vertices, over MAX_M=15,"
+            " so count --mode enumerate stops at n=7"
+        ]
 
     @pytest.mark.parametrize(
         "argv, digest",
@@ -105,7 +108,7 @@ class TestFinite:
     def test_cap_is_input_error(self, capsys):
         code, _, err = run(capsys, "finite", "--m", "20", "--enumerate")
         assert code == 2
-        assert "cap" in err
+        assert err.splitlines() == ["error: m=20 exceeds cap 15; raise max_m to proceed"]
 
     @pytest.mark.parametrize(
         "argv, digest",

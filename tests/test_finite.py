@@ -19,10 +19,10 @@ from maxrigid import (
     is_rigid_set,
     is_tilting,
 )
-from maxrigid import finite, verify
-from maxrigid.finite import _pair_tables
+from maxrigid import bridge, verify
+from maxrigid.finite import _pair_tables, _rank
 
-from oracles import finite_max_cliques
+from oracles import finite_max_cliques, pair_tables
 
 
 def f(a, b):
@@ -105,6 +105,21 @@ class TestRigidity:
         q3 = LinearQuiver(3)
         assert is_tilting(q3, {f(1, 3), f(2, 3), f(3, 3)})
 
+    def test_tilting_counts_distinct_summands(self):
+        """A repeated summand counts once, as in a frozenset, and an iterator is read once."""
+        q = LinearQuiver(2)
+        assert is_tilting(q, [f(1, 2), f(2, 2), f(2, 2)])
+        assert is_tilting(q, iter([f(1, 2), f(2, 2)]))
+        assert not is_tilting(q, [f(1, 2), f(1, 2)])
+
+    def test_ranks_and_rows_equal_the_pair_loop_oracle(self):
+        """``_rank`` is the ``all_intervals`` index, and the closed rows are the
+        oracle's rows with the diagonal added, bit for bit, for every m <= 25."""
+        for m in range(1, 26):
+            ivs, index, adj = pair_tables(m)
+            assert [_rank(m, iv.a, iv.b) for iv in ivs] == [index[iv] for iv in ivs], m
+            assert _pair_tables(m) == [row | 1 << v for v, row in enumerate(adj)], m
+
     def test_maximal_examples(self):
         q = LinearQuiver(2)
         assert is_maximal_rigid_set(q, {f(1, 2), f(1, 1)})
@@ -171,14 +186,14 @@ class TestEnumeration:
             raise Hashed(args)
 
         monkeypatch.setattr(FiniteInterval, "__hash__", refuse)
-        monkeypatch.setattr(finite, "_single", refuse)
+        monkeypatch.setattr(bridge, "_single", refuse)
         with pytest.raises(Hashed):
             hash(f(1, 1))
         assert len(enumerate_maximal_rigid(LinearQuiver(8))) == catalan_by_recurrence(8)[8]
 
     @pytest.mark.parametrize("m", range(1, 11))
     def test_equals_the_bron_kerbosch_oracle(self, m):
-        _, index, _ = _pair_tables(m)
+        _, index, _ = pair_tables(m)
         got = [
             tuple(index[iv] for iv in s.sorted_summands())
             for s in enumerate_maximal_rigid(LinearQuiver(m))
