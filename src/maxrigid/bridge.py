@@ -9,16 +9,17 @@ Endpoint flavors become vertex choices on two auxiliary quivers:
 
 ``project`` maps a breakpoint representation to the segment quiver: families
 vanish, closed ends stay on breakpoint vertices and open ends move inward to
-the segment vertex.  ``condense`` and ``expand`` translate between the
-refined and segment quivers (a bijection on interval modules).  Over maximal
-rigid sets ``project`` is onto and every image has exactly 2^n preimages:
-per segment the family side is left or right, and for each side the summands
-force the anchor, which ``fiber_reps`` reads off the summands' common closed
-neighbourhood in ``_Tables``.  Both stay on integers until they build their
-output, by the code b * b + a of an image interval [a, b]
-(``BreakSummand.code``): ``fiber_reps`` indexes ``_Tables.code_vertex``
-with it, and ``project`` unions the one-interval sets ``_single`` caches
-by it, so ``project`` builds nothing sized by n.
+the segment vertex.  ``continuous._Tables`` applies this one discretization
+rule to the grid refined by one generic point per segment.  ``condense`` and
+``expand`` translate between the refined and segment quivers (a bijection on
+interval modules).  Over maximal rigid sets ``project`` is onto and every
+image has exactly 2^n preimages: per segment the family side is left or
+right, and for each side the summands force the anchor, which ``fiber_reps``
+reads off the summands' common closed neighbourhood in ``_Tables``.  Both
+stay on integers until they build their output, by the code b * b + a of an
+image interval [a, b] (``BreakSummand.code``): ``fiber_reps`` indexes
+``_Tables.code_vertex`` with it, and ``project`` unions the one-interval
+sets ``_single`` caches by it, so ``project`` builds nothing sized by n.
 
 ``discretized_compatible`` is the independent oracle for the interval
 compatibility predicate: it replays a pair of flavored intervals as
@@ -36,7 +37,7 @@ from typing import Iterable
 
 from .cliques import bits, common_neighbourhood
 from .continuous import BreakpointRep, Breakpoints, BreakSummand, _summand_codes, _tables
-from .counting import claim
+from .counting import NonPositiveCountError, claim
 from .intervals import CLOSED, OPEN, Interval
 from .finite import FiniteInterval, LinearQuiver, ext_dim
 
@@ -50,6 +51,8 @@ def segment_quiver(n: int) -> LinearQuiver:
 
     Vertex 2i+1 is breakpoint a_i and vertex 2i+2 the open segment from a_i to a_{i+1}.
     """
+    if n < 1:
+        raise NonPositiveCountError("segment count must be >= 1")
     return LinearQuiver(2 * n + 1)
 
 

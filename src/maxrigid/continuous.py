@@ -15,16 +15,11 @@ Rigidity and maximality are read off one compatibility graph per n
 choice, and a rep is rigid when its vertices form a clique and maximal
 rigid when no breakpoint summand extends that clique (``cliques``).  The
 maximal rigid encodings are the maximal cliques of that graph, so one
-Bron-Kerbosch run lists them (``enumerate_maximal_rigid_reps``).
-Compatibility of two intervals depends only on the order pattern of their
-endpoints and the boundary flavors, and a family's moving end has a single
-order pattern against every breakpoint and against the moving end of any
-other segment's family.  So each segment's family is placed at one generic
-position, strictly between its breakpoints, and every statement quantified
-over all generic positions becomes a finite bitmask test.
-Generic-endpoint summands never need to be tried as additions: the family
-on a segment already collides with, or has the shape of, every one of them
-(see ``_Tables``).
+Bron-Kerbosch run lists them (``enumerate_maximal_rigid_reps``).  Each
+family stands at one generic position of its segment, and the graph is
+Ext^1 vanishing on the segment quiver of the breakpoints and those
+positions; ``_Tables`` says why both are exact and why generic-endpoint
+summands need no vertex.
 """
 
 from __future__ import annotations
@@ -36,7 +31,7 @@ from fractions import Fraction
 
 from .cliques import bits, common_neighbourhood, max_cliques
 from .counting import NonPositiveCountError, claim
-from .finite import _check_cap
+from .finite import _check_cap, _pair_tables, _rank
 from .intervals import (
     CLOSED,
     OPEN,
@@ -47,7 +42,6 @@ from .intervals import (
     Point,
     _check_ints,
     _check_kinds,
-    _compatible_ends,
     _exact,
 )
 
@@ -164,18 +158,11 @@ class FamilyChoice:
         if not isinstance(self.side, Side):
             object.__setattr__(self, "side", Side(self.side))
 
-    def member_ends(self, x, far) -> tuple[tuple, tuple]:
-        """Both members as (lo, lo_kind, hi, hi_kind), moving end x, anchored end far.
-
-        The ends may be ``Point``s or integer ranks of points (``_Tables``).
-        """
-        if self.side is RIGHT:
-            return (x, CLOSED, far, self.anchor_kind), (x, OPEN, far, self.anchor_kind)
-        return (far, self.anchor_kind, x, CLOSED), (far, self.anchor_kind, x, OPEN)
-
     def members(self, x: Point) -> tuple[Interval, Interval]:
-        closed, open_ = self.member_ends(x, Point.breakpoint(self.anchor))
-        return Interval(*closed), Interval(*open_)
+        far, kind = Point.breakpoint(self.anchor), self.anchor_kind
+        if self.side is RIGHT:
+            return Interval(x, CLOSED, far, kind), Interval(x, OPEN, far, kind)
+        return Interval(far, kind, x, CLOSED), Interval(far, kind, x, OPEN)
 
     def __str__(self) -> str:
         kb_open, kb_close = ("[", "]") if self.anchor_kind is CLOSED else ("(", ")")
@@ -298,11 +285,10 @@ def is_uniform(rep: BreakpointRep) -> bool:
 def is_rigid(rep: BreakpointRep) -> bool:
     """Whether the rep's summands and families form a clique of ``_Tables.adj``.
 
-    Every family is placed at one generic position of its segment, which
-    realizes every order pattern a pair can exhibit, so the finite check
-    settles the continuum statement for valid encodings.  Two members of
-    one family are always nested, and a valid rep has one family per
-    segment, so the graph's edges cover every pair that has to be checked.
+    One generic position per segment settles the continuum statement for
+    valid encodings (``_Tables``).  Two members of one family are always
+    nested, and a valid rep has one family per segment, so the graph's
+    edges cover every pair that has to be checked.
     """
     _, mask, common = _vertex_mask(rep)
     return common & mask == mask
@@ -345,13 +331,18 @@ class _Tables:
     decides rigidity, maximality and ``bridge.fiber_reps``' forced families;
     ``sides`` lists the (segment, side) pair of each of those in family order.
 
-    Every pair is decided on integer ranks: breakpoint i is ``2 * i`` and
-    the one generic position of segment j is ``2 * j + 1``.  That is the
-    order of ``Point``, and ``_compatible_ends`` only compares endpoints,
-    so each verdict equals ``compatible`` on the points.  One position per
-    segment is enough: a family's moving end x has a single order pattern
-    against every breakpoint and against the moving end of any other
-    segment, so a verdict at one x is the verdict at every x.
+    The rows are read off the finite model.  The 2n+1 points a_0 < x_0 <
+    a_1 < ... < a_n, x_j the one generic position of segment j, have the
+    segment quiver A_{4n+1}: a_i is vertex 4i+1, x_j is 4j+3 and the gaps
+    between points are the even vertices.  Under ``bridge.project``'s rule
+    (a closed end stays on its point, an open end moves inward to the gap)
+    a summand is one interval there and a family is two, and two flavored
+    intervals are compatible exactly when their images have no Ext^1 either
+    way.  So v is in u's closed row when every member of v is in the
+    ``common_neighbourhood`` of u's members in ``_pair_tables``.  One
+    position per segment is enough: compatibility depends only on the order
+    pattern of the ends, and a family's moving end has one pattern against
+    every breakpoint and against every other segment's moving end.
 
     Two families on one segment are never adjacent, as a rep holds one
     family per segment: their members share the moving end x.  A right and
@@ -385,15 +376,20 @@ class _Tables:
         self.sides = [(j, side) for j in range(n) for side in (LEFT, RIGHT)]
         self.summand_mask = (1 << len(self.summands)) - 1
 
-        members = [((s.lo * 2, s.lo_kind, s.hi * 2, s.hi_kind),) for s in self.summands]
-        members += [fam.member_ends(fam.segment * 2 + 1, fam.anchor * 2) for fam in self.families]
-        self.adj = [0] * len(members)
-        for u, ends in enumerate(members):
-            for v in range(u + 1, len(members)):
-                if all(_compatible_ends(*a, *b) for a in ends for b in members[v]):
-                    self.adj[u] |= 1 << v
-                    self.adj[v] |= 1 << u
-        self.closed = [row | 1 << v for v, row in enumerate(self.adj)]
+        m = 4 * n + 1
+        ranks = [[_rank(m, 4 * s.lo + 1 + s.lo_kind, 4 * s.hi + 1 - s.hi_kind)]
+                 for s in self.summands]
+        for f in self.families:  # d = 0: the member closed at x; d = 1: the open one
+            x, far = 4 * f.segment + 3, 4 * f.anchor + 1
+            if f.side is RIGHT:
+                ranks.append([_rank(m, x + d, far - f.anchor_kind) for d in (0, 1)])
+            else:
+                ranks.append([_rank(m, far + f.anchor_kind, x - d) for d in (0, 1)])
+        masks = [sum(1 << r for r in rs) for rs in ranks]
+        rows = _pair_tables(m)
+        commons = [common_neighbourhood(rows, rs) for rs in ranks]
+        self.closed = [sum([1 << v for v, k in enumerate(masks) if c & k == k]) for c in commons]
+        self.adj = [row ^ 1 << v for v, row in enumerate(self.closed)]
 
 
 _tables = functools.cache(_Tables)
@@ -413,10 +409,8 @@ def is_maximal_rigid(rep: BreakpointRep) -> bool:
     """Whether the rep is a clique of ``_Tables.adj`` that no summand extends.
 
     Raises NotRigidError when the representation is not rigid (not a
-    clique).  Only breakpoint summands are tried: every generic-endpoint
-    summand either has the shape of the family on the segment of its lower
-    generic endpoint, so it is already present, or is incompatible with a
-    member of that family (the argument is in ``_Tables``).
+    clique).  Only breakpoint summands are tried: a generic-endpoint one
+    never extends a rep (the argument is in ``_Tables``).
     """
     tables, mask, common = _vertex_mask(rep)
     if common & mask != mask:

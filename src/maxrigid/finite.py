@@ -186,20 +186,23 @@ def _pair_tables(m: int) -> list[int]:
     """The closed compatibility rows of A_m, one per interval in ``_rank`` order.
 
     Bit t of row s is set when the intervals of ranks s and t have no
-    Ext^1 either way; bit s is set too, as interval modules never
-    self-extend.  ``common_neighbourhood`` over these rows decides
-    ``is_rigid_set``, ``is_maximal_rigid_set`` and ``is_tilting``.
+    Ext^1 either way, bit s included.  The partners [c, d] of [a, b] have
+    a < c <= b+1 <= d or c < a <= d+1 <= b (``ext_dim``): for each start
+    c != a one run of ranks, so a row is the complement of its runs.  These
+    rows decide ``is_rigid_set``, ``is_maximal_rigid_set``, ``is_tilting``
+    and ``continuous._Tables``.
     """
-    q = LinearQuiver(m)
-    ivs = all_intervals(q)
-    closed = [1 << s for s in range(len(ivs))]
-    for s, i in enumerate(ivs):
-        claim(ext_dim(q, i, i) == 0, "interval modules never self-extend")
-        for t in range(s + 1, len(ivs)):
-            j = ivs[t]
-            if ext_dim(q, i, j) == 0 and ext_dim(q, j, i) == 0:
-                closed[s] |= 1 << t
-                closed[t] |= 1 << s
+    full = (1 << m * (m + 1) // 2) - 1
+    closed = []
+    for a in range(1, m + 1):
+        for b in range(a, m + 1):
+            runs = 0
+            for c in range(1, a):
+                runs |= ((1 << b - a + 1) - 1) << _rank(m, c, a - 1)
+            for c in range(a + 1, min(b + 1, m) + 1):
+                runs |= ((1 << m - b) - 1) << _rank(m, c, b + 1)
+            closed.append(full ^ runs)
+    claim(all(row >> s & 1 for s, row in enumerate(closed)), "interval modules never self-extend")
     return closed
 
 

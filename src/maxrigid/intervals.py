@@ -17,11 +17,11 @@ the four shapes [a,b], [a,b), (a,b] and (a,b).  Two intervals are
 
 Touching with a closed end on either side, and genuine crossings, are not
 compatible.  The verdict depends only on the order of the four endpoints
-and on the four kinds, so ``_compatible_ends``, the one implementation,
-serves ``Point`` endpoints and integer ranks of points alike.  For direct
-sums of interval modules over the linearly ordered line this predicate
-characterises vanishing of self-extensions; it is cross-checked against an
-independent discretized Ext computation in :mod:`maxrigid.bridge`.
+and on the four kinds (``_compatible_ends``).  For direct sums of interval
+modules over the linearly ordered line this predicate characterises
+vanishing of self-extensions, which is how the maximality tables decide it
+(``continuous._Tables``); it is cross-checked against an independent
+discretized Ext computation in :mod:`maxrigid.bridge`.
 """
 
 from __future__ import annotations
@@ -171,8 +171,8 @@ def _compatible_ends(ilo, ilk, ihi, ihk, jlo, jlk, jhi, jhk) -> bool:
 
     Endpoints are compared only with ``<`` and ``==`` and kinds only with
     ``==``, so any order-preserving relabeling of the points gives the same
-    verdict: ``compatible`` passes ``Point``s, and the maximality tables pass
-    integer ranks of the points (``continuous._Tables``).
+    verdict: ``compatible`` passes ``Point``s, and the test oracles pass
+    integer ranks of points.
     """
     if ihi < jlo or jhi < ilo:  # a strict gap
         return True

@@ -1,8 +1,9 @@
 """Independent oracles for the maximality tables, the finite enumeration and the fiber route.
 
 ``maxrigid.continuous`` decides rigidity, maximality and uniformity on one
-integer rank per segment.  The helpers here decide the same questions the
-older, longer way, so that the suite can compare the two:
+graph per n, read off Ext^1 vanishing on a finite linear quiver.  The
+helpers here decide the same questions the older, longer way, so that the
+suite can compare the two:
 
   * ``sample_model`` and ``endpoint_profile`` place both members of every
     family at k exact sample positions and read the eight endpoint sets a
@@ -17,8 +18,14 @@ older, longer way, so that the suite can compare the two:
     Bron-Kerbosch on the pairwise compatibility graph, the route
     ``finite.enumerate_maximal_rigid`` took before the Catalan recursion.
   * ``pair_tables`` is ``finite._pair_tables`` as it was before interval
-    ranks came by formula: the interval list, a ``{FiniteInterval: rank}``
-    dict and the open adjacency rows, from the pair loop over ``ext_dim``.
+    ranks came by formula and rows came from runs: the interval list, a
+    ``{FiniteInterval: rank}`` dict and the open adjacency rows, from the
+    pair loop over ``ext_dim``.
+  * ``tables_pair_loop`` is the ``_Tables`` graph as it was built before
+    its rows were read off ``finite._pair_tables``: breakpoint i at rank
+    2i, segment j's generic position at 2j+1, and ``_compatible_ends`` on
+    every vertex pair.  ``member_ends`` gives a family's two members as
+    end tuples on such ranks, for it and for ``sweep``.
   * ``searched_anchors`` finds the anchors a side admits with ``compatible``
     on sampled family members, and ``fiber_by_anchor`` builds a fiber from
     them with new ``FamilyChoice`` objects; ``bridge.fiber_reps`` reads the
@@ -224,6 +231,30 @@ class Sweep:
     cand_famok: list[int]
 
 
+def member_ends(fam: FamilyChoice, x, far) -> tuple[tuple, tuple]:
+    """Both members as (lo, lo_kind, hi, hi_kind), moving end x, anchored end far."""
+    if fam.side is RIGHT:
+        return (x, CLOSED, far, fam.anchor_kind), (x, OPEN, far, fam.anchor_kind)
+    return (far, fam.anchor_kind, x, CLOSED), (far, fam.anchor_kind, x, OPEN)
+
+
+def tables_pair_loop(n: int) -> list[int]:
+    """The adjacency rows of the ``_Tables(n)`` graph, one ``_compatible_ends`` pair at a time.
+
+    Breakpoint i is rank 2i and the one generic position of segment j is
+    2j+1, the order of ``Point``; two vertices are adjacent when every
+    member of one is compatible with every member of the other.
+    """
+    members = [((s.lo * 2, s.lo_kind, s.hi * 2, s.hi_kind),) for s in all_break_summands(n)]
+    members += [member_ends(f, f.segment * 2 + 1, f.anchor * 2) for f in all_family_choices(n)]
+    adj = [0] * len(members)
+    for u, v in itertools.combinations(range(len(members)), 2):
+        if all(_compatible_ends(*a, *b) for a in members[u] for b in members[v]):
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+    return adj
+
+
 @functools.lru_cache(maxsize=64)
 def sweep(n: int, fresh: tuple = DEFAULT_FRESH, samples_per_segment: int = 2) -> Sweep:
     """The generic-candidate sweep at these fresh offsets and sample count."""
@@ -243,7 +274,7 @@ def sweep(n: int, fresh: tuple = DEFAULT_FRESH, samples_per_segment: int = 2) ->
     }
     # members_at[fi][r]: both members of family fi at rank r of its segment
     members_at = [
-        [fam.member_ends(fam.segment * w + r, fam.anchor * w) for r in range(w)]
+        [member_ends(fam, fam.segment * w + r, fam.anchor * w) for r in range(w)]
         for fam in families
     ]
     ends = [(s.lo * w, s.lo_kind, s.hi * w, s.hi_kind) for s in all_break_summands(n)]
@@ -276,7 +307,7 @@ def _make_candidates(n: int, families: list, w: int, rank: dict, fresh: tuple) -
             for side in (RIGHT, LEFT):
                 for fi, fam in enumerate(families):
                     if fam.segment == j and fam.side is side:
-                        for ends in fam.member_ends(x, fam.anchor * w):
+                        for ends in member_ends(fam, x, fam.anchor * w):
                             yield ends, 1 << fi
             yield (x, CLOSED, x, CLOSED), 0  # generic point module
         # both endpoints generic, same segment

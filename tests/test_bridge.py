@@ -43,7 +43,7 @@ from maxrigid import (
 )
 from maxrigid import bridge, continuous, verify
 from maxrigid.cliques import bits
-from maxrigid.counting import ClaimError
+from maxrigid.counting import ClaimError, NonPositiveCountError
 from maxrigid.finite import _pair_tables
 
 from golden import five_projected_sets, ten_reps
@@ -73,6 +73,12 @@ class TestQuivers:
     def test_segment_layout(self):
         q = segment_quiver(2)
         assert q.m == 5
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_segment_quiver_refuses_no_segments(self, n):
+        """As ``Breakpoints.uniform`` and ``projected_count`` do, not as ``LinearQuiver`` would."""
+        with pytest.raises(NonPositiveCountError, match="^segment count must be >= 1$"):
+            segment_quiver(n)
 
 
 class TestToRefined:

@@ -42,9 +42,9 @@ from maxrigid import (
     validate_rep,
 )
 
-from maxrigid import cli
+from maxrigid import cli, finite
 from maxrigid.cliques import bits, max_cliques
-from maxrigid.continuous import _tables, _vertex_mask, rep_sort_key
+from maxrigid.continuous import _Tables, _tables, _vertex_mask, rep_sort_key
 
 from golden import ten_reps
 from oracles import (
@@ -63,6 +63,7 @@ from oracles import (
     sample_model,
     sampled_masks,
     sweep,
+    tables_pair_loop,
     validate_rep_two_loops,
 )
 
@@ -834,6 +835,30 @@ class TestTables:
         for fam in t.families:
             same = [findex(n)[g] for g in t.families if g.segment == fam.segment]
             assert t.adj[findex(n)[fam]] & sum(1 << v for v in same) == 0, fam
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_rows_equal_the_pair_loop_oracle(self, n):
+        """The rows read off ``_pair_tables(4n+1)`` equal the ``_compatible_ends``
+        pair loop on ranks 2i and 2j+1 (``oracles.tables_pair_loop``), bit for bit."""
+        t = _tables(n)
+        adj = tables_pair_loop(n)
+        assert t.adj == adj
+        assert t.closed == [row | 1 << v for v, row in enumerate(adj)]
+
+    def test_tables_build_without_ext_dim(self, monkeypatch):
+        """Rows come from runs and the refined grid, not from ``ext_dim`` pair by pair."""
+
+        class Called(Exception):
+            pass
+
+        def refuse(*args):
+            raise Called(args)
+
+        monkeypatch.setattr(finite, "ext_dim", refuse)
+        for m in (1, 2, 5, 17):
+            assert len(finite._pair_tables.__wrapped__(m)) == m * (m + 1) // 2
+        finite._pair_tables.cache_clear()
+        assert _Tables(4).closed == _tables(4).closed
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_one_rank_equals_every_sample_count(self, n):

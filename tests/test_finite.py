@@ -114,8 +114,9 @@ class TestRigidity:
 
     def test_ranks_and_rows_equal_the_pair_loop_oracle(self):
         """``_rank`` is the ``all_intervals`` index, and the closed rows are the
-        oracle's rows with the diagonal added, bit for bit, for every m <= 25."""
-        for m in range(1, 26):
+        oracle's rows with the diagonal added, bit for bit, for every m <= 33:
+        every ``_pair_tables(4n+1)`` that ``_Tables(n)`` reads for n <= 8."""
+        for m in range(1, 34):
             ivs, index, adj = pair_tables(m)
             assert [_rank(m, iv.a, iv.b) for iv in ivs] == [index[iv] for iv in ivs], m
             assert _pair_tables(m) == [row | 1 << v for v, row in enumerate(adj)], m
