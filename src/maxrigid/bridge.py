@@ -37,7 +37,7 @@ from typing import Iterable
 
 from .cliques import bits, common_neighbourhood
 from .continuous import BreakpointRep, Breakpoints, BreakSummand, _summand_codes, _tables
-from .counting import NonPositiveCountError, claim
+from .counting import _check_count, claim
 from .intervals import CLOSED, OPEN, Interval
 from .finite import FiniteInterval, LinearQuiver, ext_dim
 
@@ -51,8 +51,7 @@ def segment_quiver(n: int) -> LinearQuiver:
 
     Vertex 2i+1 is breakpoint a_i and vertex 2i+2 the open segment from a_i to a_{i+1}.
     """
-    if n < 1:
-        raise NonPositiveCountError("segment count must be >= 1")
+    _check_count(n, "segment")
     return LinearQuiver(2 * n + 1)
 
 

@@ -27,9 +27,10 @@ from .continuous import (
     validate_rep,
 )
 from .finite import MAX_M, LinearQuiver, ResourceLimitError, _check_cap, enumerate_maximal_rigid
-from .intervals import CLOSED, OPEN, BoundaryKind, InvalidIntervalError
+from .intervals import BoundaryKind, InvalidIntervalError
 
-_KINDS = {"closed": CLOSED, "open": OPEN}
+_KINDS = {str(k): k for k in BoundaryKind}
+_SIDES = tuple(map(str, Side))  # a tuple: the BadSide check meets unhashable JSON values
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -155,7 +156,7 @@ def rep_from_dict(data: dict) -> BreakpointRep:
     for entry in data.get("families", []):
         _expect_keys(entry, {"segment", "side", "anchor", "anchor_kind"}, "families entry")
         side = entry.get("side")
-        if side not in ("left", "right"):
+        if side not in _SIDES:
             raise InvalidRepError(f"BadSide({side!r})")
         try:
             families.append(
@@ -320,8 +321,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.n < 1:
-        raise counting.NonPositiveCountError("segment count must be >= 1")
+    counting._check_count(args.n, "segment")
     # the checks enumerate every rep up to n, so they share the enumerator's default cap
     if args.n > MAX_N:
         raise ResourceLimitError(f"n={args.n} exceeds the verify cap {MAX_N}")

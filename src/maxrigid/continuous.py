@@ -30,7 +30,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .cliques import bits, common_neighbourhood, max_cliques
-from .counting import NonPositiveCountError, claim
+from .counting import _check_count, claim
 from .finite import _check_cap, _pair_tables, _rank
 from .intervals import (
     CLOSED,
@@ -155,8 +155,8 @@ class FamilyChoice:
         _check_ints(self.segment, self.anchor)
         if self.segment < 0 or self.anchor < 0:
             raise ValueError("segment and anchor indices must be nonnegative")
-        if not isinstance(self.side, Side):
-            object.__setattr__(self, "side", Side(self.side))
+        if not isinstance(self.side, Side):  # as for kinds, "right" is not RIGHT
+            raise TypeError(f"not a Side: {self.side!r}")
 
     def members(self, x: Point) -> tuple[Interval, Interval]:
         far, kind = Point.breakpoint(self.anchor), self.anchor_kind
@@ -195,8 +195,7 @@ class Breakpoints:
 
     @classmethod
     def uniform(cls, n: int) -> "Breakpoints":
-        if n < 1:
-            raise NonPositiveCountError("segment count must be >= 1")
+        _check_count(n, "segment")
         return cls(tuple(Fraction(i, n) for i in range(n + 1)))
 
     @property
@@ -295,27 +294,22 @@ def is_rigid(rep: BreakpointRep) -> bool:
 
 
 def all_break_summands(n: int) -> list[BreakSummand]:
-    """Every flavored breakpoint interval on n segments, canonically sorted."""
-    out = [BreakSummand(i, CLOSED, i, CLOSED) for i in range(n + 1)]
-    for i in range(n + 1):
-        for j in range(i + 1, n + 1):
-            for lk in (CLOSED, OPEN):
-                for hk in (CLOSED, OPEN):
-                    out.append(BreakSummand(i, lk, j, hk))
-    return sorted(out)
+    """Every flavored breakpoint interval on n segments, built in dataclass order."""
+    return [
+        BreakSummand(i, lk, j, hk)
+        for i in range(n + 1) for lk in (CLOSED, OPEN)
+        for j in range(i, n + 1) for hk in (CLOSED, OPEN)
+        if j > i or lk is hk is CLOSED  # at j = i only the point module [a_i, a_i]
+    ]
 
 
 def all_family_choices(n: int) -> list[FamilyChoice]:
-    """Every admissible family choice on n segments, canonically sorted."""
-    out = []
-    for j in range(n):
-        for s in range(j + 1, n + 1):
-            for kind in (CLOSED, OPEN):
-                out.append(FamilyChoice(j, RIGHT, s, kind))
-        for s in range(0, j + 1):
-            for kind in (CLOSED, OPEN):
-                out.append(FamilyChoice(j, LEFT, s, kind))
-    return sorted(out)
+    """Every admissible family choice on n segments, built in dataclass order: segment j
+    takes left anchors 0..j, then right ones, so f is at (2n+2)*segment + 2*anchor + kind."""
+    return [
+        FamilyChoice(j, LEFT if s <= j else RIGHT, s, kind)
+        for j in range(n) for s in range(n + 1) for kind in (CLOSED, OPEN)
+    ]
 
 
 class _Tables:
@@ -323,9 +317,8 @@ class _Tables:
 
     Vertex ``si < S`` is the breakpoint summand ``summands[si]`` and vertex
     ``S + fi`` is the family choice ``families[fi]``, where ``S`` is the
-    summand count: summand ``s`` is ``code_vertex[s.code]``, and family ``f``
-    is ``S + (2n + 2) * f.segment + 2 * f.anchor + f.anchor_kind`` (segment j
-    holds left anchors 0..j, then right ones).  Two vertices are adjacent in
+    summand count: summand ``s`` is ``code_vertex[s.code]``, and a family's
+    ``fi`` is a formula of it (``all_family_choices``).  Two vertices are adjacent in
     ``adj`` when every member of one is compatible with every member of the
     other; ``cliques.common_neighbourhood`` over ``closed[v] = adj[v] | 1 << v``
     decides rigidity, maximality and ``bridge.fiber_reps``' forced families;
@@ -443,7 +436,7 @@ def enumerate_maximal_rigid_reps(grid: Breakpoints, max_n: int = MAX_N) -> list[
     The cliques are grouped by summand mask, the groups sorted by summand
     vertices and the family vertices sorted within each group.  Both
     vertex ranges follow ``all_break_summands`` and ``all_family_choices``,
-    which are canonically sorted, so vertex order is dataclass order and
+    which are built in dataclass order, so vertex order is dataclass order and
     the result is in ``rep_sort_key`` order.  The reps of one group share
     its summand tuple.  ``max_n`` (default ``MAX_N``) guards against
     accidental huge runs.

@@ -24,7 +24,7 @@ from operator import itemgetter
 from typing import Iterable
 
 from .cliques import bits, common_neighbourhood
-from .counting import NonPositiveCountError, claim
+from .counting import _check_count, claim
 from .intervals import _check_ints
 
 
@@ -64,8 +64,7 @@ class LinearQuiver:
     m: int
 
     def __post_init__(self):
-        if self.m < 1:
-            raise NonPositiveCountError(f"vertex count must be >= 1, got {self.m}")
+        _check_count(self.m, "vertex")
 
     def check(self, interval: FiniteInterval) -> None:
         if interval.b > self.m:

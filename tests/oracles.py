@@ -45,6 +45,9 @@ suite can compare the two:
   * ``is_clique`` and ``is_maximal_clique`` test one row per vertex, as
     the library did before it read both verdicts off
     ``cliques.common_neighbourhood``.
+  * ``rep_from_dict_reference`` is ``cli.rep_from_dict`` as it was written
+    with its own literal spellings of kinds and sides; the library's
+    decoder must return an equal rep or raise the same error.
 """
 
 from __future__ import annotations
@@ -62,7 +65,10 @@ from maxrigid import (
     OPEN,
     RIGHT,
     BadAnchorRangeError,
+    BoundaryKind,
     BreakpointRep,
+    Breakpoints,
+    BreakSummand,
     DuplicateFamilyError,
     DuplicateSummandError,
     FamilyChoice,
@@ -74,6 +80,7 @@ from maxrigid import (
     NotRigidError,
     Point,
     RefinedRep,
+    Side,
     all_break_summands,
     all_family_choices,
     all_intervals,
@@ -84,9 +91,9 @@ from maxrigid import (
     validate_rep,
 )
 from maxrigid.cliques import bits, max_cliques
-from maxrigid.continuous import _tables
+from maxrigid.continuous import _lowest_unnamed, _tables
 from maxrigid.finite import _pair_tables
-from maxrigid.intervals import _compatible_ends
+from maxrigid.intervals import InvalidIntervalError, _compatible_ends
 
 
 @dataclass(frozen=True)
@@ -552,3 +559,94 @@ def image_vertices(n: int) -> dict[tuple[int, int], int]:
         (2 * s.lo + 1 + s.lo_kind, 2 * s.hi + 1 - s.hi_kind): v
         for v, s in enumerate(_tables(n).summands)
     }
+
+
+_KINDS_REFERENCE = {"closed": CLOSED, "open": OPEN}
+
+
+def _expect_keys_reference(obj, allowed: set[str], where: str) -> None:
+    if not isinstance(obj, dict):
+        raise InvalidRepError(f"NotAnObject({where})")
+    extra = set(obj) - allowed
+    if extra:
+        raise InvalidRepError(f"UnknownKey({sorted(extra)[0]}) in {where}")
+
+
+def _kind_reference(value, where: str) -> BoundaryKind:
+    if value not in _KINDS_REFERENCE:
+        raise InvalidRepError(f"BadBoundaryKind({value!r}) in {where}")
+    return _KINDS_REFERENCE[value]
+
+
+def _int_reference(value) -> int:
+    """A JSON integer; floats, strings and booleans raise TypeError."""
+    if type(value) is not int:
+        raise TypeError(f"not an integer: {value!r}")
+    return value
+
+
+def rep_from_dict_reference(data: dict) -> BreakpointRep:
+    """``cli.rep_from_dict`` with the literal spellings ``"closed"``, ``"open"``,
+    ``"left"`` and ``"right"``, and its helpers copied beside it."""
+    if not isinstance(data, dict):
+        raise InvalidRepError("TopLevelNotAnObject")
+    _expect_keys_reference(data, {"n", "alpha", "t_part", "families"}, "top level")
+    try:
+        n = _int_reference(data["n"])
+    except (KeyError, TypeError):
+        raise InvalidRepError("MissingOrBadField(n)") from None
+    for field in ("t_part", "families"):
+        if field in data and not isinstance(data[field], list):
+            raise InvalidRepError(f"NotAList({field})")
+    summands = []
+    for entry in data.get("t_part", []):
+        _expect_keys_reference(entry, {"lo", "lo_kind", "hi", "hi_kind"}, "t_part entry")
+        try:
+            summands.append(
+                BreakSummand(
+                    _int_reference(entry["lo"]),
+                    _kind_reference(entry["lo_kind"], "t_part entry"),
+                    _int_reference(entry["hi"]),
+                    _kind_reference(entry["hi_kind"], "t_part entry"),
+                )
+            )
+        except InvalidIntervalError as exc:
+            raise InvalidRepError(str(exc)) from None
+        except (KeyError, TypeError, ValueError) as exc:
+            if isinstance(exc, InvalidRepError):
+                raise
+            raise InvalidRepError("MissingOrBadField(t_part)") from None
+    families = []
+    for entry in data.get("families", []):
+        _expect_keys_reference(entry, {"segment", "side", "anchor", "anchor_kind"}, "families entry")
+        side = entry.get("side")
+        if side not in ("left", "right"):
+            raise InvalidRepError(f"BadSide({side!r})")
+        try:
+            families.append(
+                FamilyChoice(
+                    _int_reference(entry["segment"]),
+                    Side(side),
+                    _int_reference(entry["anchor"]),
+                    _kind_reference(entry["anchor_kind"], "families entry"),
+                )
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            if isinstance(exc, InvalidRepError):
+                raise
+            raise InvalidRepError("MissingOrBadField(families)") from None
+    if "alpha" in data and data["alpha"] is not None:
+        if not isinstance(data["alpha"], list):
+            raise InvalidRepError("BadAlpha")
+        try:
+            grid = Breakpoints(tuple(data["alpha"]))
+        except (TypeError, ValueError, ZeroDivisionError):
+            raise InvalidRepError("BadAlpha") from None
+        if grid.n != n:
+            raise InvalidRepError(f"AlphaLengthMismatch(n={n}, points={grid.n + 1})")
+    elif n > len(families):
+        # a valid encoding names each of the n segments exactly once
+        raise MissingFamilyError(_lowest_unnamed({f.segment for f in families}, n))
+    else:
+        grid = Breakpoints.uniform(n)
+    return BreakpointRep(grid=grid, summands=tuple(summands), families=tuple(families))

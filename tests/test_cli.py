@@ -14,7 +14,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import maxrigid
@@ -22,6 +22,7 @@ from maxrigid import cli, counting, enumerate_maximal_rigid_reps, verify
 
 from golden import ten_reps
 from maxrigid import Breakpoints, Point
+from oracles import rep_from_dict_reference
 
 
 def run(capsys, *argv):
@@ -633,6 +634,27 @@ class TestClaims:
         ]
         assert found == []
 
+    def test_one_home_for_the_count_rule_and_the_spellings(self):
+        """``NonPositiveCountError`` is raised only by ``counting._check_count``, and
+        ``cli`` spells no kind or side itself: it reads the names off the enums."""
+        raisers = []
+        for path in sorted(pathlib.Path(maxrigid.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            funcs = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Raise) and "NonPositiveCountError" in ast.unparse(node):
+                    inside = [f for f in funcs if f.lineno <= node.lineno <= f.end_lineno]
+                    raisers.append((path.name, max(inside, key=lambda f: f.lineno).name
+                                    if inside else None))
+        assert raisers == [("counting.py", "_check_count")]
+        cli_source = pathlib.Path(cli.__file__).read_text(encoding="utf-8")
+        spelled = [
+            f"cli.py:{node.lineno}: {node.value}"
+            for node in ast.walk(ast.parse(cli_source))
+            if isinstance(node, ast.Constant) and node.value in ("closed", "open", "left", "right")
+        ]
+        assert spelled == []
+
     def test_failed_claim_exits_1(self, capsys, monkeypatch):
         monkeypatch.setattr(counting, "catalan", lambda m: 0)
         code, out, err = run(capsys, "count", "--n", "1")
@@ -732,3 +754,25 @@ def test_check_never_raises_on_arbitrary_json(tmp_path_factory, payload):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = cli.main(["check", str(path)])
     assert code in (0, 2)
+
+
+def _decoded(decode, payload):
+    """What ``decode`` makes of ``payload``: a rep, or the type and message of its error."""
+    try:
+        return decode(payload)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@given(_encodings)
+# two faults in one entry: the first field read reports
+@example({"n": 1, "t_part": [{"lo": 1.5, "lo_kind": "bad", "hi": 1, "hi_kind": "closed"}]})
+@example({"n": 1, "t_part": [{"lo": 0, "lo_kind": "bad"}]})
+# an unhashable side or kind
+@example({"n": 1, "families": [{"segment": 0, "side": ["left"], "anchor": 0}]})
+@example({"n": 1, "families": [{"segment": 0, "side": "left", "anchor": 0, "anchor_kind": {}}]})
+@settings(max_examples=300, deadline=None)
+def test_decoder_equals_the_reference(payload):
+    """``rep_from_dict`` with the enums' spellings decodes as the literal-spelling
+    original (``oracles.rep_from_dict_reference``): an equal rep, or the same error."""
+    assert _decoded(cli.rep_from_dict, payload) == _decoded(rep_from_dict_reference, payload)

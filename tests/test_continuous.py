@@ -26,12 +26,15 @@ from maxrigid import (
     FiniteInterval,
     Interval,
     InvalidRepError,
+    LinearQuiver,
     MissingFamilyError,
+    NonPositiveCountError,
     NotRigidError,
     Point,
     ResourceLimitError,
     all_break_summands,
     all_family_choices,
+    catalan,
     compatible,
     continuous_count,
     enumerate_maximal_rigid_reps,
@@ -39,6 +42,8 @@ from maxrigid import (
     is_rigid,
     is_uniform,
     project,
+    projected_count,
+    segment_quiver,
     validate_rep,
 )
 
@@ -139,13 +144,36 @@ class TestValidate:
             (lambda: Point(0.5), TypeError, "not an int index: 0.5"),
             (lambda: Point.breakpoint(1.0), TypeError, "not an int index: 1.0"),
             (lambda: Point.generic(True, "1/2"), TypeError, "not an int index: True"),
+            # a side must be a Side, as a kind must be a BoundaryKind
+            (lambda: FamilyChoice(0, "right", 1, CLOSED), TypeError, "not a Side: 'right'"),
+            # one count rule: a plain int of at least 1 (0 for catalan), else
+            # True would count one segment and 2.0 fail later inside range
+            *[
+                (lambda build=build, value=value: build(value), error, message)
+                for build, what, least in [
+                    (LinearQuiver, "vertex", 1),
+                    (Breakpoints.uniform, "segment", 1),
+                    (segment_quiver, "segment", 1),
+                    (projected_count, "segment", 1),
+                    (continuous_count, "segment", 1),
+                    (catalan, "vertex", 0),
+                ]
+                for value, error, message in [
+                    (True, TypeError, "not an int index: True"),
+                    (2.0, TypeError, "not an int index: 2.0"),
+                    (least - 1, NonPositiveCountError, f"{what} count must be >= {least}"),
+                ]
+            ],
         ],
         ids=["one-breakpoint", "inverted-finite-interval", "negative-segment", "offset-one",
              "int-kinds-summand", "int-kinds-point-summand", "int-kinds-point-interval",
              "int-kind-family", "float-lo-summand", "float-zero-lo-summand", "float-hi-summand",
              "bool-lo-summand", "float-segment-family", "bool-anchor-family",
              "float-finite-interval", "bool-finite-interval", "bool-point", "float-point",
-             "float-breakpoint", "bool-generic-point"],
+             "float-breakpoint", "bool-generic-point", "str-side-family",
+             *[f"{value}-{name}" for name in ("linear-quiver", "uniform", "segment-quiver",
+                                              "projected-count", "continuous-count", "catalan")
+               for value in ("bool", "float", "too-few")]],
     )
     def test_constructors_reject_bad_values(self, build, error, message):
         with pytest.raises(error) as err:
@@ -302,10 +330,15 @@ class TestSummandCode:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_family_vertices_follow_the_formula(self, n):
         """Each family's vertex, S + (2n+2)*segment + 2*anchor + kind, is its
-        ``all_family_choices`` index past the S summand vertices."""
+        ``all_family_choices`` index past the S summand vertices.  Both lists
+        are built in strictly increasing dataclass order, with no sort pass."""
         grid = Breakpoints.uniform(n)
-        base = len(all_break_summands(n))
-        index = {f: base + i for i, f in enumerate(all_family_choices(n))}
+        summands, choices = all_break_summands(n), all_family_choices(n)
+        for items, size in ((summands, (n + 1) * (2 * n + 1)), (choices, 2 * n * (n + 1))):
+            assert len(items) == size
+            assert all(a < b for a, b in zip(items, items[1:]))
+        base = len(summands)
+        index = {f: base + i for i, f in enumerate(choices)}
         filler = [FamilyChoice(j, LEFT, 0, CLOSED) for j in range(n)]
         for fam in index:
             families = filler[: fam.segment] + [fam] + filler[fam.segment + 1 :]

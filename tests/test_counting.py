@@ -41,6 +41,7 @@ class TestBinomial:
 
 class TestCatalan:
     def test_values(self):
+        assert catalan(0) == 1  # the empty quiver; the count rule allows m = 0 here only
         assert catalan(1) == 1
         assert catalan(3) == 5
         assert catalan(5) == 42
