@@ -55,7 +55,7 @@ def segment_quiver(n: int) -> LinearQuiver:
     return LinearQuiver(2 * n + 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RefinedRep:
     """Interval modules on the refined quiver avoiding forbidden endpoints.
 

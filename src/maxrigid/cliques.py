@@ -55,6 +55,7 @@ def max_cliques(adjacency: Sequence[int]) -> list[int]:
             x |= vbit
 
     bk(0, (1 << len(adjacency)) - 1, 0)
+    del bk  # bk's closure holds bk; that cycle would keep ``out`` alive until a collection
     return out
 
 

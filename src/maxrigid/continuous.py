@@ -31,7 +31,7 @@ from fractions import Fraction
 
 from .cliques import bits, common_neighbourhood, max_cliques
 from .counting import _check_count, claim
-from .finite import _check_cap, _pair_tables, _rank
+from .finite import _check_cap, _collector_paused, _pair_tables, _rank
 from .intervals import (
     CLOSED,
     OPEN,
@@ -94,7 +94,7 @@ class NotRigidError(ValueError):
     """Maximality was asked of a representation that is not rigid."""
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class BreakSummand:
     """A flavored interval with both endpoints at breakpoints, by index.
 
@@ -135,7 +135,7 @@ class BreakSummand:
         return f"{lb}a{self.lo},a{self.hi}{rb}"
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class FamilyChoice:
     """One segment's two-member family of generic-endpoint intervals.
 
@@ -173,7 +173,7 @@ class FamilyChoice:
         return f"{pair}@seg{self.segment}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Breakpoints:
     """The subdivision 0 = a_0 < a_1 < ... < a_n = 1 (exact rationals).
 
@@ -203,7 +203,7 @@ class Breakpoints:
         return len(self.values) - 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BreakpointRep:
     """A finitely encoded representation: grid, anchored summands, families."""
 
@@ -438,21 +438,24 @@ def enumerate_maximal_rigid_reps(grid: Breakpoints, max_n: int = MAX_N) -> list[
     vertex ranges follow ``all_break_summands`` and ``all_family_choices``,
     which are built in dataclass order, so vertex order is dataclass order and
     the result is in ``rep_sort_key`` order.  The reps of one group share
-    its summand tuple.  ``max_n`` (default ``MAX_N``) guards against
-    accidental huge runs.
+    its summand tuple.  The reps are grouped and built with the garbage
+    collector paused, as ``finite.enumerate_maximal_rigid`` builds its
+    sets: they hold no reference cycles.  ``max_n`` (default ``MAX_N``)
+    guards against accidental huge runs.
     """
     n = grid.n
     _check_cap("n", n, max_n)
     tables = _tables(n)
     split = len(tables.summands)
     groups: dict[int, list[tuple[int, ...]]] = {}
-    for clique in max_cliques(tables.adj):
-        fams = bits(clique >> split)
-        claim(len(fams) == n, "every maximal clique holds one family per segment")
-        groups.setdefault(clique & tables.summand_mask, []).append(tuple(fams))
     out = []
-    for smask in sorted(groups, key=bits):
-        summands = tuple(tables.summands[si] for si in bits(smask))
-        for fams in sorted(groups.pop(smask)):
-            out.append(BreakpointRep(grid, summands, tuple(tables.families[fi] for fi in fams)))
+    with _collector_paused():
+        for clique in max_cliques(tables.adj):
+            fams = bits(clique >> split)
+            claim(len(fams) == n, "every maximal clique holds one family per segment")
+            groups.setdefault(clique & tables.summand_mask, []).append(tuple(fams))
+        for smask in sorted(groups, key=bits):
+            summands = tuple(tables.summands[si] for si in bits(smask))
+            for fams in sorted(groups.pop(smask)):
+                out.append(BreakpointRep(grid, summands, tuple(tables.families[fi] for fi in fams)))
     return out

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import math
 
-from .intervals import _check_ints
-
 
 class ClaimError(RuntimeError):
     """An internal claim failed: a bug, not bad input (the CLI exits 1)."""
@@ -23,7 +21,8 @@ def claim(ok: bool, what: str) -> None:
 
 def _check_count(n: int, what: str, least: int = 1) -> None:
     """The one count rule: ``n`` is a plain int (else TypeError) and at least ``least``."""
-    _check_ints(n)
+    if type(n) is not int:
+        raise TypeError(f"not an int count: {n!r}")
     if n < least:
         raise NonPositiveCountError(f"{what} count must be >= {least}")
 

@@ -17,7 +17,9 @@ recursion on the vertex that only the longest module covers.
 from __future__ import annotations
 
 import functools
+import gc
 from bisect import bisect_left
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import product
 from operator import itemgetter
@@ -29,6 +31,7 @@ from .intervals import _check_ints
 
 
 MAX_M = 15  # Catalan(15) is already ~9.7 million sets
+KEY_M = 22  # a tilting-set key holds each rank in a byte: m(m+1)/2 - 1 <= 255
 
 
 class ResourceLimitError(ValueError):
@@ -41,7 +44,24 @@ def _check_cap(name: str, value: int, cap: int) -> None:
         raise ResourceLimitError(f"{name}={value} exceeds cap {cap}; raise max_{name} to proceed")
 
 
-@dataclass(frozen=True, order=True)
+@contextmanager
+def _collector_paused():
+    """Keep the cyclic garbage collector off inside the block.
+
+    For bulk builds of acyclic objects: a collection there only rescans
+    live objects and frees nothing.  Afterwards, even on an exception, the
+    collector is switched back on only if it was on before.
+    """
+    was_on = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_on:
+            gc.enable()
+
+
+@dataclass(frozen=True, order=True, slots=True)
 class FiniteInterval:
     """The vertex range [a, b] supporting an interval module."""
 
@@ -57,7 +77,7 @@ class FiniteInterval:
         return f"[{self.a},{self.b}]"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LinearQuiver:
     """The quiver with vertices 1..m and arrows i -> i+1."""
 
@@ -71,14 +91,15 @@ class LinearQuiver:
             raise ValueError(f"interval {interval} out of range on A_{self.m}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RigidSet:
     """A pairwise Ext-compatible set of pairwise distinct interval modules.
 
     ``members`` lists them in ascending (dataclass) order, each once, so
     two sets are equal exactly when their members are; the constructor
     does not check this.  No quiver is stored: a tilting set on A_m
-    contains [1, m], which fixes m.
+    contains [1, m], which fixes m.  The class is slotted, as are the
+    library's other value classes: an instance has no ``__dict__``.
     """
 
     members: tuple[FiniteInterval, ...]
@@ -252,35 +273,45 @@ def enumerate_maximal_rigid(q: LinearQuiver, max_m: int = MAX_M) -> list[RigidSe
         c(k-a) c(b-k), the Catalan recurrence, and A_m has Catalan(m)
         tilting sets.
 
-    A set is kept as the ascending tuple of its indices in
-    ``all_intervals``, which lists [a, b] at ``_rank`` = start[a] + (b - a);
-    index order is the dataclass order there, so sorting the tuples sorts the
-    sets, and each set's members are its tuple's intervals in that order.
-    ``max_m`` (default ``MAX_M``) guards against accidental huge runs.
+    A set is kept as the ``bytes`` of its indices in ``all_intervals``,
+    ascending, which lists [a, b] at ``_rank`` = start[a] + (b - a);
+    index order is the dataclass order there, so sorting the keys sorts the
+    sets, and each set's members are its key's intervals in that order.
+    The largest rank, m(m+1)/2 - 1, must fit in one byte (8 bits), so m is
+    at most ``KEY_M`` = 22 whatever ``max_m`` (default ``MAX_M``, a guard
+    against accidental huge runs) allows.  ``bytes`` are not tracked by the
+    garbage collector and sort by ``memcmp``.  The sets themselves are
+    built with the collector paused: they hold no reference cycles, so a
+    collection there would only rescan live objects and free nothing.
     """
     _check_cap("m", q.m, max_m)
     m = q.m
+    if m > KEY_M:
+        raise ResourceLimitError(
+            f"m={m} exceeds {KEY_M}: each interval rank must fit in one byte (8 bits) of a key"
+        )
     ivs = all_intervals(q)
     if m == 1:  # itemgetter of one index returns that item, not a 1-tuple
         return [RigidSet((ivs[0],))]
     start = [_rank(m, a, a) for a in range(m + 2)]  # start[0] is never read
-    tilting = {(a, a - 1): [()] for a in range(1, m + 2)}
+    tilting = {(a, a - 1): [b""] for a in range(1, m + 2)}
     for length in range(1, m + 1):
         for a in range(1, m - length + 2):
             b = a + length - 1
-            top = start[a] + length - 1
+            top = bytes((start[a] + length - 1,))
             keys = []
             for k in range(a, b + 1):
                 rights = tilting[k + 1, b]
                 for left in tilting[a, k - 1]:
                     # the members starting at a come before [a, b], the rest after
                     c = bisect_left(left, start[a + 1])
-                    head = left[:c] + (top,) + left[c:]
+                    head = left[:c] + top + left[c:]
                     keys += [head + right for right in rights]
             tilting[a, b] = keys
     keys = tilting.pop((1, m))
     tilting.clear()  # the shorter ranges are freed before the sets are built
     keys.sort()
-    for i, key in enumerate(keys):
-        keys[i] = RigidSet(itemgetter(*key)(ivs))
+    with _collector_paused():
+        for i, key in enumerate(keys):
+            keys[i] = RigidSet(itemgetter(*key)(ivs))
     return keys

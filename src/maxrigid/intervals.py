@@ -91,7 +91,7 @@ def _check_ints(*indices) -> None:
             raise TypeError(f"not an int index: {i!r}")
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Point:
     """A breakpoint (offset 0) or a generic point inside a segment.
 
@@ -136,7 +136,7 @@ class Point:
         return f"x{self.index}:{self.offset}"
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Interval:
     """A nonempty flavored interval; point modules must be closed-closed.
 

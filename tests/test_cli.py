@@ -111,6 +111,17 @@ class TestFinite:
         assert code == 2
         assert err.splitlines() == ["error: m=20 exceeds cap 15; raise max_m to proceed"]
 
+    def test_key_width_is_input_error_before_any_set_is_built(self, capsys, monkeypatch):
+        def refuse(q):
+            raise AssertionError("m=23 must be refused before its intervals are listed")
+
+        monkeypatch.setattr(maxrigid.finite, "all_intervals", refuse)
+        code, out, err = run(capsys, "finite", "--m", "23", "--max-m", "30", "--enumerate")
+        assert code == 2 and out == ""
+        assert err.splitlines() == [
+            "error: m=23 exceeds 22: each interval rank must fit in one byte (8 bits) of a key"
+        ]
+
     @pytest.mark.parametrize(
         "argv, digest",
         [

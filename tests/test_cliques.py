@@ -1,5 +1,6 @@
 """Clique verdicts and maximal-clique enumeration against a brute-force subset filter."""
 
+import gc
 import random
 from itertools import combinations
 
@@ -83,3 +84,15 @@ def test_predicates_against_bruteforce():
                 assert got == (mask in maximal), (trial, adj, mask, within)
             seen.add((got, mask & ~within == 0))
     assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_max_cliques_leaves_no_cycle_behind():
+    """The recursion's closure refers to itself; the result must not wait for a collection."""
+    adj = random_graph(random.Random(5), 12, 0.5)
+    gc.collect()
+    gc.disable()
+    try:
+        max_cliques(adj)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

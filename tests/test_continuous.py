@@ -2,15 +2,19 @@
 
 import copy
 import dataclasses
+import gc
 import hashlib
+import importlib
 import itertools
 import json
 import pickle
+import pkgutil
 import random
 from fractions import Fraction
 
 import pytest
 
+import maxrigid
 from maxrigid import (
     CLOSED,
     LEFT,
@@ -29,9 +33,11 @@ from maxrigid import (
     LinearQuiver,
     MissingFamilyError,
     NonPositiveCountError,
+    RefinedRep,
     NotRigidError,
     Point,
     ResourceLimitError,
+    RigidSet,
     all_break_summands,
     all_family_choices,
     catalan,
@@ -47,7 +53,7 @@ from maxrigid import (
     validate_rep,
 )
 
-from maxrigid import cli, finite
+from maxrigid import cli, continuous, finite
 from maxrigid.cliques import bits, max_cliques
 from maxrigid.continuous import _Tables, _tables, _vertex_mask, rep_sort_key
 
@@ -159,8 +165,8 @@ class TestValidate:
                     (catalan, "vertex", 0),
                 ]
                 for value, error, message in [
-                    (True, TypeError, "not an int index: True"),
-                    (2.0, TypeError, "not an int index: 2.0"),
+                    (True, TypeError, "not an int count: True"),
+                    (2.0, TypeError, "not an int count: 2.0"),
                     (least - 1, NonPositiveCountError, f"{what} count must be >= {least}"),
                 ]
             ],
@@ -370,6 +376,40 @@ class TestSummandCode:
                         is_maximal_rigid(v)
                 seen.add((rigid, maximal))
         assert seen == {(True, True), (True, False), (False, None)}
+
+
+class TestValueClasses:
+    """Every frozen dataclass of the library is slotted and still a plain value."""
+
+    SAMPLES = [
+        Point.generic(1, "1/3"),
+        Interval(Point(0), CLOSED, Point.generic(0, "1/2"), OPEN),
+        BreakSummand(1, CLOSED, 3, OPEN),
+        FamilyChoice(0, LEFT, 0, OPEN),
+        Breakpoints.uniform(2),
+        rep(Breakpoints.uniform(1), [BreakSummand(0, CLOSED, 1, CLOSED)],
+            [FamilyChoice(0, RIGHT, 1, CLOSED)]),
+        FiniteInterval(1, 2),
+        LinearQuiver(3),
+        RigidSet((FiniteInterval(1, 1), FiniteInterval(1, 2))),
+        RefinedRep(1, frozenset({FiniteInterval(1, 4)})),
+    ]
+
+    def test_samples_cover_every_dataclass(self):
+        modules = [importlib.import_module(f"maxrigid.{m.name}")
+                   for m in pkgutil.iter_modules(maxrigid.__path__)]
+        classes = {obj for m in modules for obj in vars(m).values()
+                   if dataclasses.is_dataclass(obj) and obj.__module__ == m.__name__}
+        assert classes == {type(x) for x in self.SAMPLES}
+
+    @pytest.mark.parametrize("value", SAMPLES, ids=lambda x: type(x).__name__)
+    def test_slotted_and_survives_pickle_copy_and_replace(self, value):
+        assert "__slots__" in vars(type(value))
+        assert not hasattr(value, "__dict__")
+        for again in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value),
+                      dataclasses.replace(value)):
+            assert type(again) is type(value) and again == value
+            assert dataclasses.astuple(again) == dataclasses.astuple(value)
 
 
 class TestSampleModel:
@@ -680,6 +720,18 @@ class TestEnumeration:
     def test_cap(self):
         with pytest.raises(ResourceLimitError):
             enumerate_maximal_rigid_reps(Breakpoints.uniform(3), max_n=2)
+
+    def test_reps_are_built_with_the_collector_paused(self, monkeypatch):
+        built = []
+
+        def record(*fields):
+            built.append(gc.isenabled())
+            return BreakpointRep(*fields)
+
+        monkeypatch.setattr(continuous, "BreakpointRep", record)
+        assert len(enumerate_maximal_rigid_reps(Breakpoints.uniform(2))) == 168
+        assert built == [False] * 168
+        assert gc.isenabled()
 
 
 def random_grid(rng, n):

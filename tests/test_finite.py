@@ -1,5 +1,6 @@
 """Linear-quiver interval modules: oracles, rigidity, tilting, enumeration."""
 
+import gc
 import random
 
 import pytest
@@ -19,8 +20,8 @@ from maxrigid import (
     is_rigid_set,
     is_tilting,
 )
-from maxrigid import bridge, verify
-from maxrigid.finite import _pair_tables, _rank
+from maxrigid import bridge, finite, verify
+from maxrigid.finite import KEY_M, _pair_tables, _rank
 
 from oracles import finite_max_cliques, pair_tables
 
@@ -178,7 +179,7 @@ class TestEnumeration:
                 assert str(s) == "{" + ", ".join(map(str, sorted(frozenset(s.members)))) + "}"
 
     def test_enumeration_hashes_no_interval(self, monkeypatch):
-        """The sets are built from index tuples, not from sets of intervals."""
+        """The sets are built from keys of interval indices, not from sets of intervals."""
 
         class Hashed(Exception):
             pass
@@ -214,3 +215,47 @@ class TestEnumeration:
         with pytest.raises(ResourceLimitError):
             enumerate_maximal_rigid(LinearQuiver(5), max_m=4)
         assert len(enumerate_maximal_rigid(LinearQuiver(5), max_m=5)) == 42
+
+    def test_key_width_bounds_m_whatever_the_cap(self, monkeypatch):
+        """A key holds each rank in a byte: A_22 has 253 intervals, A_23 has 276."""
+        assert KEY_M * (KEY_M + 1) // 2 - 1 <= 255 < (KEY_M + 1) * (KEY_M + 2) // 2 - 1
+
+        def refuse(q):
+            raise AssertionError("the width is checked before anything is built")
+
+        monkeypatch.setattr(finite, "all_intervals", refuse)
+        with pytest.raises(ResourceLimitError) as err:
+            enumerate_maximal_rigid(LinearQuiver(23), max_m=30)
+        assert str(err.value) == "m=23 exceeds 22: each interval rank must fit in one byte (8 bits) of a key"
+
+
+class TestCollectorPause:
+    """The sets are built with the garbage collector off, and it is restored after."""
+
+    def test_on_after_a_normal_return(self):
+        assert gc.isenabled()
+        assert len(enumerate_maximal_rigid(LinearQuiver(6))) == 132
+        assert gc.isenabled()
+
+    def test_on_after_an_exception_mid_build(self, monkeypatch):
+        built = []
+
+        def fifth_fails(members):
+            built.append(gc.isenabled())
+            if len(built) == 5:
+                raise RuntimeError("fifth set")
+            return members
+
+        monkeypatch.setattr(finite, "RigidSet", fifth_fails)
+        with pytest.raises(RuntimeError, match="fifth set"):
+            enumerate_maximal_rigid(LinearQuiver(4))
+        assert built == [False] * 5
+        assert gc.isenabled()
+
+    def test_stays_off_when_the_caller_turned_it_off(self):
+        gc.disable()
+        try:
+            assert len(enumerate_maximal_rigid(LinearQuiver(6))) == 132
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
