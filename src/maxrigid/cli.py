@@ -104,7 +104,7 @@ def _expect_keys(obj, allowed: set[str], where: str) -> None:
 
 
 def _kind(value, where: str) -> BoundaryKind:
-    if value not in _KINDS:
+    if type(value) is not str or value not in _KINDS:  # an unhashable value is a bad kind too
         raise InvalidRepError(f"BadBoundaryKind({value!r}) in {where}")
     return _KINDS[value]
 

@@ -5,6 +5,9 @@ vertex ``v``, without the bit of ``v`` itself.  A rigid object is a clique
 of its model's compatibility graph and a maximal rigid one is a maximal
 clique; ``common_neighbourhood`` of its vertices decides both, and
 ``max_cliques`` (Bron-Kerbosch with pivoting) lists the maximal cliques.
+It stops each pivot scan once no vertex of P can do better, and appends
+the leaves of an independent P, or of a child with nothing left to add,
+without a call; neither changes the set of cliques (see its docstring).
 The inner loops are pure bit arithmetic; output order is deterministic for
 a given adjacency.
 """
@@ -29,14 +32,27 @@ def max_cliques(adjacency: Sequence[int]) -> list[int]:
     """All maximal cliques of the whole graph, as bitmasks.
 
     Bron-Kerbosch with the Tomita-Tanaka-Takahashi pivot: the vertex of
-    ``p | x`` with the most neighbors among the candidates ``p``.
+    ``p | x`` with the most neighbors among the candidates ``p``.  Two
+    shortcuts leave the set of cliques unchanged:
+
+      * the pivot scan stops at the first vertex with at least |P| - 1
+        neighbours in P.  A vertex of P has at most |P| - 1 there, so only
+        a vertex of X adjacent to all of P could do better, and the result
+        does not depend on which vertex is the pivot;
+      * when the pivot has no neighbour in P, P is independent (a scan
+        that stops at 0 neighbours had |P| = 1, and a full one saw every
+        vertex of P), so each of its vertices v is a leaf: ``r | v`` is
+        maximal unless a vertex of X is adjacent to v.  Those leaves, and
+        any child whose P would be empty, are appended without a call.
+
+    The empty graph has one maximal clique, the empty one: ``[0]``.
     """
     out: list[int] = []
+    append = out.append
 
     def bk(r: int, p: int, x: int) -> None:
-        if not p and not x:
-            out.append(r)
-            return
+        # p is never empty here
+        enough = p.bit_count() - 1
         best, pivot = -1, -1
         t = p | x
         while t:
@@ -45,16 +61,32 @@ def max_cliques(adjacency: Sequence[int]) -> list[int]:
             c = (adjacency[v] & p).bit_count()
             if c > best:
                 best, pivot = c, v
+                if c >= enough:
+                    break
+        if not best:
+            while p:
+                vbit = p & -p
+                if not x & adjacency[vbit.bit_length() - 1]:
+                    append(r | vbit)
+                p ^= vbit
+            return
         cand = p & ~adjacency[pivot]
         while cand:
             vbit = cand & -cand
-            v = vbit.bit_length() - 1
+            row = adjacency[vbit.bit_length() - 1]
             cand ^= vbit
-            bk(r | vbit, p & adjacency[v], x & adjacency[v])
+            q = p & row
+            if q:
+                bk(r | vbit, q, x & row)
+            elif not x & row:
+                append(r | vbit)
             p ^= vbit
             x |= vbit
 
-    bk(0, (1 << len(adjacency)) - 1, 0)
+    if adjacency:
+        bk(0, (1 << len(adjacency)) - 1, 0)
+    else:
+        append(0)
     del bk  # bk's closure holds bk; that cycle would keep ``out`` alive until a collection
     return out
 

@@ -28,8 +28,9 @@ import functools
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from itertools import compress
 
-from .cliques import bits, common_neighbourhood, max_cliques
+from .cliques import common_neighbourhood, max_cliques
 from .counting import _check_count, claim
 from .finite import _check_cap, _collector_paused, _pair_tables, _rank
 from .intervals import (
@@ -430,32 +431,66 @@ def enumerate_maximal_rigid_reps(grid: Breakpoints, max_n: int = MAX_N) -> list[
         summand extends it, nor does a generic-endpoint one (``_Tables``);
       * every maximal clique has a family on every segment (checked, not
         proven): a clique holds at most one family per segment, and a
-        ``claim`` on each clique that it holds n family vertices stops
-        the run with ClaimError on a counterexample.
+        ``claim`` on each distinct family mask that it holds n family
+        vertices stops the run with ClaimError on a counterexample.
 
-    The cliques are grouped by summand mask, the groups sorted by summand
-    vertices and the family vertices sorted within each group.  Both
-    vertex ranges follow ``all_break_summands`` and ``all_family_choices``,
-    which are built in dataclass order, so vertex order is dataclass order and
-    the result is in ``rep_sort_key`` order.  The reps of one group share
-    its summand tuple.  The reps are grouped and built with the garbage
-    collector paused, as ``finite.enumerate_maximal_rigid`` builds its
-    sets: they hold no reference cycles.  ``max_n`` (default ``MAX_N``)
-    guards against accidental huge runs.
+    The search runs on the graph with its vertex numbering reversed:
+    vertex v of ``_Tables`` is bit V-1-v, so the summands, which come
+    first there, are the high bits and the families the low ones, and the
+    binary digits of a mask, most significant first, list its vertices in
+    ``_Tables`` order.  One plain descending sort of the clique masks is
+    then ``rep_sort_key`` order, by this argument.  Both vertex ranges
+    follow ``all_break_summands`` and ``all_family_choices``, which are
+    built in dataclass order, so comparing two reps is comparing their
+    ascending summand vertex tuples, then their family vertex tuples.  Of
+    two vertex sets of equal size, the one holding the lowest vertex in
+    which they differ has the lexicographically smaller tuple and, with
+    the numbering reversed, the higher mask.  The summand part of a mask
+    lies above its family part, so the masks compare by summand set first
+    and by family set on a tie, and each of those comparisons is between
+    sets of equal size as long as every clique holds 2n+1 summands and n
+    families.  Hence a second ``claim``, on each distinct summand mask,
+    that it holds 2n+1 summands (checked, not proven here: it holds when
+    the summands' image under ``bridge.project`` is a tilting set on
+    A_{2n+1}, which has 2n+1 members).
+
+    The reps are built in one pass over the sorted masks.  Each new
+    summand mask makes one summand tuple, which its reps share, and each
+    distinct family mask makes one family tuple, kept for the call and
+    shared by every rep with those families.  The search, the sort and
+    the build run with the garbage collector paused, as
+    ``finite.enumerate_maximal_rigid`` builds its sets: the reps hold no
+    reference cycles.  ``max_n`` (default ``MAX_N``) guards against
+    accidental huge runs.
     """
     n = grid.n
     _check_cap("n", n, max_n)
     tables = _tables(n)
-    split = len(tables.summands)
-    groups: dict[int, list[tuple[int, ...]]] = {}
-    out = []
+    width, split = len(tables.adj), len(tables.families)
+    adj = [int(format(row, f"0{width}b")[::-1], 2) for row in reversed(tables.adj)]
+    low = (1 << split) - 1
+    flags = bytes.maketrans(b"01", b"\0\1")
+
+    def members(items: list, mask: int) -> tuple:
+        """The items whose vertex bit is set: the mask's digits, one per item, as 0/1 bytes."""
+        return tuple(compress(items, format(mask, f"0{len(items)}b").encode().translate(flags)))
+
+    family_tuples: dict[int, tuple[FamilyChoice, ...]] = {}
+    last, out = -1, []
     with _collector_paused():
-        for clique in max_cliques(tables.adj):
-            fams = bits(clique >> split)
-            claim(len(fams) == n, "every maximal clique holds one family per segment")
-            groups.setdefault(clique & tables.summand_mask, []).append(tuple(fams))
-        for smask in sorted(groups, key=bits):
-            summands = tuple(tables.summands[si] for si in bits(smask))
-            for fams in sorted(groups.pop(smask)):
-                out.append(BreakpointRep(grid, summands, tuple(tables.families[fi] for fi in fams)))
+        cliques = max_cliques(adj)
+        cliques.sort(reverse=True)
+        for clique in cliques:
+            smask = clique >> split
+            if smask != last:
+                last = smask
+                summands = members(tables.summands, smask)
+                claim(len(summands) == 2 * n + 1, "every maximal clique holds 2n+1 summands")
+            fmask = clique & low
+            families = family_tuples.get(fmask)
+            if families is None:
+                families = members(tables.families, fmask)
+                claim(len(families) == n, "every maximal clique holds one family per segment")
+                family_tuples[fmask] = families
+            out.append(BreakpointRep(grid, summands, families))
     return out

@@ -48,6 +48,11 @@ suite can compare the two:
   * ``rep_from_dict_reference`` is ``cli.rep_from_dict`` as it was written
     with its own literal spellings of kinds and sides; the library's
     decoder must return an equal rep or raise the same error.
+  * ``enumerate_by_groups`` is ``enumerate_maximal_rigid_reps`` as it was
+    written before it sorted bit-reversed clique masks: the cliques of
+    ``_Tables.adj`` grouped by summand mask, the groups sorted by summand
+    vertices and the family vertices sorted within each group; the
+    library's list must equal it, order included.
 """
 
 from __future__ import annotations
@@ -418,6 +423,24 @@ def finite_max_cliques(m: int) -> list[tuple[int, ...]]:
     return sorted(tuple(bits(mask)) for mask in max_cliques(adj))
 
 
+def enumerate_by_groups(grid: Breakpoints) -> list[BreakpointRep]:
+    """The maximal rigid reps on ``grid`` in ``rep_sort_key`` order, by grouping and sorting."""
+    n = grid.n
+    tables = _tables(n)
+    split = len(tables.summands)
+    groups: dict[int, list[tuple[int, ...]]] = {}
+    for clique in max_cliques(tables.adj):
+        fams = bits(clique >> split)
+        assert len(fams) == n, clique
+        groups.setdefault(clique & tables.summand_mask, []).append(tuple(fams))
+    out = []
+    for smask in sorted(groups, key=bits):
+        summands = tuple(tables.summands[si] for si in bits(smask))
+        for fams in sorted(groups.pop(smask)):
+            out.append(BreakpointRep(grid, summands, tuple(tables.families[fi] for fi in fams)))
+    return out
+
+
 def pair_tables(m: int) -> tuple[list[FiniteInterval], dict[FiniteInterval, int], list[int]]:
     """The intervals of A_m, their ranks by dict and the compatibility rows
     without the diagonal, one ``ext_dim`` pair at a time."""
@@ -573,7 +596,7 @@ def _expect_keys_reference(obj, allowed: set[str], where: str) -> None:
 
 
 def _kind_reference(value, where: str) -> BoundaryKind:
-    if value not in _KINDS_REFERENCE:
+    if type(value) is not str or value not in _KINDS_REFERENCE:
         raise InvalidRepError(f"BadBoundaryKind({value!r}) in {where}")
     return _KINDS_REFERENCE[value]
 

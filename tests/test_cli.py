@@ -782,8 +782,24 @@ def _decoded(decode, payload):
 # an unhashable side or kind
 @example({"n": 1, "families": [{"segment": 0, "side": ["left"], "anchor": 0}]})
 @example({"n": 1, "families": [{"segment": 0, "side": "left", "anchor": 0, "anchor_kind": {}}]})
+@example({"n": 1, "t_part": [{"lo": 0, "lo_kind": [], "hi": 1, "hi_kind": "closed"}]})
 @settings(max_examples=300, deadline=None)
 def test_decoder_equals_the_reference(payload):
     """``rep_from_dict`` with the enums' spellings decodes as the literal-spelling
     original (``oracles.rep_from_dict_reference``): an equal rep, or the same error."""
     assert _decoded(cli.rep_from_dict, payload) == _decoded(rep_from_dict_reference, payload)
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"n": 1, "families": [{"segment": 0, "side": "left", "anchor": 0, "anchor_kind": {}}]},
+         "BadBoundaryKind({}) in families entry"),
+        ({"n": 1, "t_part": [{"lo": 0, "lo_kind": [], "hi": 1, "hi_kind": "closed"}]},
+         "BadBoundaryKind([]) in t_part entry"),
+    ],
+)
+def test_decoder_and_reference_call_an_unhashable_kind_a_bad_kind(payload, message):
+    """The two unhashable-kind examples above, with the message both decoders give."""
+    for decode in (cli.rep_from_dict, rep_from_dict_reference):
+        assert _decoded(decode, payload) == (cli.InvalidRepError, message)

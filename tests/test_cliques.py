@@ -41,6 +41,57 @@ def test_against_bruteforce():
         assert got == brute_max_cliques(adj, n, (1 << n) - 1), (trial, adj)
 
 
+def star(k):
+    """Vertex 0 joined to each of 1..k-1."""
+    return [(1 << k) - 2] + [1] * (k - 1)
+
+
+def path(k):
+    """Vertex v joined to v - 1 and v + 1."""
+    return [(5 << v >> 1) & ((1 << k) - 1) for v in range(k)]
+
+
+SHAPES = {
+    "empty": [],
+    "edgeless": [0] * 6,
+    "complete": [((1 << 6) - 1) ^ 1 << v for v in range(6)],
+    "star": star(6),
+    "path": path(7),
+    "star and triangle": star(3) + [0b110000, 0b101000, 0b011000],
+    "triangle on a star's leaf": [0b1110, 0b1, 0b110001, 0b1, 0b100100, 0b10100],
+}
+
+
+def test_shortcut_shapes_against_bruteforce():
+    """Graphs that drive each shortcut of ``max_cliques``.
+
+    The edgeless graph gives its k singletons, all appended at once from an
+    independent P; the complete graph one clique, its scans stopping at the
+    first vertex; the star and the path end in independent P's and in
+    children with nothing left to add.  In the star beside a triangle, the
+    first triangle vertex, once done, is an X vertex that covers the P of
+    the next one's branch, and is scanned first there.  In the triangle
+    {2, 4, 5} on the leaf 2 of the star centred at 0, the branch of 5 has
+    P = {2}, independent, and X = {4}, adjacent to 2: {2, 5} is no leaf.
+    """
+    for name, adj in SHAPES.items():
+        n = len(adj)
+        assert brute_max_cliques(adj, n, (1 << n) - 1) == sorted(max_cliques(adj)), name
+    assert max_cliques([]) == [0]
+    assert sorted(max_cliques(SHAPES["edgeless"])) == [1 << v for v in range(6)]
+    assert max_cliques(SHAPES["complete"]) == [(1 << 6) - 1]
+    assert sorted(max_cliques(SHAPES["star"])) == [1 | 1 << v for v in range(1, 6)]
+    assert sorted(max_cliques(SHAPES["path"])) == [3 << v for v in range(6)]
+    assert sorted(max_cliques(SHAPES["star and triangle"])) == [0b11, 0b101, 0b111000]
+    assert sorted(max_cliques(SHAPES["triangle on a star's leaf"])) == [0b11, 0b101, 0b1001, 0b110100]
+
+
+def test_max_cliques_is_deterministic():
+    rng = random.Random(13)
+    for adj in [*SHAPES.values(), *(random_graph(rng, 12, p) for p in (0.2, 0.5, 0.8))]:
+        assert max_cliques(adj) == max_cliques(list(adj))
+
+
 def test_bits_roundtrip():
     assert bits(0) == []
     assert bits(0b10110) == [1, 2, 4]

@@ -56,12 +56,14 @@ from maxrigid import (
 from maxrigid import cli, continuous, finite
 from maxrigid.cliques import bits, max_cliques
 from maxrigid.continuous import _Tables, _tables, _vertex_mask, rep_sort_key
+from maxrigid.counting import ClaimError
 
 from golden import ten_reps
 from oracles import (
     DEFAULT_FRESH,
     canonicalize,
     endpoint_profile,
+    enumerate_by_groups,
     findex,
     generic_addable,
     hash_mask,
@@ -732,6 +734,45 @@ class TestEnumeration:
         assert len(enumerate_maximal_rigid_reps(Breakpoints.uniform(2))) == 168
         assert built == [False] * 168
         assert gc.isenabled()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_order_equals_the_grouping_oracle(self, n):
+        """One descending sort of bit-reversed masks gives the grouped and sorted list."""
+        grid = Breakpoints.uniform(n)
+        reps = enumerate_maximal_rigid_reps(grid)
+        assert reps == enumerate_by_groups(grid)
+        assert len(reps) == continuous_count(n)
+
+    def test_reps_share_their_summand_and_family_tuples(self):
+        reps = enumerate_maximal_rigid_reps(Breakpoints.uniform(2))
+        assert len({id(r.summands) for r in reps}) == len({r.summands for r in reps}) == catalan(5)
+        assert len({id(r.families) for r in reps}) == len({r.families for r in reps})
+
+    @staticmethod
+    def doctored(monkeypatch, n, row):
+        """``_tables(n)`` with each adjacency row replaced by ``row(v, adj[v])``, both ways."""
+        t = copy.copy(_Tables(n))
+        t.adj = [row(v, r) for v, r in enumerate(t.adj)]
+        assert all((t.adj[u] >> v & 1) == (t.adj[v] >> u & 1) for u in range(len(t.adj))
+                   for v in range(len(t.adj)))
+        monkeypatch.setattr(continuous, "_tables", lambda m: t)
+        return Breakpoints.uniform(n)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_family_claim_stops_a_clique_without_families(self, monkeypatch, n):
+        """With every family vertex isolated, the first clique holds 2n+1 summands and no family."""
+        split = len(_tables(n).summands)
+        summands = (1 << split) - 1
+        grid = self.doctored(monkeypatch, n, lambda v, r: r & summands if v < split else 0)
+        with pytest.raises(ClaimError, match="^every maximal clique holds one family per segment$"):
+            enumerate_maximal_rigid_reps(grid)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_summand_claim_stops_a_short_summand_set(self, monkeypatch, n):
+        """With summand vertex 0 isolated, the first clique is that one summand alone."""
+        grid = self.doctored(monkeypatch, n, lambda v, r: 0 if v == 0 else r & ~1)
+        with pytest.raises(ClaimError, match=r"^every maximal clique holds 2n\+1 summands$"):
+            enumerate_maximal_rigid_reps(grid)
 
 
 def random_grid(rng, n):
