@@ -39,11 +39,15 @@ def max_cliques(adjacency: Sequence[int]) -> list[int]:
         neighbours in P.  A vertex of P has at most |P| - 1 there, so only
         a vertex of X adjacent to all of P could do better, and the result
         does not depend on which vertex is the pivot;
-      * when the pivot has no neighbour in P, P is independent (a scan
-        that stops at 0 neighbours had |P| = 1, and a full one saw every
-        vertex of P), so each of its vertices v is a leaf: ``r | v`` is
-        maximal unless a vertex of X is adjacent to v.  Those leaves, and
-        any child whose P would be empty, are appended without a call.
+      * a child whose P would be empty is a leaf: ``r | v`` is maximal
+        unless a vertex of X is adjacent to v, and it is appended without
+        a call.  When the pivot has no neighbour in P, P is independent
+        (a scan that stops at 0 neighbours had |P| = 1, and a full one saw
+        every vertex of P), so every child is such a leaf.  The general
+        loop would append the same leaves in the same order; the separate
+        loop for that case skips its per-leaf ``p & row`` and ``x |= v``,
+        which took ``enum-n3`` ``run_ref`` from 40.6 to 38.6 ref (10 of 10
+        alternating pairs, ``BENCH_22.json`` ``independent_p_loop``).
 
     The empty graph has one maximal clique, the empty one: ``[0]``.
     """

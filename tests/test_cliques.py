@@ -32,15 +32,6 @@ def random_graph(rng, n, p):
     return adj
 
 
-def test_against_bruteforce():
-    rng = random.Random(7)
-    for trial in range(40):
-        n = rng.randrange(1, 11)
-        adj = random_graph(rng, n, rng.choice([0.2, 0.5, 0.8]))
-        got = sorted(max_cliques(adj))
-        assert got == brute_max_cliques(adj, n, (1 << n) - 1), (trial, adj)
-
-
 def star(k):
     """Vertex 0 joined to each of 1..k-1."""
     return [(1 << k) - 2] + [1] * (k - 1)
@@ -62,8 +53,18 @@ SHAPES = {
 }
 
 
-def test_shortcut_shapes_against_bruteforce():
-    """Graphs that drive each shortcut of ``max_cliques``.
+def test_against_bruteforce():
+    rng = random.Random(7)
+    graphs = [*SHAPES.values()]
+    for _ in range(40):
+        graphs.append(random_graph(rng, rng.randrange(1, 11), rng.choice([0.2, 0.5, 0.8])))
+    for trial, adj in enumerate(graphs):
+        n = len(adj)
+        assert sorted(max_cliques(adj)) == brute_max_cliques(adj, n, (1 << n) - 1), (trial, adj)
+
+
+def test_shortcut_shapes_in_order():
+    """The exact lists, order included, on graphs that drive each shortcut of ``max_cliques``.
 
     The edgeless graph gives its k singletons, all appended at once from an
     independent P; the complete graph one clique, its scans stopping at the
@@ -74,22 +75,13 @@ def test_shortcut_shapes_against_bruteforce():
     {2, 4, 5} on the leaf 2 of the star centred at 0, the branch of 5 has
     P = {2}, independent, and X = {4}, adjacent to 2: {2, 5} is no leaf.
     """
-    for name, adj in SHAPES.items():
-        n = len(adj)
-        assert brute_max_cliques(adj, n, (1 << n) - 1) == sorted(max_cliques(adj)), name
-    assert max_cliques([]) == [0]
-    assert sorted(max_cliques(SHAPES["edgeless"])) == [1 << v for v in range(6)]
+    assert max_cliques(SHAPES["empty"]) == [0]
+    assert max_cliques(SHAPES["edgeless"]) == [1 << v for v in range(6)]
     assert max_cliques(SHAPES["complete"]) == [(1 << 6) - 1]
-    assert sorted(max_cliques(SHAPES["star"])) == [1 | 1 << v for v in range(1, 6)]
-    assert sorted(max_cliques(SHAPES["path"])) == [3 << v for v in range(6)]
-    assert sorted(max_cliques(SHAPES["star and triangle"])) == [0b11, 0b101, 0b111000]
-    assert sorted(max_cliques(SHAPES["triangle on a star's leaf"])) == [0b11, 0b101, 0b1001, 0b110100]
-
-
-def test_max_cliques_is_deterministic():
-    rng = random.Random(13)
-    for adj in [*SHAPES.values(), *(random_graph(rng, 12, p) for p in (0.2, 0.5, 0.8))]:
-        assert max_cliques(adj) == max_cliques(list(adj))
+    assert max_cliques(SHAPES["star"]) == [1 | 1 << v for v in range(1, 6)]
+    assert max_cliques(SHAPES["path"]) == [3 << v for v in range(6)]
+    assert max_cliques(SHAPES["star and triangle"]) == [0b11, 0b101, 0b111000]
+    assert max_cliques(SHAPES["triangle on a star's leaf"]) == [0b11, 0b101, 0b1001, 0b110100]
 
 
 def test_bits_roundtrip():
