@@ -10,6 +10,8 @@ independent oracle exercised by the test suite.
 
 __version__ = "0.1.0"
 
+import types as _types
+
 from .intervals import (
     CLOSED,
     OPEN,
@@ -79,63 +81,9 @@ from .counting import (
     projected_count,
 )
 
-__all__ = [
-    "BoundaryKind",
-    "CLOSED",
-    "OPEN",
-    "Point",
-    "Interval",
-    "compatible",
-    "InvalidIntervalError",
-    "EmptyIntervalError",
-    "InvertedIntervalError",
-    "LinearQuiver",
-    "FiniteInterval",
-    "RigidSet",
-    "ResourceLimitError",
-    "all_intervals",
-    "hom_dim",
-    "hom_dim_bruteforce",
-    "ext_dim",
-    "ext_dim_resolution",
-    "euler_form",
-    "is_rigid_set",
-    "is_tilting",
-    "is_maximal_rigid_set",
-    "enumerate_maximal_rigid",
-    "Side",
-    "LEFT",
-    "RIGHT",
-    "BreakSummand",
-    "FamilyChoice",
-    "Breakpoints",
-    "BreakpointRep",
-    "InvalidRepError",
-    "DuplicateSummandError",
-    "DuplicateFamilyError",
-    "MissingFamilyError",
-    "BadAnchorRangeError",
-    "NotRigidError",
-    "sample_offsets",
-    "all_break_summands",
-    "all_family_choices",
-    "validate_rep",
-    "is_uniform",
-    "is_rigid",
-    "is_maximal_rigid",
-    "enumerate_maximal_rigid_reps",
-    "segment_quiver",
-    "RefinedRep",
-    "condense",
-    "expand",
-    "project",
-    "pull_back_summands",
-    "NotMaximalRigidImageError",
-    "fiber_reps",
-    "discretized_compatible",
-    "binomial",
-    "catalan",
-    "projected_count",
-    "continuous_count",
-    "NonPositiveCountError",
-]
+# Every public, non-module name the imports above bind.
+__all__ = sorted(
+    name
+    for name, obj in globals().items()
+    if not name.startswith("_") and not isinstance(obj, _types.ModuleType)
+)

@@ -68,19 +68,16 @@ class InvalidRepError(ValueError):
 class DuplicateSummandError(InvalidRepError):
     def __init__(self, summand):
         super().__init__(f"DuplicateSummand({summand})")
-        self.summand = summand
 
 
 class MissingFamilyError(InvalidRepError):
     def __init__(self, segment: int):
         super().__init__(f"MissingFamily({segment})")
-        self.segment = segment
 
 
 class DuplicateFamilyError(InvalidRepError):
     def __init__(self, segment: int):
         super().__init__(f"DuplicateFamily({segment})")
-        self.segment = segment
 
 
 class BadAnchorRangeError(InvalidRepError):
@@ -88,7 +85,6 @@ class BadAnchorRangeError(InvalidRepError):
         super().__init__(
             f"BadAnchorRange(segment={family.segment}, side={family.side}, anchor={family.anchor})"
         )
-        self.family = family
 
 
 class NotRigidError(ValueError):

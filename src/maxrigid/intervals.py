@@ -156,10 +156,6 @@ class Interval:
         if self.lo == self.hi and (self.lo_kind is not CLOSED or self.hi_kind is not CLOSED):
             raise EmptyIntervalError(f"EmptyInterval(open end at {self.lo})")
 
-    @property
-    def is_point(self) -> bool:
-        return self.lo == self.hi
-
     def __str__(self) -> str:
         lb = "[" if self.lo_kind is CLOSED else "("
         rb = "]" if self.hi_kind is CLOSED else ")"

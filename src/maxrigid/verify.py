@@ -2,13 +2,14 @@
 
 Each check replays a fast path against its independent oracle and
 returns ``(label, ok)``; :func:`checks` yields them in the order the CLI
-prints them.  The acceptance suite calls the same functions, so the CLI
-and the tests cannot drift apart.
+prints them.  The per-n enumeration checks take the two lists of
+:func:`enumerations` as arguments: ``checks`` builds them once per n and
+drops them before the next.  The acceptance suite calls the same
+functions, so the CLI and the tests cannot drift apart.
 """
 
 from __future__ import annotations
 
-import functools
 import random
 from collections import Counter
 from fractions import Fraction
@@ -105,20 +106,17 @@ def random_compatibility(
     return f"compatibility matches the discretized Ext oracle ({pairs} random pairs, seed {seed})", ok
 
 
-@functools.cache
-def enumerations(n: int) -> tuple[tuple[BreakpointRep, ...], tuple[finite.RigidSet, ...]]:
+def enumerations(n: int) -> tuple[list[BreakpointRep], list[finite.RigidSet]]:
     """The direct enumeration on n uniform segments and the segment-quiver sets.
 
-    Cached so that the per-n checks below share one enumeration; ``checks``
-    clears the cache after each n, so it holds one n at a time.
+    These are the ``reps`` and ``projected`` that the three checks below take.
     """
-    reps = tuple(enumerate_maximal_rigid_reps(Breakpoints.uniform(n)))
-    return reps, tuple(finite.enumerate_maximal_rigid(bridge.segment_quiver(n)))
+    reps = enumerate_maximal_rigid_reps(Breakpoints.uniform(n))
+    return reps, finite.enumerate_maximal_rigid(bridge.segment_quiver(n))
 
 
-def enumeration_counts(n: int) -> list[Result]:
+def enumeration_counts(n: int, reps: list, projected: list) -> list[Result]:
     """Both enumerations against their closed forms."""
-    reps, projected = enumerations(n)
     formula = counting.continuous_count(n)
     projected_formula = counting.projected_count(n)
     return [
@@ -129,9 +127,8 @@ def enumeration_counts(n: int) -> list[Result]:
     ]
 
 
-def projection_fibers(n: int) -> list[Result]:
+def projection_fibers(n: int, reps: list, projected: list) -> list[Result]:
     """The projection is onto the segment-quiver sets with fibers of exactly 2^n."""
-    reps, projected = enumerations(n)
     images = Counter(map(bridge.project, reps))
     return [
         (f"n={n}: projection is onto the maximal rigid sets",
@@ -141,12 +138,11 @@ def projection_fibers(n: int) -> list[Result]:
     ]
 
 
-def fiber_expansion(n: int) -> Result:
+def fiber_expansion(n: int, reps: list, projected: list) -> Result:
     """Expanding every segment-quiver set into its fiber gives the direct enumeration."""
-    reps, projected = enumerations(n)
     grid = Breakpoints.uniform(n)
     expanded = [r for h in projected for r in bridge.fiber_reps(h.members, grid)]
-    ok = tuple(sorted(expanded, key=rep_sort_key)) == reps
+    ok = sorted(expanded, key=rep_sort_key) == reps
     return f"n={n}: fiber expansion reproduces the direct enumeration", ok
 
 
@@ -177,9 +173,10 @@ def checks(n: int, seed: int) -> Iterator[Result]:
         yield grid_compatibility(k)
     yield random_compatibility(seed)
     for k in range(1, n + 1):
-        yield from enumeration_counts(k)
-        yield from projection_fibers(k)
-        yield fiber_expansion(k)
-        enumerations.cache_clear()
+        reps, projected = enumerations(k)
+        yield from enumeration_counts(k, reps, projected)
+        yield from projection_fibers(k, reps, projected)
+        yield fiber_expansion(k, reps, projected)
+        del reps, projected  # so the next n is built without this one alive
         yield round_trip(k)
     yield count_identities()

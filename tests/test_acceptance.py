@@ -76,7 +76,7 @@ def test_criterion_3_counts_at_desk_scale(capsys):
 def test_criterion_4_projection_suite(capsys):
     results = []
     for n in (1, 2, 3):
-        results += [*verify.projection_fibers(n), verify.round_trip(n)]
+        results += [*verify.projection_fibers(n, *verify.enumerations(n)), verify.round_trip(n)]
     with capsys.disabled():
         report(4, "projection onto finite maximal rigid sets, 2^n fibers, round-trip (n=1..3)",
                all(ok for _, ok in results))
@@ -104,7 +104,7 @@ def test_criterion_6_oracle_equivalence(capsys):
 
 
 def test_criterion_7_cross_enumeration(capsys):
-    ok = all(verify.fiber_expansion(n)[1] for n in (1, 2, 3))
+    ok = all(verify.fiber_expansion(n, *verify.enumerations(n))[1] for n in (1, 2, 3))
     with capsys.disabled():
         report(7, "direct enumeration equals fiber expansion as canonical sets (n=1..3)", ok)
 

@@ -502,7 +502,7 @@ class TestFibers:
 
     def test_fiber_union_equals_direct_enumeration(self):
         for n in (1, 2, 3):
-            label, ok = verify.fiber_expansion(n)
+            label, ok = verify.fiber_expansion(n, *verify.enumerations(n))
             assert ok, label
 
 

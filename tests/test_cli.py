@@ -11,6 +11,7 @@ import pathlib
 import subprocess
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -520,6 +521,22 @@ class TestFlags:
         else:
             assert str(count()) in out.split()
 
+    @pytest.mark.parametrize("missing", [True, False], ids=["no-limit-attribute", "limit-0"])
+    def test_without_a_digit_limit_nothing_is_refused(self, capsys, monkeypatch, missing):
+        """Before Python 3.10.7 there is no limit to ask for; a limit of 0 means none."""
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if missing:
+            monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
+        if limit:
+            sys.set_int_max_str_digits(0)
+        try:
+            code, out, _ = run(capsys, "finite", "--m", "8000", "--format", "json")
+            assert code == 0
+            assert json.loads(out)["formula"] == counting.catalan(8000)
+        finally:
+            if limit:
+                sys.set_int_max_str_digits(limit)
+
     @pytest.mark.parametrize("error", [TypeError, ValueError, KeyError])
     def test_stray_exception_is_an_internal_error(self, capsys, monkeypatch, error):
         """Only typed input errors exit 2; a bug exits 1 with its traceback."""
@@ -612,6 +629,23 @@ class TestVerify:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "6974e28aa04f180519e1f8a3209bcf24fa6f5ef4c1a37a8bf3f4b08a9d817c70"
         )
+
+    def test_each_n_is_enumerated_once(self, monkeypatch):
+        """The per-n checks share one direct and one segment-quiver enumeration."""
+        calls = Counter()
+
+        def counted(name, enumerate_):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return enumerate_(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(verify, "enumerate_maximal_rigid_reps",
+                            counted("direct", verify.enumerate_maximal_rigid_reps))
+        monkeypatch.setattr(maxrigid.finite, "enumerate_maximal_rigid",
+                            counted("segment quiver", maxrigid.finite.enumerate_maximal_rigid))
+        assert all(ok for _, ok in verify.checks(3, 0))
+        assert calls == {"direct": 3, "segment quiver": 3}
 
     def test_failed_check_exits_1(self, capsys, monkeypatch):
         monkeypatch.setattr(verify, "count_identities", lambda: ("count identities hold", False))

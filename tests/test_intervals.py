@@ -35,7 +35,7 @@ def iv(lo, lk, hi, hk):
 class TestConstruction:
     def test_point_module_is_valid(self):
         pm = iv(bp(0), CLOSED, bp(0), CLOSED)
-        assert pm.is_point
+        assert pm.lo == pm.hi
 
     def test_open_end_at_equal_points_is_empty(self):
         with pytest.raises(EmptyIntervalError):
