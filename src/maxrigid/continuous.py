@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from itertools import compress
+from operator import itemgetter
 
 from .cliques import common_neighbourhood, max_cliques
 from .counting import _check_count, claim
@@ -375,10 +376,13 @@ class _Tables:
                 ranks.append([_rank(m, x + d, far - f.anchor_kind) for d in (0, 1)])
             else:
                 ranks.append([_rank(m, far + f.anchor_kind, x - d) for d in (0, 1)])
-        masks = [sum(1 << r for r in rs) for rs in ranks]
         rows = _pair_tables(m)
-        commons = [common_neighbourhood(rows, rs) for rs in ranks]
-        self.closed = [sum([1 << v for v, k in enumerate(masks) if c & k == k]) for c in commons]
+        # digit w - 1 - r of a w-digit binary string is bit r; the getters list
+        # each vertex's first and last member bit, the last vertex first
+        w = m * (m + 1) // 2
+        first, last = (itemgetter(*[w - 1 - rs[end] for rs in reversed(ranks)]) for end in (0, -1))
+        digits = (format(common_neighbourhood(rows, rs), f"0{w}b") for rs in ranks)
+        self.closed = [int("".join(first(d)), 2) & int("".join(last(d)), 2) for d in digits]
         self.adj = [row ^ 1 << v for v, row in enumerate(self.closed)]
 
 

@@ -201,6 +201,14 @@ def _rank(m: int, a: int, b: int) -> int:
     return (a - 1) * (2 * m + 2 - a) // 2 + b - a
 
 
+def _shift_table(m: int, d: int) -> bytes:
+    """The ``bytes.translate`` table of the shift by d on A_m: byte
+    ``_rank(m, a, b)`` becomes ``_rank(m, a + d, b + d)`` for b + d <= m; the
+    other bytes, which no shifted key holds, become 0."""
+    ranks = [_rank(m, a + d, b + d) if b + d <= m else 0 for a in range(1, m + 1) for b in range(a, m + 1)]
+    return bytes(ranks).ljust(256, b"\0")
+
+
 @functools.cache
 def _pair_tables(m: int) -> list[int]:
     """The closed compatibility rows of A_m, one per interval in ``_rank`` order.
@@ -273,16 +281,32 @@ def enumerate_maximal_rigid(q: LinearQuiver, max_m: int = MAX_M) -> list[RigidSe
         c(k-a) c(b-k), the Catalan recurrence, and A_m has Catalan(m)
         tilting sets.
 
+    Only the ranges [1, L] are built.  The tilting sets on [a, b] are those
+    on [1, b-a+1] shifted by a-1, because shifting both modules keeps their
+    Ext^1 (``ext_dim`` compares ends only).  So the right part on [k+1, L]
+    is a tilting set on [1, L-k] shifted by k.
+
     A set is kept as the ``bytes`` of its indices in ``all_intervals``,
-    ascending, which lists [a, b] at ``_rank`` = start[a] + (b - a);
-    index order is the dataclass order there, so sorting the keys sorts the
-    sets, and each set's members are its key's intervals in that order.
+    ascending, which lists [a, b] at ``_rank``; index order is the
+    dataclass order there, so sorting the keys sorts the sets, and each
+    set's members are its key's intervals in that order.  The shift by d
+    maps the rank of [x, y] to the rank of [x+d, y+d] and keeps the order,
+    so one ``_shift_table`` per d shifts a whole key by ``bytes.translate``.
     The largest rank, m(m+1)/2 - 1, must fit in one byte (8 bits), so m is
     at most ``KEY_M`` = 22 whatever ``max_m`` (default ``MAX_M``, a guard
     against accidental huge runs) allows.  ``bytes`` are not tracked by the
-    garbage collector and sort by ``memcmp``.  The sets themselves are
-    built with the collector paused: they hold no reference cycles, so a
-    collection there would only rescan live objects and free nothing.
+    garbage collector and sort by ``memcmp``.
+
+    Each list of [1, L] keys is kept sorted, and for one gap k its keys
+    come out ascending.  A key is head + right, where head inserts the
+    byte of [1, L] into the left key after its members [1, y]: those rank
+    below [1, L] and every other member above it.  So two heads compare as
+    their left keys do, all keys of one k have one length, and the pairs
+    (left, right) are taken in sorted order.  ``list.sort`` then merges L
+    ascending runs instead of sorting from scratch.  The sets themselves
+    are built in place of their keys with the collector paused: they hold
+    no reference cycles, so a collection there would only rescan live
+    objects and free nothing.
     """
     _check_cap("m", q.m, max_m)
     m = q.m
@@ -293,24 +317,22 @@ def enumerate_maximal_rigid(q: LinearQuiver, max_m: int = MAX_M) -> list[RigidSe
     ivs = all_intervals(q)
     if m == 1:  # itemgetter of one index returns that item, not a 1-tuple
         return [RigidSet((ivs[0],))]
-    start = [_rank(m, a, a) for a in range(m + 2)]  # start[0] is never read
-    tilting = {(a, a - 1): [b""] for a in range(1, m + 2)}
+    shifts = [_shift_table(m, d) for d in range(m + 1)]
+    tilting = [[b""]]  # tilting[L]: the sorted keys of [1, L]
     for length in range(1, m + 1):
-        for a in range(1, m - length + 2):
-            b = a + length - 1
-            top = bytes((start[a] + length - 1,))
-            keys = []
-            for k in range(a, b + 1):
-                rights = tilting[k + 1, b]
-                for left in tilting[a, k - 1]:
-                    # the members starting at a come before [a, b], the rest after
-                    c = bisect_left(left, start[a + 1])
-                    head = left[:c] + top + left[c:]
-                    keys += [head + right for right in rights]
-            tilting[a, b] = keys
-    keys = tilting.pop((1, m))
+        top = bytes((length - 1,))  # the rank of [1, length]
+        keys = []
+        for k in range(1, length + 1):
+            rights = [right.translate(shifts[k]) for right in tilting[length - k]]
+            for left in tilting[k - 1]:
+                # the members [1, y] (ranks y - 1 < m) come before [1, length], the rest after
+                c = bisect_left(left, m)
+                head = left[:c] + top + left[c:]
+                keys += [head + right for right in rights]
+        keys.sort()  # merges the ascending run of each k
+        tilting.append(keys)
+    keys = tilting.pop()
     tilting.clear()  # the shorter ranges are freed before the sets are built
-    keys.sort()
     with _collector_paused():
         for i, key in enumerate(keys):
             keys[i] = RigidSet(itemgetter(*key)(ivs))

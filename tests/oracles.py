@@ -53,6 +53,11 @@ suite can compare the two:
     ``_Tables.adj`` grouped by summand mask, the groups sorted by summand
     vertices and the family vertices sorted within each group; the
     library's list must equal it, order included.
+  * ``reflect`` is the line reversal on A_m, [a, b] -> [m+1-b, m+1-a]: the
+    duality D followed by renumbering the vertices of the opposite quiver.
+    It keeps Ext^1 vanishing, so it must permute the compatibility rows
+    and the maximal rigid sets among themselves; no second implementation
+    is needed to check either.
 """
 
 from __future__ import annotations
@@ -439,6 +444,11 @@ def enumerate_by_groups(grid: Breakpoints) -> list[BreakpointRep]:
         for fams in sorted(groups.pop(smask)):
             out.append(BreakpointRep(grid, summands, tuple(tables.families[fi] for fi in fams)))
     return out
+
+
+def reflect(m: int, iv: FiniteInterval) -> FiniteInterval:
+    """The interval [a, b] of A_m read from the other end of the line."""
+    return FiniteInterval(m + 1 - iv.b, m + 1 - iv.a)
 
 
 def pair_tables(m: int) -> tuple[list[FiniteInterval], dict[FiniteInterval, int], list[int]]:

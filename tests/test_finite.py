@@ -2,6 +2,8 @@
 
 import gc
 import random
+import tracemalloc
+from operator import itemgetter
 
 import pytest
 
@@ -21,9 +23,9 @@ from maxrigid import (
     is_tilting,
 )
 from maxrigid import bridge, finite, verify
-from maxrigid.finite import KEY_M, _pair_tables, _rank
+from maxrigid.finite import KEY_M, _pair_tables, _rank, _shift_table
 
-from oracles import finite_max_cliques, pair_tables
+from oracles import finite_max_cliques, pair_tables, reflect
 
 
 def f(a, b):
@@ -122,6 +124,18 @@ class TestRigidity:
             assert [_rank(m, iv.a, iv.b) for iv in ivs] == [index[iv] for iv in ivs], m
             assert _pair_tables(m) == [row | 1 << v for v, row in enumerate(adj)], m
 
+    def test_reflection_is_an_automorphism_of_the_rows(self):
+        """Bit t of row s is bit r(t) of row r(s), r the line reversal, for every m <= 33."""
+        for m in range(1, 34):
+            ivs = all_intervals(LinearQuiver(m))
+            index = {iv: k for k, iv in enumerate(ivs)}
+            mirror = [index[reflect(m, iv)] for iv in ivs]
+            permute = itemgetter(*mirror)
+            # digit t of a reversed binary string is bit t
+            digits = [format(row, f"0{len(ivs)}b")[::-1] for row in _pair_tables(m)]
+            for s, row in enumerate(digits):
+                assert "".join(permute(digits[mirror[s]])) == row, (m, ivs[s])
+
     def test_maximal_examples(self):
         q = LinearQuiver(2)
         assert is_maximal_rigid_set(q, {f(1, 2), f(1, 1)})
@@ -215,6 +229,36 @@ class TestEnumeration:
         with pytest.raises(ResourceLimitError):
             enumerate_maximal_rigid(LinearQuiver(5), max_m=4)
         assert len(enumerate_maximal_rigid(LinearQuiver(5), max_m=5)) == 42
+
+    def test_enumeration_is_closed_under_reflection(self):
+        for m in range(1, 11):
+            mirror = {iv: reflect(m, iv) for iv in all_intervals(LinearQuiver(m))}
+            sets = {s.members for s in enumerate_maximal_rigid(LinearQuiver(m))}
+            assert {tuple(sorted(map(mirror.__getitem__, members))) for members in sets} == sets, m
+
+    def test_shift_tables_move_each_rank_by_the_shift(self):
+        """Byte ``_rank(m, a, b)`` of the shift by d is ``_rank(m, a + d, b + d)``, in one byte,
+        for every m a key can hold and every shift the recursion uses."""
+        for m in range(1, KEY_M + 1):
+            for d in range(m + 1):
+                table = _shift_table(m, d)
+                assert len(table) == 256, (m, d)
+                for a in range(1, m - d + 1):
+                    for b in range(a, m - d + 1):
+                        assert table[_rank(m, a, b)] == _rank(m, a + d, b + d) <= 255, (m, d, a, b)
+
+    def test_peak_memory_is_the_result(self):
+        """The keys are replaced in place by their sets, and the shorter ranges are freed
+        first, so at no point do all keys and all sets of A_10 coexist."""
+        gc.collect()
+        tracemalloc.start()
+        try:
+            sets = enumerate_maximal_rigid(LinearQuiver(10))
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(sets) == 16796
+        assert peak <= 1.05 * held, (peak, held)
 
     def test_key_width_bounds_m_whatever_the_cap(self, monkeypatch):
         """A key holds each rank in a byte: A_22 has 253 intervals, A_23 has 276."""
