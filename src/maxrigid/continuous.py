@@ -458,9 +458,9 @@ def enumerate_maximal_rigid_reps(grid: Breakpoints, max_n: int = MAX_N) -> list[
     summand mask makes one summand tuple, which its reps share, and each
     distinct family mask makes one family tuple, kept for the call and
     shared by every rep with those families.  The search, the sort and
-    the build run with the garbage collector paused, as
-    ``finite.enumerate_maximal_rigid`` builds its sets: the reps hold no
-    reference cycles.  ``max_n`` (default ``MAX_N``) guards against
+    the build run with the garbage collector paused, and the reps are built
+    without ``BreakpointRep.__init__``, as ``finite._collector_paused``
+    says for both bulk builds.  ``max_n`` (default ``MAX_N``) guards against
     accidental huge runs.
     """
     n = grid.n
@@ -477,6 +477,9 @@ def enumerate_maximal_rigid_reps(grid: Breakpoints, max_n: int = MAX_N) -> list[
 
     family_tuples: dict[int, tuple[FamilyChoice, ...]] = {}
     last, out = -1, []
+    new = object.__new__
+    set_grid, set_summands, set_families = (
+        BreakpointRep.grid.__set__, BreakpointRep.summands.__set__, BreakpointRep.families.__set__)
     with _collector_paused():
         cliques = max_cliques(adj)
         cliques.sort(reverse=True)
@@ -492,5 +495,9 @@ def enumerate_maximal_rigid_reps(grid: Breakpoints, max_n: int = MAX_N) -> list[
                 families = members(tables.families, fmask)
                 claim(len(families) == n, "every maximal clique holds one family per segment")
                 family_tuples[fmask] = families
-            out.append(BreakpointRep(grid, summands, families))
+            rep = new(BreakpointRep)
+            set_grid(rep, grid)
+            set_summands(rep, summands)
+            set_families(rep, families)
+            out.append(rep)
     return out

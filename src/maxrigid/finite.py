@@ -22,7 +22,7 @@ from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import product
-from operator import itemgetter
+from operator import itemgetter, lt
 from typing import Iterable
 
 from .cliques import bits, common_neighbourhood
@@ -51,6 +51,17 @@ def _collector_paused():
     For bulk builds of acyclic objects: a collection there only rescans
     live objects and frees nothing.  Afterwards, even on an exception, the
     collector is switched back on only if it was on before.
+
+    The two bulk builds, ``enumerate_maximal_rigid`` and
+    ``continuous.enumerate_maximal_rigid_reps``, also skip the dataclass
+    ``__init__`` of their results: each object is ``object.__new__`` of its
+    class, and each field is written by its slot's member descriptor
+    ``__set__``, so no Python frame runs and the frozen ``__setattr__`` is
+    not reached.  The fields they write are already valid, and the object
+    equals, hashes, prints and pickles as the constructor's would.  This
+    also skips ``__post_init__``, so ``RigidSet``'s check costs the bulk
+    build nothing, and ``BreakpointRep`` must have none.  Every other
+    caller uses the constructors.
     """
     was_on = gc.isenabled()
     gc.disable()
@@ -97,12 +108,16 @@ class RigidSet:
 
     ``members`` lists them in ascending (dataclass) order, each once, so
     two sets are equal exactly when their members are; the constructor
-    does not check this.  No quiver is stored: a tilting set on A_m
+    raises ValueError otherwise.  No quiver is stored: a tilting set on A_m
     contains [1, m], which fixes m.  The class is slotted, as are the
     library's other value classes: an instance has no ``__dict__``.
     """
 
     members: tuple[FiniteInterval, ...]
+
+    def __post_init__(self):
+        if not all(map(lt, self.members, self.members[1:])):
+            raise ValueError(f"rigid set members not strictly ascending: {self}")
 
     @property
     def summands(self) -> frozenset[FiniteInterval]:
@@ -304,9 +319,8 @@ def enumerate_maximal_rigid(q: LinearQuiver, max_m: int = MAX_M) -> list[RigidSe
     their left keys do, all keys of one k have one length, and the pairs
     (left, right) are taken in sorted order.  ``list.sort`` then merges L
     ascending runs instead of sorting from scratch.  The sets themselves
-    are built in place of their keys with the collector paused: they hold
-    no reference cycles, so a collection there would only rescan live
-    objects and free nothing.
+    are built in place of their keys, as ``_collector_paused`` says: with
+    the collector paused and without ``RigidSet.__init__``.
     """
     _check_cap("m", q.m, max_m)
     m = q.m
@@ -333,7 +347,9 @@ def enumerate_maximal_rigid(q: LinearQuiver, max_m: int = MAX_M) -> list[RigidSe
         tilting.append(keys)
     keys = tilting.pop()
     tilting.clear()  # the shorter ranges are freed before the sets are built
+    new, set_members = object.__new__, RigidSet.members.__set__
     with _collector_paused():
         for i, key in enumerate(keys):
-            keys[i] = RigidSet(itemgetter(*key)(ivs))
+            keys[i] = s = new(RigidSet)
+            set_members(s, itemgetter(*key)(ivs))
     return keys

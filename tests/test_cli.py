@@ -679,6 +679,23 @@ class TestClaims:
         ]
         assert found == []
 
+    def test_constructor_bypass_only_in_the_bulk_builds(self):
+        """``object.__new__`` and slot ``__set__`` skip a dataclass ``__init__`` and its
+        checks, so only the two enumerators use them (``finite._collector_paused``)."""
+        found = set()
+        for path in sorted(pathlib.Path(maxrigid.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            funcs = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Attribute) and (
+                        node.attr == "__set__"
+                        or node.attr == "__new__" and ast.unparse(node.value) == "object"):
+                    inside = [f for f in funcs if f.lineno <= node.lineno <= f.end_lineno]
+                    found.add((path.name, max(inside, key=lambda f: f.lineno).name
+                               if inside else None))
+        assert found == {("finite.py", "enumerate_maximal_rigid"),
+                         ("continuous.py", "enumerate_maximal_rigid_reps")}
+
     def test_one_home_for_the_count_rule_and_the_spellings(self):
         """``NonPositiveCountError`` is raised only by ``counting._check_count``, and
         ``cli`` spells no kind or side itself: it reads the names off the enums."""

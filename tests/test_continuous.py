@@ -43,6 +43,7 @@ from maxrigid import (
     catalan,
     compatible,
     continuous_count,
+    enumerate_maximal_rigid,
     enumerate_maximal_rigid_reps,
     is_maximal_rigid,
     is_rigid,
@@ -154,6 +155,11 @@ class TestValidate:
             (lambda: Point.generic(True, "1/2"), TypeError, "not an int index: True"),
             # a side must be a Side, as a kind must be a BoundaryKind
             (lambda: FamilyChoice(0, "right", 1, CLOSED), TypeError, "not a Side: 'right'"),
+            # a rigid set lists its members strictly ascending, so equal sets are equal tuples
+            (lambda: RigidSet((FiniteInterval(1, 2), FiniteInterval(1, 1))), ValueError,
+             "rigid set members not strictly ascending: {[1,2], [1,1]}"),
+            (lambda: RigidSet((FiniteInterval(1, 1), FiniteInterval(1, 1))), ValueError,
+             "rigid set members not strictly ascending: {[1,1], [1,1]}"),
             # one count rule: a plain int of at least 1 (0 for catalan), else
             # True would count one segment and 2.0 fail later inside range
             *[
@@ -179,6 +185,7 @@ class TestValidate:
              "bool-lo-summand", "float-segment-family", "bool-anchor-family",
              "float-finite-interval", "bool-finite-interval", "bool-point", "float-point",
              "float-breakpoint", "bool-generic-point", "str-side-family",
+             "descending-rigid-set", "repeated-rigid-set",
              *[f"{value}-{name}" for name in ("linear-quiver", "uniform", "segment-quiver",
                                               "projected-count", "continuous-count", "catalan")
                for value in ("bool", "float", "too-few")]],
@@ -404,7 +411,14 @@ class TestValueClasses:
                    if dataclasses.is_dataclass(obj) and obj.__module__ == m.__name__}
         assert classes == {type(x) for x in self.SAMPLES}
 
-    @pytest.mark.parametrize("value", SAMPLES, ids=lambda x: type(x).__name__)
+    # built by the enumerators without __init__ (``finite._collector_paused``)
+    ENUMERATED = [
+        pytest.param(built, id=f"enumerated-{type(built).__name__}")
+        for built in (enumerate_maximal_rigid(LinearQuiver(3))[2],
+                      enumerate_maximal_rigid_reps(Breakpoints.uniform(1))[3])
+    ]
+
+    @pytest.mark.parametrize("value", SAMPLES + ENUMERATED, ids=lambda x: type(x).__name__)
     def test_slotted_and_survives_pickle_copy_and_replace(self, value):
         assert "__slots__" in vars(type(value))
         assert not hasattr(value, "__dict__")
@@ -724,16 +738,47 @@ class TestEnumeration:
             enumerate_maximal_rigid_reps(Breakpoints.uniform(3), max_n=2)
 
     def test_reps_are_built_with_the_collector_paused(self, monkeypatch):
+        """Hooked at the ``families`` slot, which the build writes once per rep."""
         built = []
+        slot = BreakpointRep.families
 
-        def record(*fields):
-            built.append(gc.isenabled())
-            return BreakpointRep(*fields)
+        class Recorded:
+            def __get__(self, rep, owner=None):
+                return self if rep is None else slot.__get__(rep, owner)
 
-        monkeypatch.setattr(continuous, "BreakpointRep", record)
+            def __set__(self, rep, families):
+                built.append(gc.isenabled())
+                slot.__set__(rep, families)
+
+        monkeypatch.setattr(BreakpointRep, "families", Recorded())
         assert len(enumerate_maximal_rigid_reps(Breakpoints.uniform(2))) == 168
         assert built == [False] * 168
         assert gc.isenabled()
+
+    def test_reps_are_built_without_the_constructor(self, monkeypatch):
+        expected = {n: enumerate_maximal_rigid_reps(Breakpoints.uniform(n)) for n in (1, 2)}
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("the enumerator builds its reps without __init__")
+
+        monkeypatch.setattr(BreakpointRep, "__init__", refuse)
+        for n, reps in expected.items():
+            assert enumerate_maximal_rigid_reps(Breakpoints.uniform(n)) == reps
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_reps_equal_what_the_constructor_builds(self, n):
+        """Equal, with equal hash and text: each slot is set, and nothing ``__init__`` does
+        is left out."""
+        names = [f.name for f in dataclasses.fields(BreakpointRep)]
+        for r in enumerate_maximal_rigid_reps(Breakpoints.uniform(n)):
+            built = BreakpointRep(*(getattr(r, name) for name in names))
+            assert type(r) is BreakpointRep and r == built
+            assert hash(r) == hash(built) and str(r) == str(built)
+
+    def test_reps_have_no_post_init(self):
+        assert not hasattr(BreakpointRep, "__post_init__"), (
+            "enumerate_maximal_rigid_reps builds its reps without __init__, "
+            "so it would skip a __post_init__")
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_order_equals_the_grouping_oracle(self, n):

@@ -11,6 +11,7 @@ from maxrigid import (
     FiniteInterval,
     LinearQuiver,
     ResourceLimitError,
+    RigidSet,
     all_intervals,
     enumerate_maximal_rigid,
     euler_form,
@@ -273,6 +274,29 @@ class TestEnumeration:
         assert str(err.value) == "m=23 exceeds 22: each interval rank must fit in one byte (8 bits) of a key"
 
 
+class TestBulkBuild:
+    """The enumerator builds its sets without ``RigidSet.__init__`` (``finite._collector_paused``)."""
+
+    def test_sets_are_built_without_the_constructor(self, monkeypatch):
+        expected = {m: enumerate_maximal_rigid(LinearQuiver(m)) for m in range(2, 9)}
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("the enumerator builds its sets without __init__")
+
+        monkeypatch.setattr(RigidSet, "__init__", refuse)
+        for m, sets in expected.items():
+            assert enumerate_maximal_rigid(LinearQuiver(m)) == sets
+
+    def test_sets_equal_what_the_constructor_builds(self):
+        """Equal, with equal hash and text; the constructor also checks that every set's
+        members are strictly ascending."""
+        for m in range(1, 11):
+            for s in enumerate_maximal_rigid(LinearQuiver(m)):
+                built = RigidSet(s.members)
+                assert type(s) is RigidSet and s == built
+                assert hash(s) == hash(built) and str(s) == str(built)
+
+
 class TestCollectorPause:
     """The sets are built with the garbage collector off, and it is restored after."""
 
@@ -282,15 +306,16 @@ class TestCollectorPause:
         assert gc.isenabled()
 
     def test_on_after_an_exception_mid_build(self, monkeypatch):
+        """Hooked at ``itemgetter``, which the build calls once per set."""
         built = []
 
-        def fifth_fails(members):
+        def fifth_fails(*ranks):
             built.append(gc.isenabled())
             if len(built) == 5:
                 raise RuntimeError("fifth set")
-            return members
+            return itemgetter(*ranks)
 
-        monkeypatch.setattr(finite, "RigidSet", fifth_fails)
+        monkeypatch.setattr(finite, "itemgetter", fifth_fails)
         with pytest.raises(RuntimeError, match="fifth set"):
             enumerate_maximal_rigid(LinearQuiver(4))
         assert built == [False] * 5
