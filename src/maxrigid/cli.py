@@ -26,7 +26,7 @@ from .continuous import (
     enumerate_maximal_rigid_reps,
     validate_rep,
 )
-from .finite import MAX_M, LinearQuiver, ResourceLimitError, _check_cap, enumerate_maximal_rigid
+from .finite import LinearQuiver, ResourceLimitError, _check_cap, enumerate_maximal_rigid
 from .intervals import BoundaryKind, InvalidIntervalError
 
 _KINDS = {str(k): k for k in BoundaryKind}
@@ -43,19 +43,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="enumerate maximal rigid encodings on n segments")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--format", choices=("table", "json"), default="table")
-    p.add_argument("--max-n", type=int, default=MAX_N)
 
     p = sub.add_parser("count", help="closed-form counts, optionally cross-checked by enumeration")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--mode", choices=("formula", "enumerate", "both"), default="both")
     p.add_argument("--format", choices=("table", "json"), default="table")
-    p.add_argument("--max-n", type=int, default=MAX_N)
 
     p = sub.add_parser("finite", help="maximal rigid sets on the linear quiver with m vertices")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--enumerate", action="store_true")
     p.add_argument("--format", choices=("table", "json"), default="table")
-    p.add_argument("--max-m", type=int, default=MAX_M)
 
     p = sub.add_parser("verify", help="run the internal cross-check suites")
     p.add_argument("--n", type=int, default=2)
@@ -216,9 +213,9 @@ def _check_printable(name: str, bits: int) -> None:
 
 
 def cmd_enumerate(args) -> int:
-    _check_cap("n", args.n, args.max_n)  # before the grid allocates n + 1 fractions
+    _check_cap("n", args.n, MAX_N)  # before the grid allocates n + 1 fractions
     grid = Breakpoints.uniform(args.n)
-    reps = enumerate_maximal_rigid_reps(grid, max_n=args.max_n)
+    reps = enumerate_maximal_rigid_reps(grid)
     if args.format == "json":
         payload = {"n": args.n, "count": len(reps), "reps": [rep_to_dict(r) for r in reps]}
         print(json.dumps(payload, indent=2))
@@ -234,19 +231,11 @@ def cmd_count(args) -> int:
     _check_printable(f"continuous_count({args.n})", 5 * args.n + 1)
     enumerated = enumerated_projected = match = None
     if args.mode in ("enumerate", "both"):
-        # both caps before the grid is built and the reps are enumerated
-        _check_cap("n", args.n, args.max_n)
-        m = 2 * args.n + 1  # the vertex count of the segment quiver of n segments
-        if m > MAX_M:
-            raise ResourceLimitError(
-                f"the segment quiver of n={args.n} has m={m} vertices, over MAX_M={MAX_M},"
-                f" so count --mode enumerate stops at n={(MAX_M - 1) // 2}"
-            )
+        # before the grid is built; the segment quiver's 2n+1 <= 11 vertices are under MAX_M
+        _check_cap("n", args.n, MAX_N)
         grid = Breakpoints.uniform(args.n)
-        enumerated = len(enumerate_maximal_rigid_reps(grid, max_n=args.max_n))
-        enumerated_projected = len(
-            enumerate_maximal_rigid(bridge.segment_quiver(args.n))
-        )
+        enumerated = len(enumerate_maximal_rigid_reps(grid))
+        enumerated_projected = len(enumerate_maximal_rigid(bridge.segment_quiver(args.n)))
     formula = counting.continuous_count(args.n)
     projected = counting.projected_count(args.n)
     if enumerated is not None:
@@ -276,7 +265,7 @@ def cmd_finite(args) -> int:
     formula = counting.catalan(args.m)
     sets = None
     if args.enumerate:
-        sets = enumerate_maximal_rigid(quiver, max_m=args.max_m)
+        sets = enumerate_maximal_rigid(quiver)
     if args.format == "json":
         payload = {"m": args.m, "formula": formula}
         if sets is not None:
@@ -322,9 +311,7 @@ def cmd_check(args) -> int:
 
 def cmd_verify(args) -> int:
     counting._check_count(args.n, "segment")
-    # the checks enumerate every rep up to n, so they share the enumerator's default cap
-    if args.n > MAX_N:
-        raise ResourceLimitError(f"n={args.n} exceeds the verify cap {MAX_N}")
+    _check_cap("n", args.n, MAX_N)  # the checks enumerate every rep up to n
     failures = 0
     for label, ok in verify.checks(args.n, args.seed):
         print(("ok: " if ok else "FAIL: ") + label)

@@ -416,7 +416,7 @@ def rep_sort_key(rep: BreakpointRep):
     return (rep.summands, rep.families)
 
 
-def enumerate_maximal_rigid_reps(grid: Breakpoints, max_n: int = MAX_N) -> list[BreakpointRep]:
+def enumerate_maximal_rigid_reps(grid: Breakpoints) -> list[BreakpointRep]:
     """All maximal rigid encodings on the grid, canonical and sorted.
 
     These are the maximal cliques of ``_Tables.adj`` that hold one family
@@ -460,11 +460,11 @@ def enumerate_maximal_rigid_reps(grid: Breakpoints, max_n: int = MAX_N) -> list[
     shared by every rep with those families.  The search, the sort and
     the build run with the garbage collector paused, and the reps are built
     without ``BreakpointRep.__init__``, as ``finite._collector_paused``
-    says for both bulk builds.  ``max_n`` (default ``MAX_N``) guards against
-    accidental huge runs.
+    says for both bulk builds.  n is at most ``MAX_N``, a guard against
+    huge runs, checked before the tables of n are built.
     """
     n = grid.n
-    _check_cap("n", n, max_n)
+    _check_cap("n", n, MAX_N)
     tables = _tables(n)
     width, split = len(tables.adj), len(tables.families)
     adj = [int(format(row, f"0{width}b")[::-1], 2) for row in reversed(tables.adj)]

@@ -31,17 +31,16 @@ from .intervals import _check_ints
 
 
 MAX_M = 15  # Catalan(15) is already ~9.7 million sets
-KEY_M = 22  # a tilting-set key holds each rank in a byte: m(m+1)/2 - 1 <= 255
 
 
 class ResourceLimitError(ValueError):
-    """Enumeration request beyond the configured size cap."""
+    """A request over a fixed size cap (``MAX_N``, ``MAX_M``), or a count too long to print."""
 
 
 def _check_cap(name: str, value: int, cap: int) -> None:
     """Raise ResourceLimitError if ``value`` exceeds ``cap``; ``name`` is n or m."""
     if value > cap:
-        raise ResourceLimitError(f"{name}={value} exceeds cap {cap}; raise max_{name} to proceed")
+        raise ResourceLimitError(f"{name}={value} exceeds cap {cap}")
 
 
 @contextmanager
@@ -106,16 +105,19 @@ class LinearQuiver:
 class RigidSet:
     """A pairwise Ext-compatible set of pairwise distinct interval modules.
 
-    ``members`` lists them in ascending (dataclass) order, each once, so
-    two sets are equal exactly when their members are; the constructor
-    raises ValueError otherwise.  No quiver is stored: a tilting set on A_m
-    contains [1, m], which fixes m.  The class is slotted, as are the
-    library's other value classes: an instance has no ``__dict__``.
+    ``members`` is a tuple of ``FiniteInterval``s (else TypeError) in
+    ascending (dataclass) order, each once (else ValueError), so two sets
+    are equal exactly when their members are, and a set hashes.  No
+    quiver is stored: a tilting set on A_m contains [1, m], which fixes m.
+    The class is slotted, as are the library's other value classes: an
+    instance has no ``__dict__``.
     """
 
     members: tuple[FiniteInterval, ...]
 
     def __post_init__(self):
+        if type(self.members) is not tuple or not all(type(iv) is FiniteInterval for iv in self.members):
+            raise TypeError(f"not a tuple of FiniteIntervals: {self.members!r}")
         if not all(map(lt, self.members, self.members[1:])):
             raise ValueError(f"rigid set members not strictly ascending: {self}")
 
@@ -219,7 +221,9 @@ def _rank(m: int, a: int, b: int) -> int:
 def _shift_table(m: int, d: int) -> bytes:
     """The ``bytes.translate`` table of the shift by d on A_m: byte
     ``_rank(m, a, b)`` becomes ``_rank(m, a + d, b + d)`` for b + d <= m; the
-    other bytes, which no shifted key holds, become 0."""
+    other bytes, which no shifted key holds, become 0.  Each rank fits in a
+    byte while m(m+1)/2 - 1 <= 255, that is for m <= 22, so for every m up
+    to ``MAX_M``."""
     ranks = [_rank(m, a + d, b + d) if b + d <= m else 0 for a in range(1, m + 1) for b in range(a, m + 1)]
     return bytes(ranks).ljust(256, b"\0")
 
@@ -275,7 +279,7 @@ def is_maximal_rigid_set(q: LinearQuiver, summands: Iterable[FiniteInterval]) ->
     return common == mask
 
 
-def enumerate_maximal_rigid(q: LinearQuiver, max_m: int = MAX_M) -> list[RigidSet]:
+def enumerate_maximal_rigid(q: LinearQuiver) -> list[RigidSet]:
     """All maximal rigid sets on A_m, sorted by their sorted summands.
 
     The maximal rigid sets are the tilting sets.  The tilting sets on a
@@ -307,10 +311,9 @@ def enumerate_maximal_rigid(q: LinearQuiver, max_m: int = MAX_M) -> list[RigidSe
     set's members are its key's intervals in that order.  The shift by d
     maps the rank of [x, y] to the rank of [x+d, y+d] and keeps the order,
     so one ``_shift_table`` per d shifts a whole key by ``bytes.translate``.
-    The largest rank, m(m+1)/2 - 1, must fit in one byte (8 bits), so m is
-    at most ``KEY_M`` = 22 whatever ``max_m`` (default ``MAX_M``, a guard
-    against accidental huge runs) allows.  ``bytes`` are not tracked by the
-    garbage collector and sort by ``memcmp``.
+    m is at most ``MAX_M`` (a guard against huge runs), so the largest
+    rank, m(m+1)/2 - 1 <= 119, fits in one byte.  ``bytes`` are not
+    tracked by the garbage collector and sort by ``memcmp``.
 
     Each list of [1, L] keys is kept sorted, and for one gap k its keys
     come out ascending.  A key is head + right, where head inserts the
@@ -322,12 +325,8 @@ def enumerate_maximal_rigid(q: LinearQuiver, max_m: int = MAX_M) -> list[RigidSe
     are built in place of their keys, as ``_collector_paused`` says: with
     the collector paused and without ``RigidSet.__init__``.
     """
-    _check_cap("m", q.m, max_m)
     m = q.m
-    if m > KEY_M:
-        raise ResourceLimitError(
-            f"m={m} exceeds {KEY_M}: each interval rank must fit in one byte (8 bits) of a key"
-        )
+    _check_cap("m", m, MAX_M)
     ivs = all_intervals(q)
     if m == 1:  # itemgetter of one index returns that item, not a 1-tuple
         return [RigidSet((ivs[0],))]

@@ -1,5 +1,6 @@
 """CLI behavior: outputs, exit codes, determinism, JSON schema."""
 
+import argparse
 import ast
 import contextlib
 import functools
@@ -58,18 +59,6 @@ class TestCount:
             "match": True,
         }
 
-    def test_segment_quiver_cap_refused_before_enumerating(self, capsys, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("enumerated before the cap check")
-
-        monkeypatch.setattr(cli, "enumerate_maximal_rigid_reps", refuse)
-        code, _, err = run(capsys, "count", "--n", "8", "--max-n", "8", "--mode", "enumerate")
-        assert code == 2
-        assert err.splitlines() == [
-            "error: the segment quiver of n=8 has m=17 vertices, over MAX_M=15,"
-            " so count --mode enumerate stops at n=7"
-        ]
-
     @pytest.mark.parametrize(
         "argv, digest",
         [
@@ -106,22 +95,6 @@ class TestFinite:
         code, out, _ = run(capsys, "finite", "--m", "9")
         assert code == 0
         assert out.strip() == "m: 9  formula: 4862"
-
-    def test_cap_is_input_error(self, capsys):
-        code, _, err = run(capsys, "finite", "--m", "20", "--enumerate")
-        assert code == 2
-        assert err.splitlines() == ["error: m=20 exceeds cap 15; raise max_m to proceed"]
-
-    def test_key_width_is_input_error_before_any_set_is_built(self, capsys, monkeypatch):
-        def refuse(q):
-            raise AssertionError("m=23 must be refused before its intervals are listed")
-
-        monkeypatch.setattr(maxrigid.finite, "all_intervals", refuse)
-        code, out, err = run(capsys, "finite", "--m", "23", "--max-m", "30", "--enumerate")
-        assert code == 2 and out == ""
-        assert err.splitlines() == [
-            "error: m=23 exceeds 22: each interval rank must fit in one byte (8 bits) of a key"
-        ]
 
     @pytest.mark.parametrize(
         "argv, digest",
@@ -211,7 +184,7 @@ class TestEnumerate:
         code, out, err = run(capsys, "enumerate", "--n", n)
         assert time.perf_counter() - start < 1.0
         assert (code, out) == (2, "")
-        assert err.splitlines() == [f"error: n={n} exceeds cap 5; raise max_n to proceed"]
+        assert err.splitlines() == [f"error: n={n} exceeds cap 5"]
 
 
 class TestCheck:
@@ -540,7 +513,7 @@ class TestFlags:
     @pytest.mark.parametrize("error", [TypeError, ValueError, KeyError])
     def test_stray_exception_is_an_internal_error(self, capsys, monkeypatch, error):
         """Only typed input errors exit 2; a bug exits 1 with its traceback."""
-        def broken(quiver, max_m):
+        def broken(quiver):
             raise error("stray")
 
         monkeypatch.setattr(cli, "enumerate_maximal_rigid", broken)
@@ -556,8 +529,8 @@ class TestFlags:
     def test_enumeration_formula_mismatch_exits_1(self, capsys, monkeypatch, argv):
         real = cli.enumerate_maximal_rigid
 
-        def one_short(quiver, **kwargs):
-            return real(quiver, **kwargs)[1:]
+        def one_short(quiver):
+            return real(quiver)[1:]
 
         monkeypatch.setattr(cli, "enumerate_maximal_rigid", one_short)
         code, out, _ = run(capsys, *argv)
@@ -575,6 +548,49 @@ class TestFlags:
     def test_missing_required(self, capsys):
         code, _, _ = run(capsys, "count")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("enumerate", "--n", "6"), "n=6 exceeds cap 5"),
+            (("count", "--n", "6", "--mode", "enumerate"), "n=6 exceeds cap 5"),
+            (("count", "--n", "6", "--mode", "both"), "n=6 exceeds cap 5"),
+            (("verify", "--n", "6"), "n=6 exceeds cap 5"),
+            (("finite", "--m", "16", "--enumerate"), "m=16 exceeds cap 15"),
+        ],
+        ids=["enumerate", "count-enumerate", "count-both", "verify", "finite"],
+    )
+    def test_one_past_each_cap_is_input_error(self, capsys, argv, message):
+        """The caps are fixed: ``continuous.MAX_N`` = 5 and ``finite.MAX_M`` = 15."""
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [f"error: {message}"]
+
+    def test_options_of_each_subcommand(self):
+        """The CLI surface, pinned: no size cap is an option."""
+        parser = cli.build_parser()
+        (subcommands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        options = {
+            name: [o for a in sub._actions for o in a.option_strings or [a.dest]]
+            for name, sub in subcommands.choices.items()
+        }
+        assert options == {
+            "enumerate": ["-h", "--help", "--n", "--format"],
+            "count": ["-h", "--help", "--n", "--mode", "--format"],
+            "finite": ["-h", "--help", "--m", "--enumerate", "--format"],
+            "verify": ["-h", "--help", "--n", "--seed"],
+            "check": ["-h", "--help", "path"],
+        }
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("enumerate", "--n", "2", "--max-n", "5"), ("finite", "--m", "3", "--max-m", "15")],
+        ids=["max-n", "max-m"],
+    )
+    def test_cap_flags_are_unrecognised(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in err
 
 
 class TestVerify:
@@ -611,7 +627,7 @@ class TestVerify:
 
     @pytest.mark.parametrize("n", ["6", "100"])
     def test_n_over_the_enumeration_cap_rejected(self, capsys, monkeypatch, n):
-        """Refused before any check runs, with the enumerator's default cap of 5."""
+        """Refused before any check runs, with the enumerator's cap of 5."""
 
         def no_checks(*args):
             raise AssertionError("verify.checks must not be called")
@@ -620,7 +636,7 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "--n", n)
         assert code == 2
         assert out == ""
-        assert err.splitlines() == [f"error: n={n} exceeds the verify cap 5"]
+        assert err.splitlines() == [f"error: n={n} exceeds cap 5"]
 
     def test_stdout_digest(self, capsys):
         # sha256 of the stdout of `maxrigid verify --n 3 --seed 7`
@@ -696,19 +712,24 @@ class TestClaims:
         assert found == {("finite.py", "enumerate_maximal_rigid"),
                          ("continuous.py", "enumerate_maximal_rigid_reps")}
 
-    def test_one_home_for_the_count_rule_and_the_spellings(self):
-        """``NonPositiveCountError`` is raised only by ``counting._check_count``, and
-        ``cli`` spells no kind or side itself: it reads the names off the enums."""
-        raisers = []
+    @staticmethod
+    def raisers(error: str) -> list[tuple[str, str | None]]:
+        """(file, innermost function) of each ``raise`` in the library that names ``error``."""
+        found = []
         for path in sorted(pathlib.Path(maxrigid.__file__).parent.glob("*.py")):
             tree = ast.parse(path.read_text(encoding="utf-8"))
             funcs = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
             for node in ast.walk(tree):
-                if isinstance(node, ast.Raise) and "NonPositiveCountError" in ast.unparse(node):
+                if isinstance(node, ast.Raise) and error in ast.unparse(node):
                     inside = [f for f in funcs if f.lineno <= node.lineno <= f.end_lineno]
-                    raisers.append((path.name, max(inside, key=lambda f: f.lineno).name
-                                    if inside else None))
-        assert raisers == [("counting.py", "_check_count")]
+                    found.append((path.name, max(inside, key=lambda f: f.lineno).name
+                                  if inside else None))
+        return found
+
+    def test_one_home_for_the_count_rule_and_the_spellings(self):
+        """``NonPositiveCountError`` is raised only by ``counting._check_count``, and
+        ``cli`` spells no kind or side itself: it reads the names off the enums."""
+        assert self.raisers("NonPositiveCountError") == [("counting.py", "_check_count")]
         cli_source = pathlib.Path(cli.__file__).read_text(encoding="utf-8")
         spelled = [
             f"cli.py:{node.lineno}: {node.value}"
@@ -716,6 +737,12 @@ class TestClaims:
             if isinstance(node, ast.Constant) and node.value in ("closed", "open", "left", "right")
         ]
         assert spelled == []
+
+    def test_one_home_for_cap_refusals(self):
+        """``ResourceLimitError`` is raised only for a size cap (``finite._check_cap``)
+        and for a count too long to print (``cli._check_printable``)."""
+        assert sorted(self.raisers("ResourceLimitError")) == [
+            ("cli.py", "_check_printable"), ("finite.py", "_check_cap")]
 
     def test_failed_claim_exits_1(self, capsys, monkeypatch):
         monkeypatch.setattr(counting, "catalan", lambda m: 0)

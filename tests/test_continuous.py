@@ -160,6 +160,10 @@ class TestValidate:
              "rigid set members not strictly ascending: {[1,2], [1,1]}"),
             (lambda: RigidSet((FiniteInterval(1, 1), FiniteInterval(1, 1))), ValueError,
              "rigid set members not strictly ascending: {[1,1], [1,1]}"),
+            # ... of FiniteIntervals, in a tuple: else it would print {1, 2} or not hash
+            (lambda: RigidSet((1, 2)), TypeError, "not a tuple of FiniteIntervals: (1, 2)"),
+            (lambda: RigidSet([FiniteInterval(1, 1)]), TypeError,
+             "not a tuple of FiniteIntervals: [FiniteInterval(a=1, b=1)]"),
             # one count rule: a plain int of at least 1 (0 for catalan), else
             # True would count one segment and 2.0 fail later inside range
             *[
@@ -185,7 +189,8 @@ class TestValidate:
              "bool-lo-summand", "float-segment-family", "bool-anchor-family",
              "float-finite-interval", "bool-finite-interval", "bool-point", "float-point",
              "float-breakpoint", "bool-generic-point", "str-side-family",
-             "descending-rigid-set", "repeated-rigid-set",
+             "descending-rigid-set", "repeated-rigid-set", "int-members-rigid-set",
+             "list-rigid-set",
              *[f"{value}-{name}" for name in ("linear-quiver", "uniform", "segment-quiver",
                                               "projected-count", "continuous-count", "catalan")
                for value in ("bool", "float", "too-few")]],
@@ -733,9 +738,16 @@ class TestEnumeration:
                 assert is_uniform(r)
                 assert is_maximal_rigid(r)
 
-    def test_cap(self):
-        with pytest.raises(ResourceLimitError):
-            enumerate_maximal_rigid_reps(Breakpoints.uniform(3), max_n=2)
+    def test_cap(self, monkeypatch):
+        """n = MAX_N + 1 is refused before its tables are built."""
+
+        def refuse(n):
+            raise AssertionError("n=6 must be refused before its tables are built")
+
+        monkeypatch.setattr(continuous, "_tables", refuse)
+        with pytest.raises(ResourceLimitError) as err:
+            enumerate_maximal_rigid_reps(Breakpoints.uniform(6))
+        assert str(err.value) == "n=6 exceeds cap 5"
 
     def test_reps_are_built_with_the_collector_paused(self, monkeypatch):
         """Hooked at the ``families`` slot, which the build writes once per rep."""

@@ -24,7 +24,7 @@ from maxrigid import (
     is_tilting,
 )
 from maxrigid import bridge, finite, verify
-from maxrigid.finite import KEY_M, _pair_tables, _rank, _shift_table
+from maxrigid.finite import MAX_M, _pair_tables, _rank, _shift_table
 
 from oracles import finite_max_cliques, pair_tables, reflect
 
@@ -224,12 +224,16 @@ class TestEnumeration:
         keys = [x.sorted_summands() for x in a]
         assert keys == sorted(keys)
 
-    def test_cap(self):
-        with pytest.raises(ResourceLimitError):
+    def test_cap(self, monkeypatch):
+        """m = MAX_M + 1 is refused before its intervals are listed."""
+
+        def refuse(q):
+            raise AssertionError("m=16 must be refused before its intervals are listed")
+
+        monkeypatch.setattr(finite, "all_intervals", refuse)
+        with pytest.raises(ResourceLimitError) as err:
             enumerate_maximal_rigid(LinearQuiver(16))
-        with pytest.raises(ResourceLimitError):
-            enumerate_maximal_rigid(LinearQuiver(5), max_m=4)
-        assert len(enumerate_maximal_rigid(LinearQuiver(5), max_m=5)) == 42
+        assert str(err.value) == "m=16 exceeds cap 15"
 
     def test_enumeration_is_closed_under_reflection(self):
         for m in range(1, 11):
@@ -239,8 +243,9 @@ class TestEnumeration:
 
     def test_shift_tables_move_each_rank_by_the_shift(self):
         """Byte ``_rank(m, a, b)`` of the shift by d is ``_rank(m, a + d, b + d)``, in one byte,
-        for every m a key can hold and every shift the recursion uses."""
-        for m in range(1, KEY_M + 1):
+        for every m whose ranks fit in a byte (A_22 has 253 intervals, A_23 has 276) and
+        every shift the recursion uses."""
+        for m in range(1, 23):
             for d in range(m + 1):
                 table = _shift_table(m, d)
                 assert len(table) == 256, (m, d)
@@ -261,17 +266,10 @@ class TestEnumeration:
         assert len(sets) == 16796
         assert peak <= 1.05 * held, (peak, held)
 
-    def test_key_width_bounds_m_whatever_the_cap(self, monkeypatch):
-        """A key holds each rank in a byte: A_22 has 253 intervals, A_23 has 276."""
-        assert KEY_M * (KEY_M + 1) // 2 - 1 <= 255 < (KEY_M + 1) * (KEY_M + 2) // 2 - 1
-
-        def refuse(q):
-            raise AssertionError("the width is checked before anything is built")
-
-        monkeypatch.setattr(finite, "all_intervals", refuse)
-        with pytest.raises(ResourceLimitError) as err:
-            enumerate_maximal_rigid(LinearQuiver(23), max_m=30)
-        assert str(err.value) == "m=23 exceeds 22: each interval rank must fit in one byte (8 bits) of a key"
+    def test_key_width_bounds_m_whatever_the_cap(self):
+        """A key holds each rank in a byte, which bounds m at 22; the largest rank
+        under the cap, on A_15, is 119."""
+        assert MAX_M * (MAX_M + 1) // 2 - 1 <= 255
 
 
 class TestBulkBuild:
