@@ -1,11 +1,13 @@
 """Enumerating maximal rigid breakpoint representations directly.
 
 A breakpoint representation is a set of anchored flavored intervals plus
-one generic-endpoint family per segment.  The enumerator lists the maximal
-cliques of one compatibility graph whose vertices are the anchored summands
-and the family choices: a rep is rigid when its vertices are pairwise
-compatible, and maximal rigid when no further summand can join them.  On
-one segment there are exactly ten; the general count is
+one generic-endpoint family per segment.  The maximal rigid ones are the
+maximal cliques of one compatibility graph whose vertices are the anchored
+summands and the family choices: a rep is rigid when its vertices are
+pairwise compatible, and maximal rigid when no further summand can join
+them.  The enumerator lists them as the tilting sets of rep shape on the
+linear quiver A_{4n+1} that the graph is read off.  On one segment there
+are exactly ten; the general count is
 2^(n-1)/(n+1) * C(4n+2, 2n+1).  Timings go to stderr, so stdout is the
 same on every run.
 """

@@ -3,13 +3,9 @@
 Vertices are bit positions and ``adjacency[v]`` is the neighbor bitmask of
 vertex ``v``, without the bit of ``v`` itself.  A rigid object is a clique
 of its model's compatibility graph and a maximal rigid one is a maximal
-clique; ``common_neighbourhood`` of its vertices decides both, and
-``max_cliques`` (Bron-Kerbosch with pivoting) lists the maximal cliques.
-It stops each pivot scan once no vertex of P can do better, and appends
-the leaves of an independent P, or of a child with nothing left to add,
-without a call; neither changes the set of cliques (see its docstring).
-The inner loops are pure bit arithmetic; output order is deterministic for
-a given adjacency.
+clique; ``common_neighbourhood`` of its vertices decides both.  Both models
+enumerate by the gap-vertex recursion; ``max_cliques`` (Bron-Kerbosch with
+pivoting), deterministic in its order, is the tests' oracle for both.
 """
 
 from __future__ import annotations
@@ -41,13 +37,7 @@ def max_cliques(adjacency: Sequence[int]) -> list[int]:
         does not depend on which vertex is the pivot;
       * a child whose P would be empty is a leaf: ``r | v`` is maximal
         unless a vertex of X is adjacent to v, and it is appended without
-        a call.  When the pivot has no neighbour in P, P is independent
-        (a scan that stops at 0 neighbours had |P| = 1, and a full one saw
-        every vertex of P), so every child is such a leaf.  The general
-        loop would append the same leaves in the same order; the separate
-        loop for that case skips its per-leaf ``p & row`` and ``x |= v``,
-        which took ``enum-n3`` ``run_ref`` from 40.6 to 38.6 ref (10 of 10
-        alternating pairs, ``BENCH_22.json`` ``independent_p_loop``).
+        a call.
 
     The empty graph has one maximal clique, the empty one: ``[0]``.
     """
@@ -67,13 +57,6 @@ def max_cliques(adjacency: Sequence[int]) -> list[int]:
                 best, pivot = c, v
                 if c >= enough:
                     break
-        if not best:
-            while p:
-                vbit = p & -p
-                if not x & adjacency[vbit.bit_length() - 1]:
-                    append(r | vbit)
-                p ^= vbit
-            return
         cand = p & ~adjacency[pivot]
         while cand:
             vbit = cand & -cand

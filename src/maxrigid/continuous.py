@@ -13,25 +13,26 @@ A representation is stored against a grid of breakpoints
 Rigidity and maximality are read off one compatibility graph per n
 (``_Tables``): its vertices are every breakpoint summand and every family
 choice, and a rep is rigid when its vertices form a clique and maximal
-rigid when no breakpoint summand extends that clique (``cliques``).  The
-maximal rigid encodings are the maximal cliques of that graph, so one
-Bron-Kerbosch run lists them (``enumerate_maximal_rigid_reps``).  Each
+rigid when no breakpoint summand extends that clique (``cliques``).  Each
 family stands at one generic position of its segment, and the graph is
-Ext^1 vanishing on the segment quiver of the breakpoints and those
+Ext^1 vanishing on the segment quiver A_{4n+1} of the breakpoints and those
 positions; ``_Tables`` says why both are exact and why generic-endpoint
-summands need no vertex.
+summands need no vertex.  The maximal rigid encodings are the tilting sets
+of A_{4n+1} of rep shape, so the gap-vertex recursion of ``finite`` lists
+them (``enumerate_maximal_rigid_reps``).
 """
 
 from __future__ import annotations
 
 import functools
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from itertools import compress
+from itertools import accumulate
 from operator import itemgetter
 
-from .cliques import common_neighbourhood, max_cliques
+from .cliques import common_neighbourhood
 from .counting import _check_count, claim
 from .finite import _check_cap, _collector_paused, _pair_tables, _rank
 from .intervals import (
@@ -367,15 +368,25 @@ class _Tables:
         self.sides = [(j, side) for j in range(n) for side in (LEFT, RIGHT)]
         self.summand_mask = (1 << len(self.summands)) - 1
 
-        m = 4 * n + 1
-        ranks = [[_rank(m, 4 * s.lo + 1 + s.lo_kind, 4 * s.hi + 1 - s.hi_kind)]
-                 for s in self.summands]
+        m, split = 4 * n + 1, len(self.summands)
+        ends = [[(4 * s.lo + 1 + s.lo_kind, 4 * s.hi + 1 - s.hi_kind)] for s in self.summands]
         for f in self.families:  # d = 0: the member closed at x; d = 1: the open one
             x, far = 4 * f.segment + 3, 4 * f.anchor + 1
-            if f.side is RIGHT:
-                ranks.append([_rank(m, x + d, far - f.anchor_kind) for d in (0, 1)])
-            else:
-                ranks.append([_rank(m, far + f.anchor_kind, x - d) for d in (0, 1)])
+            ends.append([(x + d, far - f.anchor_kind) if f.side is RIGHT else (far + f.anchor_kind, x - d)
+                         for d in (0, 1)])
+        ranks = [[_rank(m, a, b) for a, b in pair] for pair in ends]
+        # Key bytes (n <= MAX_N): the images by a point each covers (the start; the end for a left
+        # family), then by vertex.  ``shifts[t]`` moves a key by 4t; ``to_summands`` and
+        # ``to_families`` give its summand vertices and family indices, dropping the rest.
+        order = sorted((b if v >= split and self.families[v - split].side is LEFT else a, v, d, a, b)
+                       for v, pair in enumerate(ends) for d, (a, b) in enumerate(pair)) if n <= MAX_N else []
+        self.code = {(a, b): c for c, (*_, a, b) in enumerate(order)}
+        four = bytes(self.code.get((a + 4, b + 4), 0) for a, b in self.code).ljust(256, b"\0")
+        self.shifts = list(accumulate(range(n), lambda t, _: t.translate(four), initial=bytes(range(256))))
+        self.to_summands = (bytes(v * (v < split) for _, v, *_ in order).ljust(256, b"\0"),
+                            bytes(c for c, (_, v, *_) in enumerate(order) if v >= split))
+        self.to_families = (bytes((v - split) * (v >= split) for _, v, *_ in order).ljust(256, b"\0"),
+                            bytes(c for c, (_, v, d, *_) in enumerate(order) if v < split or d))
         rows = _pair_tables(m)
         # digit w - 1 - r of a w-digit binary string is bit r; the getters list
         # each vertex's first and last member bit, the last vertex first
@@ -419,85 +430,91 @@ def rep_sort_key(rep: BreakpointRep):
 def enumerate_maximal_rigid_reps(grid: Breakpoints) -> list[BreakpointRep]:
     """All maximal rigid encodings on the grid, canonical and sorted.
 
-    These are the maximal cliques of ``_Tables.adj`` that hold one family
-    per segment, which every maximal clique does (the third point), so
-    one Bron-Kerbosch run over the whole graph lists them:
+    On A_{4n+1} (``_Tables``) a summand is one interval [a, b] and a family
+    two.  Mod 4, a summand has a = 1 or 2 and b = 0 or 1; a right family's
+    closed member has a = 3 and b = 0 or 1, with open partner [a+1, b]; a
+    left one has b = 3 and a = 1 or 2, with open partner [a, b-1].  Their
+    tilting sets with each open member by its closed one are the reps:
 
-      * every maximal rigid rep is a maximal clique (proven): no summand
-        extends it, and no family does, as the rep has a family on every
-        segment and two families on one segment are never adjacent;
-      * a maximal clique with one family per segment is a maximal rigid
-        rep (proven): it is well formed, a clique, and no breakpoint
-        summand extends it, nor does a generic-endpoint one (``_Tables``);
-      * every maximal clique has a family on every segment (checked, not
-        proven): a clique holds at most one family per segment, and a
-        ``claim`` on each distinct family mask that it holds n family
-        vertices stops the run with ClaimError on a counterexample.
+      * <=: a shaped, paired tilting set is a clique, and no summand
+        extends a tilting set.  A generic-endpoint summand does not extend
+        it either, by ``_Tables``' argument.  Through ``bridge.project``,
+        its summands are a rigid set on A_{2n+1}, so there are at most
+        2n+1 of them.  So it holds at least n family pairs, at most one
+        per segment: it is a maximal rigid rep.
+      * =>: the other direction needs 2n+1 summands, which the tests'
+        Bron-Kerbosch oracle checks with a ``claim`` on every maximal
+        clique.  Agreement with the paper's formula for n <= 64 shows it
+        there, given the paper.
 
-    The search runs on the graph with its vertex numbering reversed:
-    vertex v of ``_Tables`` is bit V-1-v, so the summands, which come
-    first there, are the high bits and the families the low ones, and the
-    binary digits of a mask, most significant first, list its vertices in
-    ``_Tables`` order.  One plain descending sort of the clique masks is
-    then ``rep_sort_key`` order, by this argument.  Both vertex ranges
-    follow ``all_break_summands`` and ``all_family_choices``, which are
-    built in dataclass order, so comparing two reps is comparing their
-    ascending summand vertex tuples, then their family vertex tuples.  Of
-    two vertex sets of equal size, the one holding the lowest vertex in
-    which they differ has the lexicographically smaller tuple and, with
-    the numbering reversed, the higher mask.  The summand part of a mask
-    lies above its family part, so the masks compare by summand set first
-    and by family set on a tie, and each of those comparisons is between
-    sets of equal size as long as every clique holds 2n+1 summands and n
-    families.  Hence a second ``claim``, on each distinct summand mask,
-    that it holds 2n+1 summands (checked, not proven here: it holds when
-    the summands' image under ``bridge.project`` is a tilting set on
-    A_{2n+1}, which has 2n+1 members).
+    ``finite``'s gap-vertex recursion lists them, each top read for its
+    shape.  A summand splits at every gap k.  A right family's closed
+    member [x, e] holds its partner [x+1, e] only at k = x, the partner
+    topping the right part; no range starting at x+1 holds a set, so the
+    rest is a set of [x+2, e].  A left family is the mirror image; an open
+    member never stands alone.  Shapes repeat with period 4, so only the
+    ranges starting at 1..4 are built; the rest are shifted copies.
 
-    The reps are built in one pass over the sorted masks.  Each new
-    summand mask makes one summand tuple, which its reps share, and each
-    distinct family mask makes one family tuple, kept for the call and
-    shared by every rep with those families.  The search, the sort and
-    the build run with the garbage collector paused, and the reps are built
-    without ``BreakpointRep.__init__``, as ``finite._collector_paused``
-    says for both bulk builds.  n is at most ``MAX_N``, a guard against
-    huge runs, checked before the tables of n are built.
+    A set is the ascending bytes of its ``_Tables.code``s, which order
+    images by a point each covers: a left part codes below a right part,
+    and a key joins them with the top placed by bisection.  The codes keep
+    vertex order among summands of one start and families of one generic
+    point, so ``_Tables.to_summands`` and ``to_families`` translate a key
+    to its ascending summand vertices and family indices, both in
+    dataclass order.  With 2n+1 summands, which a ``claim`` checks on each
+    key as 3n+1 bytes (4n+1 members less one per family), the joined bytes
+    sort as ``rep_sort_key``.  The reps are built in place of the sorted
+    keys, sharing each summand and family tuple (``finite._collector_paused``).
+    n is at most ``MAX_N``, checked before the tables of n are built.
     """
     n = grid.n
     _check_cap("n", n, MAX_N)
     tables = _tables(n)
-    width, split = len(tables.adj), len(tables.families)
-    adj = [int(format(row, f"0{width}b")[::-1], 2) for row in reversed(tables.adj)]
-    low = (1 << split) - 1
-    flags = bytes.maketrans(b"01", b"\0\1")
+    code, shifts, m = tables.code, tables.shifts, 4 * n + 1
+    ranges = {(a, a - 1): [b""] for a in range(1, 5)}  # each range's sets; the empty ranges first
 
-    def members(items: list, mask: int) -> tuple:
-        """The items whose vertex bit is set: the mask's digits, one per item, as 0/1 bytes."""
-        return tuple(compress(items, format(mask, f"0{len(items)}b").encode().translate(flags)))
+    def part(a: int, b: int) -> list[bytes]:  # a range that starts past 4 is a shifted copy
+        t = (a - 1) // 4
+        return [key.translate(shifts[t]) for key in ranges[a - 4 * t, b - 4 * t]] if t else ranges[a, b]
 
-    family_tuples: dict[int, tuple[FamilyChoice, ...]] = {}
-    last, out = -1, []
-    new = object.__new__
-    set_grid, set_summands, set_families = (
-        BreakpointRep.grid.__set__, BreakpointRep.summands.__set__, BreakpointRep.families.__set__)
+    for b in range(1, m + 1):
+        for a in range(min(b, 4), 0, -1):  # [k+1, b] with k+1 <= 4 is built before [a, b]
+            top, out = code.get((a, b)), []
+            if top is None or a % 4 == 0 or b % 4 == 2:
+                pass  # no shape, or an open member
+            elif a % 4 == 3:
+                head = bytes((top, code[a + 1, b]))
+                out = [head + right for right in part(a + 2, b)]
+            elif b % 4 == 3:
+                tail = bytes((code[a, b - 1], top))
+                out = [left + tail for left in part(a, b - 2)]
+            else:
+                for k in range(a, b + 1):
+                    rights = part(k + 1, b)
+                    for left in part(a, k - 1) if rights else ():
+                        c = bisect_left(left, top)
+                        head = left[:c] + bytes((top,)) + left[c:]
+                        out += [head + right for right in rights]
+            ranges[a, b] = out
+    keys, ranges = ranges[1, m], None  # the shorter ranges are freed before the keys are translated
+    size, width, last = 3 * n + 1, 2 * n + 1, bytes(3 * n + 2)  # no key starts with ``last``
+    (to_summands, not_summands), (to_families, not_families) = tables.to_summands, tables.to_families
+    family, family_tuples = tables.families.__getitem__, {}
+    new, slots = object.__new__, (BreakpointRep.grid, BreakpointRep.summands, BreakpointRep.families)
+    set_grid, set_summands, set_families = (slot.__set__ for slot in slots)
     with _collector_paused():
-        cliques = max_cliques(adj)
-        cliques.sort(reverse=True)
-        for clique in cliques:
-            smask = clique >> split
-            if smask != last:
-                last = smask
-                summands = members(tables.summands, smask)
-                claim(len(summands) == 2 * n + 1, "every maximal clique holds 2n+1 summands")
-            fmask = clique & low
-            families = family_tuples.get(fmask)
-            if families is None:
-                families = members(tables.families, fmask)
-                claim(len(families) == n, "every maximal clique holds one family per segment")
-                family_tuples[fmask] = families
-            rep = new(BreakpointRep)
+        for i, key in enumerate(keys):
+            keys[i] = key.translate(to_summands, not_summands) + key.translate(to_families, not_families)
+        claim(all(map(size.__eq__, map(len, keys))), "each rep holds 2n+1 summands and n families")
+        keys.sort()
+        for i, key in enumerate(keys):
+            if not key.startswith(last):
+                last = key[:width]
+                summands = itemgetter(*last)(tables.summands)
+            tail = key[width:]
+            families = family_tuples.get(tail) or family_tuples.setdefault(tail, tuple(map(family, tail)))
+            keys[i] = rep = new(BreakpointRep)
             set_grid(rep, grid)
             set_summands(rep, summands)
             set_families(rep, families)
-            out.append(rep)
-    return out
+    return keys

@@ -49,15 +49,20 @@ suite can compare the two:
     with its own literal spellings of kinds and sides; the library's
     decoder must return an equal rep or raise the same error.
   * ``enumerate_by_groups`` is ``enumerate_maximal_rigid_reps`` as it was
-    written before it sorted bit-reversed clique masks: the cliques of
-    ``_Tables.adj`` grouped by summand mask, the groups sorted by summand
-    vertices and the family vertices sorted within each group; the
-    library's list must equal it, order included.
-  * ``reflect`` is the line reversal on A_m, [a, b] -> [m+1-b, m+1-a]: the
-    duality D followed by renumbering the vertices of the opposite quiver.
-    It keeps Ext^1 vanishing, so it must permute the compatibility rows
-    and the maximal rigid sets among themselves; no second implementation
-    is needed to check either.
+    written before the gap-vertex recursion: one Bron-Kerbosch run on
+    ``_Tables.adj`` with its vertex bits reversed, the cliques grouped by
+    summand mask and taken in descending mask order, with a ``claim`` that
+    each holds 2n+1 summands and one family per segment; the library's
+    list must equal it, order included.
+  * ``shaped_counts`` counts the tilting sets of A_{4n+1} of rep shape by
+    the free/split recursion, with integers only; it must equal the
+    paper's ``continuous_count``.
+  * ``reflect`` is the line reversal: [a, b] -> [m+1-b, m+1-a] on A_m, the
+    duality D followed by renumbering the vertices of the opposite quiver,
+    and x -> 1-x on summands, families and reps.  It keeps Ext^1
+    vanishing, so it must permute the compatibility rows of either model
+    and its maximal rigid objects among themselves; no second
+    implementation is needed to check either.
 """
 
 from __future__ import annotations
@@ -102,6 +107,7 @@ from maxrigid import (
 )
 from maxrigid.cliques import bits, max_cliques
 from maxrigid.continuous import _lowest_unnamed, _tables
+from maxrigid.counting import claim
 from maxrigid.finite import _pair_tables
 from maxrigid.intervals import InvalidIntervalError, _compatible_ends
 
@@ -429,26 +435,94 @@ def finite_max_cliques(m: int) -> list[tuple[int, ...]]:
 
 
 def enumerate_by_groups(grid: Breakpoints) -> list[BreakpointRep]:
-    """The maximal rigid reps on ``grid`` in ``rep_sort_key`` order, by grouping and sorting."""
+    """The maximal rigid reps on ``grid`` in ``rep_sort_key`` order, from one Bron-Kerbosch run.
+
+    The run is on ``_tables(n).adj`` with its vertex numbering reversed:
+    vertex v is bit V-1-v, so the summands, which come first there, are
+    the high bits, and the binary digits of a mask, most significant
+    first, list its vertices in ``_Tables`` order.  The cliques are
+    grouped by summand mask, the groups taken in descending mask order and
+    the family masks descending within each.  Of two vertex sets of equal
+    size, the one holding the lowest vertex in which they differ has the
+    smaller vertex tuple and the higher reversed mask, so this is
+    ``rep_sort_key`` order as long as every clique holds 2n+1 summands
+    and n families: a ``claim`` on each group and on each of its family
+    masks checks both.
+    """
     n = grid.n
     tables = _tables(n)
-    split = len(tables.summands)
-    groups: dict[int, list[tuple[int, ...]]] = {}
-    for clique in max_cliques(tables.adj):
-        fams = bits(clique >> split)
-        assert len(fams) == n, clique
-        groups.setdefault(clique & tables.summand_mask, []).append(tuple(fams))
+    width, split = len(tables.adj), len(tables.families)
+    adj = [int(format(row, f"0{width}b")[::-1], 2) for row in reversed(tables.adj)]
+
+    def members(items: list, mask: int) -> tuple:
+        return tuple(itertools.compress(items, map(int, format(mask, f"0{len(items)}b"))))
+
+    groups: dict[int, list[int]] = {}
+    for clique in max_cliques(adj):
+        groups.setdefault(clique >> split, []).append(clique & ((1 << split) - 1))
     out = []
-    for smask in sorted(groups, key=bits):
-        summands = tuple(tables.summands[si] for si in bits(smask))
-        for fams in sorted(groups.pop(smask)):
-            out.append(BreakpointRep(grid, summands, tuple(tables.families[fi] for fi in fams)))
+    for smask in sorted(groups, reverse=True):
+        summands = members(tables.summands, smask)
+        claim(len(summands) == 2 * n + 1, "every maximal clique holds 2n+1 summands")
+        for fmask in sorted(groups[smask], reverse=True):
+            families = members(tables.families, fmask)
+            claim(len(families) == n, "every maximal clique holds one family per segment")
+            out.append(BreakpointRep(grid, summands, families))
     return out
 
 
-def reflect(m: int, iv: FiniteInterval) -> FiniteInterval:
-    """The interval [a, b] of A_m read from the other end of the line."""
-    return FiniteInterval(m + 1 - iv.b, m + 1 - iv.a)
+def shaped_counts(top: int) -> list[int]:
+    """The tilting sets of A_{4n+1} of rep shape, for n = 1..top, by the free/split recursion.
+
+    free(a, b) counts them on [a, b], and split(a, b) is the sum over the
+    gap vertex k of free(a, k-1) * free(k+1, b), an empty range counting
+    1.  Read mod 4, free(a, b) is split(a, b) for a summand shape (a = 1
+    or 2, b = 0 or 1), split(a+1, b) for a right family's closed member
+    (a = 3, b = 0 or 1), whose open partner [a+1, b] tops the rest,
+    split(a, b-1) for a left one (a = 1 or 2, b = 3), and 0 otherwise, as
+    an open member never stands alone.  Shapes repeat with period 4, so
+    free(a, b) is held at [a % 4][b - a + 1], the empty range at 0.
+    """
+    m = 4 * top + 1
+    free = [[1] + [0] * m for _ in range(4)]
+
+    def split(a: int, b: int) -> int:
+        return sum(free[a % 4][k - a] * free[(k + 1) % 4][b - k] for k in range(a, b + 1))
+
+    for length in range(1, m + 1):
+        for a in range(1, 5):
+            b = a + length - 1
+            if a % 4 in (1, 2) and b % 4 in (0, 1):
+                free[a % 4][length] = split(a, b)
+            elif a % 4 == 3 and b % 4 in (0, 1):
+                free[a % 4][length] = split(a + 1, b)
+            elif a % 4 in (1, 2) and b % 4 == 3:
+                free[a % 4][length] = split(a, b - 1)
+    return [free[1][4 * n + 1] for n in range(1, top + 1)]
+
+
+def reflect(size: int, item):
+    """``item`` read from the other end of the line.
+
+    On A_m (``size`` = m) an interval [a, b] becomes [m+1-b, m+1-a]: the
+    duality D followed by renumbering the vertices of the opposite quiver.
+    On n segments (``size`` = n), x -> 1-x sends a summand (lo, lk, hi,
+    hk) to (n-hi, hk, n-lo, lk), a family (j, side, b, k) to (n-1-j, the
+    other side, n-b, k), and a rep to the canonical rep of their images
+    on the reflected grid.
+    """
+    if isinstance(item, FiniteInterval):
+        return FiniteInterval(size + 1 - item.b, size + 1 - item.a)
+    if isinstance(item, BreakSummand):
+        return BreakSummand(size - item.hi, item.hi_kind, size - item.lo, item.lo_kind)
+    if isinstance(item, FamilyChoice):
+        side = LEFT if item.side is RIGHT else RIGHT
+        return FamilyChoice(size - 1 - item.segment, side, size - item.anchor, item.anchor_kind)
+    return BreakpointRep(
+        Breakpoints(tuple(1 - v for v in reversed(item.grid.values))),
+        tuple(sorted(reflect(size, s) for s in item.summands)),
+        tuple(sorted(reflect(size, f) for f in item.families)),
+    )
 
 
 def pair_tables(m: int) -> tuple[list[FiniteInterval], dict[FiniteInterval, int], list[int]]:

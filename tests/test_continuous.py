@@ -10,6 +10,8 @@ import json
 import pickle
 import pkgutil
 import random
+import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -56,9 +58,10 @@ from maxrigid import (
 
 from maxrigid import cli, continuous, finite
 from maxrigid.cliques import bits, max_cliques
-from maxrigid.continuous import _Tables, _tables, _vertex_mask, rep_sort_key
+from maxrigid.continuous import MAX_N, _Tables, _tables, _vertex_mask, rep_sort_key
 from maxrigid.counting import ClaimError
 
+import oracles
 from golden import ten_reps
 from oracles import (
     DEFAULT_FRESH,
@@ -74,8 +77,10 @@ from oracles import (
     maximal_oracle,
     profile_uniform,
     random_fresh,
+    reflect,
     sample_model,
     sampled_masks,
+    shaped_counts,
     sweep,
     tables_pair_loop,
     validate_rep_two_loops,
@@ -794,11 +799,42 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_order_equals_the_grouping_oracle(self, n):
-        """One descending sort of bit-reversed masks gives the grouped and sorted list."""
+        """The gap-vertex recursion gives the Bron-Kerbosch oracle's list, order included."""
         grid = Breakpoints.uniform(n)
         reps = enumerate_maximal_rigid_reps(grid)
         assert reps == enumerate_by_groups(grid)
         assert len(reps) == continuous_count(n)
+
+    def test_shaped_count_equals_the_paper_count(self):
+        """The integer free/split recursion counts ``continuous_count(n)`` shaped, paired
+        tilting sets of A_{4n+1} for every n = 1..64, from one table."""
+        start = time.process_time()
+        assert shaped_counts(64) == [continuous_count(n) for n in range(1, 65)]
+        assert time.process_time() - start < 2
+
+    def test_peak_memory_is_a_small_multiple_of_the_result(self):
+        """The shorter ranges are freed before the keys are translated, and the reps are
+        built in place of the keys, so the peak stays under 1.4 times the reps held (1.30 at
+        n = 3 and 1.47 at n = 4 when this was written; n = 3, as tracing every allocation of
+        n = 4 takes seconds)."""
+        _tables(3)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            reps = enumerate_maximal_rigid_reps(Breakpoints.uniform(3))
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(reps) == 3432
+        assert peak <= 1.4 * held, (peak, held)
+
+    def test_key_width_bounds_every_n_under_the_cap(self):
+        """A key holds each code in a byte.  There are at most as many codes as intervals of
+        A_m, m = 4n+1, and A_{4 MAX_N + 1} = A_21 has 231."""
+        m = 4 * MAX_N + 1
+        assert m * (m + 1) // 2 - 1 <= 255
+        assert sorted(_tables(MAX_N).code.values()) == list(range(len(_tables(MAX_N).code)))
+        assert len(_tables(MAX_N).code) <= m * (m + 1) // 2
 
     def test_reps_share_their_summand_and_family_tuples(self):
         reps = enumerate_maximal_rigid_reps(Breakpoints.uniform(2))
@@ -807,29 +843,75 @@ class TestEnumeration:
 
     @staticmethod
     def doctored(monkeypatch, n, row):
-        """``_tables(n)`` with each adjacency row replaced by ``row(v, adj[v])``, both ways."""
+        """The oracle's ``_tables(n)`` with each adjacency row replaced by ``row(v, adj[v])``,
+        both ways."""
         t = copy.copy(_Tables(n))
         t.adj = [row(v, r) for v, r in enumerate(t.adj)]
         assert all((t.adj[u] >> v & 1) == (t.adj[v] >> u & 1) for u in range(len(t.adj))
                    for v in range(len(t.adj)))
-        monkeypatch.setattr(continuous, "_tables", lambda m: t)
+        monkeypatch.setattr(oracles, "_tables", lambda m: t)
         return Breakpoints.uniform(n)
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_family_claim_stops_a_clique_without_families(self, monkeypatch, n):
-        """With every family vertex isolated, the first clique holds 2n+1 summands and no family."""
+        """With every family vertex isolated, the first group holds 2n+1 summands and its
+        cliques no family."""
         split = len(_tables(n).summands)
         summands = (1 << split) - 1
         grid = self.doctored(monkeypatch, n, lambda v, r: r & summands if v < split else 0)
         with pytest.raises(ClaimError, match="^every maximal clique holds one family per segment$"):
-            enumerate_maximal_rigid_reps(grid)
+            enumerate_by_groups(grid)
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_summand_claim_stops_a_short_summand_set(self, monkeypatch, n):
-        """With summand vertex 0 isolated, the first clique is that one summand alone."""
+        """With summand vertex 0 isolated, the first group is that one summand alone."""
         grid = self.doctored(monkeypatch, n, lambda v, r: 0 if v == 0 else r & ~1)
         with pytest.raises(ClaimError, match=r"^every maximal clique holds 2n\+1 summands$"):
-            enumerate_maximal_rigid_reps(grid)
+            enumerate_by_groups(grid)
+
+
+class TestReflection:
+    """x -> 1-x (``oracles.reflect``) keeps compatibility, so it must permute the graph's
+    vertices and the maximal rigid reps among themselves."""
+
+    @staticmethod
+    def vertices(n):
+        """Each vertex's number, keyed by its summand or family, and the reflection's."""
+        t = _tables(n)
+        items = t.summands + t.families
+        vertex = {x: v for v, x in enumerate(items)}
+        return vertex, [vertex[reflect(n, x)] for x in items]
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_reflection_is_an_automorphism_of_the_graph(self, n):
+        adj = _tables(n).adj
+        _, mirror = self.vertices(n)
+        assert sorted(mirror) == list(range(len(adj)))
+        for u, row in enumerate(adj):
+            assert sum(1 << mirror[v] for v in bits(row)) == adj[mirror[u]], (n, u)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_enumeration_is_closed_under_reflection(self, n):
+        """Each summand or family tuple is read once: the reps share them."""
+        vertex, mirror = self.vertices(n)
+        reps = enumerate_maximal_rigid_reps(Breakpoints.uniform(n))
+        parts = {}
+        for r in reps:
+            for part in (r.summands, r.families):
+                if id(part) not in parts:
+                    vs = [vertex[x] for x in part]
+                    parts[id(part)] = tuple(vs), tuple(sorted(mirror[v] for v in vs))
+        sets = {(parts[id(r.summands)][0], parts[id(r.families)][0]) for r in reps}
+        assert len(sets) == len(reps) == continuous_count(n)
+        assert {(parts[id(r.summands)][1], parts[id(r.families)][1]) for r in reps} == sets
+
+    def test_reflected_reps_are_maximal_and_reflect_back(self):
+        rng = random.Random(27)
+        for grid in (Breakpoints.uniform(2), random_grid(rng, 2)):
+            for r in enumerate_maximal_rigid_reps(grid):
+                image = reflect(2, r)
+                assert is_maximal_rigid(image) and image.grid.values[1] == 1 - grid.values[1]
+                assert reflect(2, image) == r
 
 
 def random_grid(rng, n):
