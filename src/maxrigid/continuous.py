@@ -18,23 +18,20 @@ family stands at one generic position of its segment, and the graph is
 Ext^1 vanishing on the segment quiver A_{4n+1} of the breakpoints and those
 positions; ``_Tables`` says why both are exact and why generic-endpoint
 summands need no vertex.  The maximal rigid encodings are the tilting sets
-of A_{4n+1} of rep shape, so the gap-vertex recursion of ``finite`` lists
-them (``enumerate_maximal_rigid_reps``).
+of A_{4n+1} of rep shape, which ``finite._gap_keys`` lists.
 """
 
 from __future__ import annotations
 
 import functools
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from itertools import accumulate
 from operator import itemgetter
 
 from .cliques import common_neighbourhood
 from .counting import _check_count, claim
-from .finite import _check_cap, _collector_paused, _pair_tables, _rank
+from .finite import _check_cap, _collector_paused, _gap_keys, _pair_tables, _rank
 from .intervals import (
     CLOSED,
     OPEN,
@@ -376,13 +373,13 @@ class _Tables:
                          for d in (0, 1)])
         ranks = [[_rank(m, a, b) for a, b in pair] for pair in ends]
         # Key bytes (n <= MAX_N): the images by a point each covers (the start; the end for a left
-        # family), then by vertex.  ``shifts[t]`` moves a key by 4t; ``to_summands`` and
-        # ``to_families`` give its summand vertices and family indices, dropping the rest.
+        # family), then by vertex; ``tops`` holds the shapes that top a range.  ``to_summands`` and
+        # ``to_families`` give a key's summand vertices and family indices, dropping the rest.
         order = sorted((b if v >= split and self.families[v - split].side is LEFT else a, v, d, a, b)
                        for v, pair in enumerate(ends) for d, (a, b) in enumerate(pair)) if n <= MAX_N else []
         self.code = {(a, b): c for c, (*_, a, b) in enumerate(order)}
-        four = bytes(self.code.get((a + 4, b + 4), 0) for a, b in self.code).ljust(256, b"\0")
-        self.shifts = list(accumulate(range(n), lambda t, _: t.translate(four), initial=bytes(range(256))))
+        self.tops = {(a, b): (a + 1, b) if a % 4 == 3 else (a, b - 1) if b % 4 == 3 else None
+                     for a, b in self.code if a <= 4 and a % 4 and b % 4 != 2}
         self.to_summands = (bytes(v * (v < split) for _, v, *_ in order).ljust(256, b"\0"),
                             bytes(c for c, (_, v, *_) in enumerate(order) if v >= split))
         self.to_families = (bytes((v - split) * (v >= split) for _, v, *_ in order).ljust(256, b"\0"),
@@ -447,20 +444,15 @@ def enumerate_maximal_rigid_reps(grid: Breakpoints) -> list[BreakpointRep]:
         clique.  Agreement with the paper's formula for n <= 64 shows it
         there, given the paper.
 
-    ``finite``'s gap-vertex recursion lists them, each top read for its
-    shape.  A summand splits at every gap k.  A right family's closed
-    member [x, e] holds its partner [x+1, e] only at k = x, the partner
-    topping the right part; no range starting at x+1 holds a set, so the
-    rest is a set of [x+2, e].  A left family is the mirror image; an open
-    member never stands alone.  Shapes repeat with period 4, so only the
-    ranges starting at 1..4 are built; the rest are shifted copies.
+    ``finite._gap_keys`` lists them by those shapes (``_Tables.tops``),
+    period 4: a closed member [x, e] holds its partner [x+1, e] only at
+    gap x, topping the right part [x+1, e] at gap x+1, as no range
+    starting at x+1 holds a set (a left one is the mirror image).
 
-    A set is the ascending bytes of its ``_Tables.code``s, which order
-    images by a point each covers: a left part codes below a right part,
-    and a key joins them with the top placed by bisection.  The codes keep
-    vertex order among summands of one start and families of one generic
-    point, so ``_Tables.to_summands`` and ``to_families`` translate a key
-    to its ascending summand vertices and family indices, both in
+    The codes order images by a point each covers, as ``_gap_keys`` asks,
+    and keep vertex order among summands of one start and families of one
+    generic point, so ``_Tables.to_summands`` and ``to_families`` translate
+    a key to its ascending summand vertices and family indices, both in
     dataclass order.  With 2n+1 summands, which a ``claim`` checks on each
     key as 3n+1 bytes (4n+1 members less one per family), the joined bytes
     sort as ``rep_sort_key``.  The reps are built in place of the sorted
@@ -470,33 +462,7 @@ def enumerate_maximal_rigid_reps(grid: Breakpoints) -> list[BreakpointRep]:
     n = grid.n
     _check_cap("n", n, MAX_N)
     tables = _tables(n)
-    code, shifts, m = tables.code, tables.shifts, 4 * n + 1
-    ranges = {(a, a - 1): [b""] for a in range(1, 5)}  # each range's sets; the empty ranges first
-
-    def part(a: int, b: int) -> list[bytes]:  # a range that starts past 4 is a shifted copy
-        t = (a - 1) // 4
-        return [key.translate(shifts[t]) for key in ranges[a - 4 * t, b - 4 * t]] if t else ranges[a, b]
-
-    for b in range(1, m + 1):
-        for a in range(min(b, 4), 0, -1):  # [k+1, b] with k+1 <= 4 is built before [a, b]
-            top, out = code.get((a, b)), []
-            if top is None or a % 4 == 0 or b % 4 == 2:
-                pass  # no shape, or an open member
-            elif a % 4 == 3:
-                head = bytes((top, code[a + 1, b]))
-                out = [head + right for right in part(a + 2, b)]
-            elif b % 4 == 3:
-                tail = bytes((code[a, b - 1], top))
-                out = [left + tail for left in part(a, b - 2)]
-            else:
-                for k in range(a, b + 1):
-                    rights = part(k + 1, b)
-                    for left in part(a, k - 1) if rights else ():
-                        c = bisect_left(left, top)
-                        head = left[:c] + bytes((top,)) + left[c:]
-                        out += [head + right for right in rights]
-            ranges[a, b] = out
-    keys, ranges = ranges[1, m], None  # the shorter ranges are freed before the keys are translated
+    keys = _gap_keys(4 * n + 1, 4, tables.code, tables.tops)
     size, width, last = 3 * n + 1, 2 * n + 1, bytes(3 * n + 2)  # no key starts with ``last``
     (to_summands, not_summands), (to_families, not_families) = tables.to_summands, tables.to_families
     family, family_tuples = tables.families.__getitem__, {}

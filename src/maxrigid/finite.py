@@ -21,7 +21,7 @@ import gc
 from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import product
+from itertools import accumulate, product
 from operator import itemgetter, lt
 from typing import Iterable
 
@@ -218,14 +218,12 @@ def _rank(m: int, a: int, b: int) -> int:
     return (a - 1) * (2 * m + 2 - a) // 2 + b - a
 
 
-def _shift_table(m: int, d: int) -> bytes:
-    """The ``bytes.translate`` table of the shift by d on A_m: byte
-    ``_rank(m, a, b)`` becomes ``_rank(m, a + d, b + d)`` for b + d <= m; the
-    other bytes, which no shifted key holds, become 0.  Each rank fits in a
-    byte while m(m+1)/2 - 1 <= 255, that is for m <= 22, so for every m up
-    to ``MAX_M``."""
-    ranks = [_rank(m, a + d, b + d) if b + d <= m else 0 for a in range(1, m + 1) for b in range(a, m + 1)]
-    return bytes(ranks).ljust(256, b"\0")
+def _shift_tables(code: dict[tuple[int, int], int], period: int, count: int) -> list[bytes]:
+    """The ``bytes.translate`` tables that send ``code[a, b]`` to ``code[a + d, b + d]``,
+    d = t * period for t < count.  ``code`` lists intervals in byte order; a byte whose
+    shift is unlisted goes to 0, then anywhere, but no shifted key holds one."""
+    step = bytes(code.get((a + period, b + period), 0) for a, b in code).ljust(256, b"\0")
+    return list(accumulate(range(count - 1), lambda table, _: table.translate(step), initial=bytes(range(256))))
 
 
 @functools.cache
@@ -279,13 +277,16 @@ def is_maximal_rigid_set(q: LinearQuiver, summands: Iterable[FiniteInterval]) ->
     return common == mask
 
 
-def enumerate_maximal_rigid(q: LinearQuiver) -> list[RigidSet]:
-    """All maximal rigid sets on A_m, sorted by their sorted summands.
 
-    The maximal rigid sets are the tilting sets.  The tilting sets on a
-    vertex range [a, b] are built bottom-up by length: for each gap vertex
-    k in [a, b], {[a, b]} together with a tilting set on [a, k-1] and one
-    on [k+1, b], the range [a, a-1] holding only the empty set.
+
+def _gap_keys(m: int, period: int, code: dict[tuple[int, int], int],
+              tops: dict[tuple[int, int], tuple[int, int] | None]) -> list[bytes]:
+    """The tilting sets on [1, m] whose tops ``tops`` allows, as byte keys.
+
+    The sets on a vertex range [a, b] are built bottom-up by length, the
+    range [a, a-1] holding only the empty set.  If every top splits
+    (``tops[a, b]`` is None), they are [a, b] together with a set on
+    [a, k-1] and one on [k+1, b], for each gap vertex k in [a, b]:
 
       * Distinct: the parts contain [a, k-1] and [k+1, b], so k is the one
         vertex that no member other than [a, b] covers.  The set
@@ -300,52 +301,84 @@ def enumerate_maximal_rigid(q: LinearQuiver) -> list[RigidSet]:
         c(k-a) c(b-k), the Catalan recurrence, and A_m has Catalan(m)
         tilting sets.
 
-    Only the ranges [1, L] are built.  The tilting sets on [a, b] are those
-    on [1, b-a+1] shifted by a-1, because shifting both modules keeps their
-    Ext^1 (``ext_dim`` compares ends only).  So the right part on [k+1, L]
-    is a tilting set on [1, L-k] shifted by k.
+    So each tilting set comes from one tree of ranges and gaps.  A range
+    whose top is not a key of ``tops`` holds no set, and a top with the
+    partner [a+1, b] keeps only gap a, the partner topping the right part
+    at gap a+1 (the mirror image for [a, b-1]).  So the sets built are
+    those whose tree passes ``tops`` at every range.  A range that starts
+    past ``period`` holds the sets of the one t * period to its left,
+    shifted, as shifting both modules keeps their Ext^1 (``ext_dim``
+    compares ends only) and ``tops`` and ``code`` repeat with that period;
+    one ``_shift_tables`` table per t moves a whole key by ``bytes.translate``.
 
-    A set is kept as the ``bytes`` of its indices in ``all_intervals``,
-    ascending, which lists [a, b] at ``_rank``; index order is the
-    dataclass order there, so sorting the keys sorts the sets, and each
-    set's members are its key's intervals in that order.  The shift by d
-    maps the rank of [x, y] to the rank of [x+d, y+d] and keeps the order,
-    so one ``_shift_table`` per d shifts a whole key by ``bytes.translate``.
-    m is at most ``MAX_M`` (a guard against huge runs), so the largest
-    rank, m(m+1)/2 - 1 <= 119, fits in one byte.  ``bytes`` are not
-    tracked by the garbage collector and sort by ``memcmp``.
+    A key is the ascending bytes of its members' ``code``s.  The codes
+    are numbered in byte order below 256, and they order the intervals,
+    in a way a shift keeps, by a point each covers: its start, but its
+    end for a top with the partner [a, b-1] and for that partner.  So a
+    left part's bytes lie below a right part's, a top that splits joins
+    its left part where bisection puts it, and a pair heads or ends its
+    key.  ``bytes`` are not tracked by the garbage collector and sort by
+    ``memcmp``.
 
-    Each list of [1, L] keys is kept sorted, and for one gap k its keys
-    come out ascending.  A key is head + right, where head inserts the
-    byte of [1, L] into the left key after its members [1, y]: those rank
-    below [1, L] and every other member above it.  So two heads compare as
-    their left keys do, all keys of one k have one length, and the pairs
-    (left, right) are taken in sorted order.  ``list.sort`` then merges L
-    ascending runs instead of sorting from scratch.  The sets themselves
-    are built in place of their keys, as ``_collector_paused`` says: with
-    the collector paused and without ``RigidSet.__init__``.
+    Each range's list but [1, m]'s is sorted, and for one gap k its keys
+    come out ascending: inserting one byte that neither holds into two
+    ascending keys of one length keeps their order, every key of a range
+    has one length, and the pairs (left, right) are taken in order.  So
+    each ``list.sort`` merges one run per gap.  The [1, m] list is
+    returned as those runs, for the caller to sort, and the shorter
+    ranges are freed on return.
+    """
+    shifts = _shift_tables(code, period, m // period + 1)
+    ranges = {(a, a - 1): [b""] for a in range(1, period + 1)}  # each range's keys; the empty ranges first
+
+    def part(a: int, b: int) -> list[bytes]:  # a range that starts past ``period`` is a shifted copy
+        t = (a - 1) // period
+        return [key.translate(shifts[t]) for key in ranges[a - t * period, b - t * period]] if t else ranges[a, b]
+
+    for b in range(1, m + 1):
+        for a in range(min(b, period), 0, -1):  # [k+1, b] with k+1 <= period is built before [a, b]
+            keys = ranges[a, b] = []
+            if (a, b) in tops:
+                c, partner = code[a, b], tops[a, b]
+                top = bytes((c,))
+                if partner == (a + 1, b):
+                    head = top + bytes((code[partner],))
+                    keys += [head + right for right in part(a + 2, b)]
+                elif partner:
+                    tail = bytes((code[partner],)) + top
+                    keys += [left + tail for left in part(a, b - 2)]
+                else:
+                    for k in range(a, b + 1):
+                        rights = part(k + 1, b)
+                        for left in part(a, k - 1) if rights else ():
+                            i = bisect_left(left, c)
+                            head = left[:i] + top + left[i:]
+                            keys += [head + right for right in rights]
+                    if b < m or a > 1:
+                        keys.sort()  # merges the ascending run of each k; [1, m] is the caller's
+    return ranges[1, m]
+
+
+def enumerate_maximal_rigid(q: LinearQuiver) -> list[RigidSet]:
+    """All maximal rigid sets on A_m, sorted by their sorted summands.
+
+    The maximal rigid sets are the tilting sets: ``_gap_keys`` with every
+    top splitting, period 1 and ``_rank`` codes, whose order is the
+    ``all_intervals`` order, by start, and the dataclass order.  So
+    sorting the keys sorts the sets, and each set's members are its key's
+    intervals in order.  m is at most ``MAX_M`` (a guard against huge
+    runs), so the largest rank, m(m+1)/2 - 1 <= 119, fits in one byte.
+    The sets are built in place of their keys, as ``_collector_paused``
+    says: with the collector paused and without ``RigidSet.__init__``.
     """
     m = q.m
     _check_cap("m", m, MAX_M)
     ivs = all_intervals(q)
     if m == 1:  # itemgetter of one index returns that item, not a 1-tuple
         return [RigidSet((ivs[0],))]
-    shifts = [_shift_table(m, d) for d in range(m + 1)]
-    tilting = [[b""]]  # tilting[L]: the sorted keys of [1, L]
-    for length in range(1, m + 1):
-        top = bytes((length - 1,))  # the rank of [1, length]
-        keys = []
-        for k in range(1, length + 1):
-            rights = [right.translate(shifts[k]) for right in tilting[length - k]]
-            for left in tilting[k - 1]:
-                # the members [1, y] (ranks y - 1 < m) come before [1, length], the rest after
-                c = bisect_left(left, m)
-                head = left[:c] + top + left[c:]
-                keys += [head + right for right in rights]
-        keys.sort()  # merges the ascending run of each k
-        tilting.append(keys)
-    keys = tilting.pop()
-    tilting.clear()  # the shorter ranges are freed before the sets are built
+    code = {(iv.a, iv.b): rank for rank, iv in enumerate(ivs)}
+    keys = _gap_keys(m, 1, code, dict.fromkeys(code))
+    keys.sort()
     new, set_members = object.__new__, RigidSet.members.__set__
     with _collector_paused():
         for i, key in enumerate(keys):

@@ -2,8 +2,9 @@
 
 The harness under ``perfbench/`` is read here with ``ast`` only, never
 imported: every ``CALLS`` entry of ``worker.py`` and every attribute the
-harness reads off the imported package (``mr.<name>``) must exist.  The
-package's ``__all__`` is checked against what it actually binds.
+harness reads off the imported package (``mr.<name>``) must exist, and so
+must every attribute it reads off the enumerators' results (``RESULT_READS``).
+The package's ``__all__`` is checked against what it actually binds.
 """
 
 import ast
@@ -47,6 +48,27 @@ def _package_attributes():
     return sorted(n for n in names if n)
 
 
+#: (file, receiver, attribute) of each read off an enumerator's result in the harness:
+#: ``rs`` and ``sets[k]`` are ``RigidSet``s of ``enumerate_maximal_rigid``, and ``rep``
+#: is a ``BreakpointRep`` of ``fiber_reps``.
+RESULT_READS = {
+    ("gen.py", "rs", "sorted_summands"),
+    ("gen.py", "rep", "families"),
+    ("gen.py", "rep", "grid"),
+    ("gen.py", "rep", "summands"),
+    ("worker.py", "sets[k]", "summands"),
+}
+
+
+def _result_reads():
+    found = set()
+    for source in ("gen.py", "worker.py"):
+        for node in ast.walk(_tree(source)):
+            if isinstance(node, ast.Attribute) and ast.unparse(node.value) in ("rs", "rep", "sets[k]"):
+                found.add((source, ast.unparse(node.value), node.attr))
+    return found
+
+
 def _resolve(dotted):
     obj = maxrigid
     path = "maxrigid"
@@ -71,6 +93,25 @@ def test_calls_resolve(name):
 @pytest.mark.parametrize("name", _package_attributes())
 def test_package_attributes_resolve(name):
     _resolve(name)
+
+
+def test_result_reads_are_pinned():
+    assert _result_reads() == RESULT_READS
+
+
+@pytest.mark.parametrize("source, receiver, attr", sorted(RESULT_READS))
+def test_result_reads_resolve(source, receiver, attr):
+    """Each read gives what the harness uses: ``gen._images`` takes the sorted members
+    with their ``.a`` and ``.b``, ``gen._query_texts`` rebuilds reps from their fields,
+    and ``worker`` passes the summands to ``is_tilting``."""
+    rs = maxrigid.enumerate_maximal_rigid(maxrigid.segment_quiver(2))[-1]
+    if receiver == "rep":
+        rep = maxrigid.fiber_reps(list(rs.members), maxrigid.Breakpoints.uniform(2))[0]
+        assert getattr(rep, attr) == getattr(maxrigid.BreakpointRep(rep.grid, rep.summands, rep.families), attr)
+    elif attr == "sorted_summands":
+        assert [(iv.a, iv.b) for iv in rs.sorted_summands()] == sorted((iv.a, iv.b) for iv in rs.members)
+    else:
+        assert set(getattr(rs, attr)) == set(rs.members)
 
 
 def test_all_is_the_public_namespace():

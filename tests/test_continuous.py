@@ -828,6 +828,18 @@ class TestEnumeration:
         assert len(reps) == 3432
         assert peak <= 1.4 * held, (peak, held)
 
+    @pytest.mark.parametrize("n, alone, unpaired", [(1, 20, 0), (2, 695, 0), (3, 29395, 0)])
+    def test_shape_rule_mutants_change_the_count(self, n, alone, unpaired):
+        """``_tables(n).tops`` gives ``continuous_count(n)`` sets on A_{4n+1}.  The rule fails
+        on ROADMAP section 2's two mutants: one that lets each open partner top a range alone,
+        splitting at every gap, and one that drops the pairing, splitting every top."""
+        t = _tables(n)
+        count = lambda tops: len(finite._gap_keys(4 * n + 1, 4, t.code, tops))
+        opens = dict.fromkeys(iv for iv in t.code if iv[0] <= 4 and iv not in t.tops)
+        assert opens and count(t.tops) == continuous_count(n)
+        assert count({**opens, **t.tops}) == alone
+        assert count(dict.fromkeys(t.tops)) == unpaired
+
     def test_key_width_bounds_every_n_under_the_cap(self):
         """A key holds each code in a byte.  There are at most as many codes as intervals of
         A_m, m = 4n+1, and A_{4 MAX_N + 1} = A_21 has 231."""

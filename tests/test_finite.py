@@ -24,7 +24,8 @@ from maxrigid import (
     is_tilting,
 )
 from maxrigid import bridge, finite, verify
-from maxrigid.finite import MAX_M, _pair_tables, _rank, _shift_table
+from maxrigid.continuous import MAX_N, _tables
+from maxrigid.finite import MAX_M, _pair_tables, _rank, _shift_tables
 
 from oracles import finite_max_cliques, pair_tables, reflect
 
@@ -242,16 +243,24 @@ class TestEnumeration:
             assert {tuple(sorted(map(mirror.__getitem__, members))) for members in sets} == sets, m
 
     def test_shift_tables_move_each_rank_by_the_shift(self):
-        """Byte ``_rank(m, a, b)`` of the shift by d is ``_rank(m, a + d, b + d)``, in one byte,
-        for every m whose ranks fit in a byte (A_22 has 253 intervals, A_23 has 276) and
-        every shift the recursion uses."""
-        for m in range(1, 23):
-            for d in range(m + 1):
-                table = _shift_table(m, d)
-                assert len(table) == 256, (m, d)
-                for a in range(1, m - d + 1):
-                    for b in range(a, m - d + 1):
-                        assert table[_rank(m, a, b)] == _rank(m, a + d, b + d) <= 255, (m, d, a, b)
+        """Byte ``code[a, b]`` of the shift by t periods is ``code[a + d, b + d]``, d = t * period,
+        in one byte, and the shifted bytes keep their order.  For ``_rank`` at period 1: every
+        m whose ranks fit in a byte (A_22 has 253 intervals, A_23 has 276) and every shift d
+        the recursion uses.  For ``_tables(n).code`` at period 4: every n <= ``MAX_N`` and every
+        shift by 4t, each image that stays in [1, 4n+1] having a code of its own."""
+        cases = [({(a, b): _rank(m, a, b) for a in range(1, m + 1) for b in range(a, m + 1)}, m, 1)
+                 for m in range(1, 23)]
+        cases += [(_tables(n).code, 4 * n + 1, 4) for n in range(1, MAX_N + 1)]
+        for code, m, period in cases:
+            assert list(code.values()) == list(range(len(code))) and len(code) <= 256, (m, period)
+            tables = _shift_tables(code, period, m // period + 1)
+            assert [len(table) for table in tables] == [256] * (m // period + 1), (m, period)
+            for t, table in enumerate(tables):
+                d = t * period
+                kept = [(a, b) for a, b in code if b + d <= m]
+                moved = [table[code[a, b]] for a, b in kept]
+                assert moved == [code[a + d, b + d] for a, b in kept], (m, period, d)
+                assert moved == sorted(moved), (m, period, d)
 
     def test_peak_memory_is_the_result(self):
         """The keys are replaced in place by their sets, and the shorter ranges are freed
