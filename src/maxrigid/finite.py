@@ -323,10 +323,12 @@ def _gap_keys(m: int, period: int, code: dict[tuple[int, int], int],
     Each range's list but [1, m]'s is sorted, and for one gap k its keys
     come out ascending: inserting one byte that neither holds into two
     ascending keys of one length keeps their order, every key of a range
-    has one length, and the pairs (left, right) are taken in order.  So
-    each ``list.sort`` merges one run per gap.  The [1, m] list is
-    returned as those runs, for the caller to sort, and the shorter
-    ranges are freed on return.
+    has one length, and the pairs (left, right) are taken in order.  Each
+    gap's keys come from one comprehension, left-major (not one per left
+    key: a comprehension is a call on CPython <= 3.11), so each gap is
+    still one ascending run, and each ``list.sort`` merges one run per
+    gap.  The [1, m] list is returned as those runs, for the caller to
+    sort, and the shorter ranges are freed on return.
     """
     shifts = _shift_tables(code, period, m // period + 1)
     ranges = {(a, a - 1): [b""] for a in range(1, period + 1)}  # each range's keys; the empty ranges first
@@ -350,10 +352,10 @@ def _gap_keys(m: int, period: int, code: dict[tuple[int, int], int],
                 else:
                     for k in range(a, b + 1):
                         rights = part(k + 1, b)
-                        for left in part(a, k - 1) if rights else ():
-                            i = bisect_left(left, c)
-                            head = left[:i] + top + left[i:]
-                            keys += [head + right for right in rights]
+                        if rights:
+                            keys += [head + right for left in part(a, k - 1)
+                                     for i in (bisect_left(left, c),) for head in (left[:i] + top + left[i:],)
+                                     for right in rights]
                     if b < m or a > 1:
                         keys.sort()  # merges the ascending run of each k; [1, m] is the caller's
     return ranges[1, m]

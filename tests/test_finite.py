@@ -262,6 +262,20 @@ class TestEnumeration:
                 assert moved == [code[a + d, b + d] for a, b in kept], (m, period, d)
                 assert moved == sorted(moved), (m, period, d)
 
+    def test_gap_keys_hold_one_ascending_run_per_gap(self):
+        """The unsorted [1, m] list of ``_gap_keys`` is at most one ascending run per gap
+        vertex, which makes the caller's sort a merge: ``_rank`` codes at period 1 for
+        m = 1..11, and ``_tables(n)``'s codes and tops at period 4 for n = 1..4."""
+        cases = []
+        for m in range(1, 12):
+            code = {(a, b): _rank(m, a, b) for a in range(1, m + 1) for b in range(a, m + 1)}
+            cases.append((m, 1, code, dict.fromkeys(code)))
+        cases += [(4 * n + 1, 4, _tables(n).code, _tables(n).tops) for n in range(1, 5)]
+        for m, period, code, tops in cases:
+            keys = finite._gap_keys(m, period, code, tops)
+            runs = 1 + sum(later < earlier for earlier, later in zip(keys, keys[1:]))
+            assert runs <= m, (m, period, runs)
+
     def test_peak_memory_is_the_result(self):
         """The keys are replaced in place by their sets, and the shorter ranges are freed
         first, so at no point do all keys and all sets of A_10 coexist."""
