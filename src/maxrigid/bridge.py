@@ -36,8 +36,8 @@ from math import isqrt
 from typing import Iterable
 
 from .cliques import bits, common_neighbourhood
-from .continuous import BreakpointRep, Breakpoints, BreakSummand, _summand_codes, _tables
-from .counting import _check_count, claim
+from .continuous import BreakpointRep, Breakpoints, BreakSummand, _forced_families, _summand_codes, _tables
+from .counting import _check_count
 from .intervals import CLOSED, OPEN, Interval
 from .finite import FiniteInterval, LinearQuiver, ext_dim
 
@@ -148,11 +148,13 @@ def fiber_reps(image: Iterable[FiniteInterval], grid: Breakpoints) -> list[Break
     (code b * b + a).  Raises NotMaximalRigidImageError unless those are
     2n+1 distinct vertices forming a clique: exact, as compatibility is Ext
     vanishing on images and 2n+1 rigid modules tilt.  The forced families
-    are the family bits of the summands' ``common_neighbourhood``, and a
-    ``claim`` checks there is one per (segment, side) (``_Tables.sides``).
-    Vertex order is dataclass order and "left" < "right", so the summands
-    come out sorted, the families pair up per segment and ``product``
-    yields the reps in ``rep_sort_key`` order.  The reps share the table's own objects.
+    are the family bits of the summands' ``common_neighbourhood``, read by
+    ``continuous._forced_families``, which claims one per (segment, side).
+    Vertex order is dataclass order, so the summands come out sorted, the
+    families pair up per segment and ``product`` yields the reps in
+    ``rep_sort_key`` order; it takes forced families of different segments
+    as adjacent, which the tests check for n <= 4.  The reps share the
+    table's own objects.
     """
     n = grid.n
     tables = _tables(n)
@@ -168,9 +170,7 @@ def fiber_reps(image: Iterable[FiniteInterval], grid: Breakpoints) -> list[Break
         names = ",".join(map(str, pull_back_summands(image, n)))
         raise NotMaximalRigidImageError(f"NotMaximalRigidImage({names})")
     summands = tuple(tables.summands[v] for v in vertices)
-    fams = [tables.families[fi] for fi in bits(common >> len(tables.summands))]
-    sides = [(fam.segment, fam.side) for fam in fams]
-    claim(sides == tables.sides, "one forced anchor per segment side")
+    fams = list(map(tables.families.__getitem__, _forced_families(tables, common >> len(tables.summands))))
     pairs = zip(fams[0::2], fams[1::2])  # (left, right) per segment
     return [BreakpointRep(grid, summands, fs) for fs in itertools.product(*pairs)]
 

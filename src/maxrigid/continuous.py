@@ -17,8 +17,8 @@ rigid when no breakpoint summand extends that clique (``cliques``).  Each
 family stands at one generic position of its segment, and the graph is
 Ext^1 vanishing on the segment quiver A_{4n+1} of the breakpoints and those
 positions; ``_Tables`` says why both are exact and why generic-endpoint
-summands need no vertex.  The maximal rigid encodings are the tilting sets
-of A_{4n+1} of rep shape, which ``finite._gap_keys`` lists.
+summands need no vertex.  The maximal rigid encodings are 2^n per tilting
+set of the segment quiver A_{2n+1}, which ``finite._gap_keys`` lists.
 """
 
 from __future__ import annotations
@@ -27,9 +27,10 @@ import functools
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from itertools import product
 from operator import itemgetter
 
-from .cliques import common_neighbourhood
+from .cliques import bits, common_neighbourhood
 from .counting import _check_count, claim
 from .finite import _check_cap, _collector_paused, _gap_keys, _pair_tables, _rank
 from .intervals import (
@@ -318,7 +319,8 @@ class _Tables:
     ``adj`` when every member of one is compatible with every member of the
     other; ``cliques.common_neighbourhood`` over ``closed[v] = adj[v] | 1 << v``
     decides rigidity, maximality and ``bridge.fiber_reps``' forced families;
-    ``sides`` lists the (segment, side) pair of each of those in family order.
+    ``sides`` lists the (segment, side) pairs in order and ``family_side``
+    holds each family's, the same objects.
 
     The rows are read off the finite model.  The 2n+1 points a_0 < x_0 <
     a_1 < ... < a_n, x_j the one generic position of segment j, have the
@@ -363,27 +365,16 @@ class _Tables:
         self.code_vertex = [vertex.get(c) for c in range(max(vertex) + 1)]
         self.families = all_family_choices(n)
         self.sides = [(j, side) for j in range(n) for side in (LEFT, RIGHT)]
+        self.family_side = [self.sides[2 * f.segment + (f.side is RIGHT)] for f in self.families]
         self.summand_mask = (1 << len(self.summands)) - 1
 
-        m, split = 4 * n + 1, len(self.summands)
+        m = 4 * n + 1
         ends = [[(4 * s.lo + 1 + s.lo_kind, 4 * s.hi + 1 - s.hi_kind)] for s in self.summands]
         for f in self.families:  # d = 0: the member closed at x; d = 1: the open one
             x, far = 4 * f.segment + 3, 4 * f.anchor + 1
             ends.append([(x + d, far - f.anchor_kind) if f.side is RIGHT else (far + f.anchor_kind, x - d)
                          for d in (0, 1)])
         ranks = [[_rank(m, a, b) for a, b in pair] for pair in ends]
-        # Key bytes (n <= MAX_N): the images by a point each covers (the start; the end for a left
-        # family), then by vertex; ``tops`` holds the shapes that top a range.  ``to_summands`` and
-        # ``to_families`` give a key's summand vertices and family indices, dropping the rest.
-        order = sorted((b if v >= split and self.families[v - split].side is LEFT else a, v, d, a, b)
-                       for v, pair in enumerate(ends) for d, (a, b) in enumerate(pair)) if n <= MAX_N else []
-        self.code = {(a, b): c for c, (*_, a, b) in enumerate(order)}
-        self.tops = {(a, b): (a + 1, b) if a % 4 == 3 else (a, b - 1) if b % 4 == 3 else None
-                     for a, b in self.code if a <= 4 and a % 4 and b % 4 != 2}
-        self.to_summands = (bytes(v * (v < split) for _, v, *_ in order).ljust(256, b"\0"),
-                            bytes(c for c, (_, v, *_) in enumerate(order) if v >= split))
-        self.to_families = (bytes((v - split) * (v >= split) for _, v, *_ in order).ljust(256, b"\0"),
-                            bytes(c for c, (_, v, d, *_) in enumerate(order) if v < split or d))
         rows = _pair_tables(m)
         # digit w - 1 - r of a w-digit binary string is bit r; the getters list
         # each vertex's first and last member bit, the last vertex first
@@ -424,63 +415,77 @@ def rep_sort_key(rep: BreakpointRep):
     return (rep.summands, rep.families)
 
 
+def _forced_families(tables: _Tables, fmask: int) -> list[int]:
+    """The indices of the families in ``fmask``, the family bits of a summand set's
+    ``common_neighbourhood``, ascending.
+
+    A ``claim`` checks there is one per (segment, side) (``_Tables.sides``):
+    family order is dataclass order and "left" < "right", so they pair up
+    per segment, left first.
+    """
+    forced = bits(fmask)
+    claim(list(map(tables.family_side.__getitem__, forced)) == tables.sides, "one forced anchor per segment side")
+    return forced
+
+
 def enumerate_maximal_rigid_reps(grid: Breakpoints) -> list[BreakpointRep]:
     """All maximal rigid encodings on the grid, canonical and sorted.
 
-    On A_{4n+1} (``_Tables``) a summand is one interval [a, b] and a family
-    two.  Mod 4, a summand has a = 1 or 2 and b = 0 or 1; a right family's
-    closed member has a = 3 and b = 0 or 1, with open partner [a+1, b]; a
-    left one has b = 3 and a = 1 or 2, with open partner [a, b-1].  Their
-    tilting sets with each open member by its closed one are the reps:
+    Under ``bridge.project`` the summands are the intervals of the segment
+    quiver A_{2n+1}, two adjacent in ``_Tables`` exactly when their images
+    have no Ext^1 either way.  A family is forced by a summand set when it
+    is adjacent to every summand.  The reps are the 2^n per tilting set T
+    of A_{2n+1}: T's summands and one forced family per segment.
 
-      * <=: a shaped, paired tilting set is a clique, and no summand
-        extends a tilting set.  A generic-endpoint summand does not extend
-        it either, by ``_Tables``' argument.  Through ``bridge.project``,
-        its summands are a rigid set on A_{2n+1}, so there are at most
-        2n+1 of them.  So it holds at least n family pairs, at most one
-        per segment: it is a maximal rigid rep.
-      * =>: the other direction needs 2n+1 summands, which the tests'
-        Bron-Kerbosch oracle checks with a ``claim`` on every maximal
-        clique.  Agreement with the paper's formula for n <= 64 shows it
-        there, given the paper.
+      * <=: ``_forced_families`` claims one forced family per (segment,
+        side), and a second ``claim``, once per forced mask, that those of
+        different segments are pairwise adjacent.  So each rep built is a
+        clique with one family per segment, and no summand extends it: no
+        breakpoint one, as none extends T, and no generic-endpoint one, by
+        ``_Tables``' argument.
+      * =>: a maximal rigid rep's summands are a rigid set on A_{2n+1};
+        with 2n+1 of them they are a tilting set T, which forces each of
+        its families.  The 2n+1 is what the tests' Bron-Kerbosch oracle
+        claims on every maximal clique; agreement with the paper's formula
+        for n <= 64 shows it there, given the paper.
 
-    ``finite._gap_keys`` lists them by those shapes (``_Tables.tops``),
-    period 4: a closed member [x, e] holds its partner [x+1, e] only at
-    gap x, topping the right part [x+1, e] at gap x+1, as no range
-    starting at x+1 holds a set (a left one is the mirror image).
-
-    The codes order images by a point each covers, as ``_gap_keys`` asks,
-    and keep vertex order among summands of one start and families of one
-    generic point, so ``_Tables.to_summands`` and ``to_families`` translate
-    a key to its ascending summand vertices and family indices, both in
-    dataclass order.  With 2n+1 summands, which a ``claim`` checks on each
-    key as 3n+1 bytes (4n+1 members less one per family), the joined bytes
-    sort as ``rep_sort_key``.  The reps are built in place of the sorted
-    keys, sharing each summand and family tuple (``finite._collector_paused``).
+    ``finite._gap_keys`` lists T at period 2 (one breakpoint), coding each
+    image by its summand vertex: vertex order is dataclass order, so the
+    codes order images by start, 2*lo + 1 + lo_kind, as a shift keeps.
+    Sorted, the keys are the summand tuples in ``rep_sort_key`` order.
+    Each forced mask's fiber is built once, ``product`` over its (left,
+    right) pairs giving the family tuples in order, each shared through a
+    dict keyed by index tuples (no dataclass ``__hash__`` runs).  So no rep
+    is sorted.  The reps are built as ``finite._collector_paused`` says.
     n is at most ``MAX_N``, checked before the tables of n are built.
     """
     n = grid.n
     _check_cap("n", n, MAX_N)
     tables = _tables(n)
-    keys = _gap_keys(4 * n + 1, 4, tables.code, tables.tops)
-    size, width, last = 3 * n + 1, 2 * n + 1, bytes(3 * n + 2)  # no key starts with ``last``
-    (to_summands, not_summands), (to_families, not_families) = tables.to_summands, tables.to_families
-    family, family_tuples = tables.families.__getitem__, {}
+    split, closed, family = len(tables.summands), tables.closed, tables.families.__getitem__
+    code = {(2 * s.lo + 1 + s.lo_kind, 2 * s.hi + 1 - s.hi_kind): v for v, s in enumerate(tables.summands)}
+    keys = _gap_keys(2 * n + 1, 2, code)
+    keys.sort()
+    fibers, family_tuples, reps = {}, {}, []
     new, slots = object.__new__, (BreakpointRep.grid, BreakpointRep.summands, BreakpointRep.families)
     set_grid, set_summands, set_families = (slot.__set__ for slot in slots)
+    append = reps.append
     with _collector_paused():
-        for i, key in enumerate(keys):
-            keys[i] = key.translate(to_summands, not_summands) + key.translate(to_families, not_families)
-        claim(all(map(size.__eq__, map(len, keys))), "each rep holds 2n+1 summands and n families")
-        keys.sort()
-        for i, key in enumerate(keys):
-            if not key.startswith(last):
-                last = key[:width]
-                summands = itemgetter(*last)(tables.summands)
-            tail = key[width:]
-            families = family_tuples.get(tail) or family_tuples.setdefault(tail, tuple(map(family, tail)))
-            keys[i] = rep = new(BreakpointRep)
-            set_grid(rep, grid)
-            set_summands(rep, summands)
-            set_families(rep, families)
-    return keys
+        for key in keys:
+            fmask = common_neighbourhood(closed, key) >> split
+            fiber = fibers.get(fmask)
+            if fiber is None:
+                forced = _forced_families(tables, fmask)
+                pairs = list(zip(forced[0::2], forced[1::2]))
+                claim(all((closed[split + l] & closed[split + r]) >> split & fmask | 1 << l | 1 << r == fmask
+                          for l, r in pairs), "forced families of different segments are pairwise adjacent")
+                fiber = fibers[fmask] = [family_tuples.get(t) or family_tuples.setdefault(t, tuple(map(family, t)))
+                                         for t in product(*pairs)]
+            summands = itemgetter(*key)(tables.summands)
+            for families in fiber:
+                rep = new(BreakpointRep)
+                set_grid(rep, grid)
+                set_summands(rep, summands)
+                set_families(rep, families)
+                append(rep)
+    return reps

@@ -277,16 +277,13 @@ def is_maximal_rigid_set(q: LinearQuiver, summands: Iterable[FiniteInterval]) ->
     return common == mask
 
 
-
-
-def _gap_keys(m: int, period: int, code: dict[tuple[int, int], int],
-              tops: dict[tuple[int, int], tuple[int, int] | None]) -> list[bytes]:
-    """The tilting sets on [1, m] whose tops ``tops`` allows, as byte keys.
+def _gap_keys(m: int, period: int, code: dict[tuple[int, int], int]) -> list[bytes]:
+    """The tilting sets on [1, m], as byte keys.
 
     The sets on a vertex range [a, b] are built bottom-up by length, the
-    range [a, a-1] holding only the empty set.  If every top splits
-    (``tops[a, b]`` is None), they are [a, b] together with a set on
-    [a, k-1] and one on [k+1, b], for each gap vertex k in [a, b]:
+    range [a, a-1] holding only the empty set.  They are [a, b] together
+    with a set on [a, k-1] and one on [k+1, b], for each gap vertex k in
+    [a, b]:
 
       * Distinct: the parts contain [a, k-1] and [k+1, b], so k is the one
         vertex that no member other than [a, b] covers.  The set
@@ -302,23 +299,18 @@ def _gap_keys(m: int, period: int, code: dict[tuple[int, int], int],
         tilting sets.
 
     So each tilting set comes from one tree of ranges and gaps.  A range
-    whose top is not a key of ``tops`` holds no set, and a top with the
-    partner [a+1, b] keeps only gap a, the partner topping the right part
-    at gap a+1 (the mirror image for [a, b-1]).  So the sets built are
-    those whose tree passes ``tops`` at every range.  A range that starts
-    past ``period`` holds the sets of the one t * period to its left,
-    shifted, as shifting both modules keeps their Ext^1 (``ext_dim``
-    compares ends only) and ``tops`` and ``code`` repeat with that period;
-    one ``_shift_tables`` table per t moves a whole key by ``bytes.translate``.
+    that starts past ``period`` holds the sets of the one t * period to
+    its left, shifted, as shifting both modules keeps their Ext^1
+    (``ext_dim`` compares ends only) and ``code`` keeps its order under the
+    shift; one ``_shift_tables`` table per t moves a whole key by
+    ``bytes.translate``.
 
     A key is the ascending bytes of its members' ``code``s.  The codes
-    are numbered in byte order below 256, and they order the intervals,
-    in a way a shift keeps, by a point each covers: its start, but its
-    end for a top with the partner [a, b-1] and for that partner.  So a
-    left part's bytes lie below a right part's, a top that splits joins
-    its left part where bisection puts it, and a pair heads or ends its
-    key.  ``bytes`` are not tracked by the garbage collector and sort by
-    ``memcmp``.
+    are numbered in byte order below 256, and they order the intervals by
+    start, in a way a shift keeps.  So a left part's bytes lie below a
+    right part's, and the top [a, b] joins its left part where bisection
+    puts it.  ``bytes`` are not tracked by the garbage collector and sort
+    by ``memcmp``.
 
     Each range's list but [1, m]'s is sorted, and for one gap k its keys
     come out ascending: inserting one byte that neither holds into two
@@ -340,32 +332,23 @@ def _gap_keys(m: int, period: int, code: dict[tuple[int, int], int],
     for b in range(1, m + 1):
         for a in range(min(b, period), 0, -1):  # [k+1, b] with k+1 <= period is built before [a, b]
             keys = ranges[a, b] = []
-            if (a, b) in tops:
-                c, partner = code[a, b], tops[a, b]
-                top = bytes((c,))
-                if partner == (a + 1, b):
-                    head = top + bytes((code[partner],))
-                    keys += [head + right for right in part(a + 2, b)]
-                elif partner:
-                    tail = bytes((code[partner],)) + top
-                    keys += [left + tail for left in part(a, b - 2)]
-                else:
-                    for k in range(a, b + 1):
-                        rights = part(k + 1, b)
-                        if rights:
-                            keys += [head + right for left in part(a, k - 1)
-                                     for i in (bisect_left(left, c),) for head in (left[:i] + top + left[i:],)
-                                     for right in rights]
-                    if b < m or a > 1:
-                        keys.sort()  # merges the ascending run of each k; [1, m] is the caller's
+            c = code[a, b]
+            top = bytes((c,))
+            for k in range(a, b + 1):
+                rights = part(k + 1, b)
+                keys += [head + right for left in part(a, k - 1)
+                         for i in (bisect_left(left, c),) for head in (left[:i] + top + left[i:],)
+                         for right in rights]
+            if b < m or a > 1:
+                keys.sort()  # merges the ascending run of each k; [1, m] is the caller's
     return ranges[1, m]
 
 
 def enumerate_maximal_rigid(q: LinearQuiver) -> list[RigidSet]:
     """All maximal rigid sets on A_m, sorted by their sorted summands.
 
-    The maximal rigid sets are the tilting sets: ``_gap_keys`` with every
-    top splitting, period 1 and ``_rank`` codes, whose order is the
+    The maximal rigid sets are the tilting sets: ``_gap_keys`` with
+    period 1 and ``_rank`` codes, whose order is the
     ``all_intervals`` order, by start, and the dataclass order.  So
     sorting the keys sorts the sets, and each set's members are its key's
     intervals in order.  m is at most ``MAX_M`` (a guard against huge
@@ -379,7 +362,7 @@ def enumerate_maximal_rigid(q: LinearQuiver) -> list[RigidSet]:
     if m == 1:  # itemgetter of one index returns that item, not a 1-tuple
         return [RigidSet((ivs[0],))]
     code = {(iv.a, iv.b): rank for rank, iv in enumerate(ivs)}
-    keys = _gap_keys(m, 1, code, dict.fromkeys(code))
+    keys = _gap_keys(m, 1, code)
     keys.sort()
     new, set_members = object.__new__, RigidSet.members.__set__
     with _collector_paused():

@@ -139,7 +139,13 @@ def projection_fibers(n: int, reps: list, projected: list) -> list[Result]:
 
 
 def fiber_expansion(n: int, reps: list, projected: list) -> Result:
-    """Expanding every segment-quiver set into its fiber gives the direct enumeration."""
+    """Expanding every segment-quiver set into its fiber gives the direct enumeration.
+
+    Not an independent route: it compares the enumerator's bulk fiber build
+    with per-image ``fiber_reps`` and a sort.  The independent checks are
+    the formula and, in the tests, the Bron-Kerbosch oracle for n <= 4 and
+    ``shaped_counts``.
+    """
     grid = Breakpoints.uniform(n)
     expanded = [r for h in projected for r in bridge.fiber_reps(h.members, grid)]
     ok = sorted(expanded, key=rep_sort_key) == reps

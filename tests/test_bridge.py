@@ -1,6 +1,8 @@
 """Transfer maps, forced anchors, fibers, and the discretized Ext oracle."""
 
+import functools
 import itertools
+import operator
 import random
 from fractions import Fraction
 
@@ -53,6 +55,7 @@ from oracles import (
     pair_tables,
     refined_quiver,
     searched_anchors,
+    tables_pair_loop,
     to_refined,
 )
 
@@ -237,6 +240,22 @@ class TestProjection:
             for si, row in enumerate(tables.adj[: len(tables.summands)]):
                 image_row = sum(1 << perm[sj] for sj in bits(row & tables.summand_mask))
                 assert image_row == adj[perm[si]], (n, tables.summands[si])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_forced_families_of_different_segments_are_compatible(self, n):
+        """For every tilting set of A_{2n+1}, each family adjacent to all its summands in the
+        pair-loop rows is adjacent there to each such family of another segment.
+
+        ``fiber_reps`` takes the product of the forced families without checking this.
+        """
+        adj = tables_pair_loop(n)
+        split, vertex = len(continuous._tables(n).summands), image_vertices(n)
+        segment = [f.segment for f in continuous._tables(n).families]
+        for h in enumerate_maximal_rigid(segment_quiver(n)):
+            forced = bits(functools.reduce(operator.and_, (adj[vertex[iv.a, iv.b]] for iv in h.members)) >> split)
+            assert len(forced) == 2 * n, h
+            for fi, fj in itertools.combinations(forced, 2):
+                assert segment[fi] == segment[fj] or adj[split + fi] >> split + fj & 1, (h, fi, fj)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_equals_condense_of_to_refined(self, n):

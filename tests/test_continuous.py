@@ -813,10 +813,10 @@ class TestEnumeration:
         assert time.process_time() - start < 2
 
     def test_peak_memory_is_a_small_multiple_of_the_result(self):
-        """The shorter ranges are freed before the keys are translated, and the reps are
-        built in place of the keys, so the peak stays under 1.4 times the reps held (1.30 at
-        n = 3 and 1.47 at n = 4 when this was written; n = 3, as tracing every allocation of
-        n = 4 takes seconds)."""
+        """The keys are the tilting sets of A_{2n+1}, one per fiber, and each fiber's family
+        tuples are built once, so the peak stays under 1.4 times the reps held (1.30 at n = 3
+        and 1.47 at n = 4 when the bound was set; n = 3, as tracing every allocation of n = 4
+        takes seconds)."""
         _tables(3)
         gc.collect()
         tracemalloc.start()
@@ -828,25 +828,45 @@ class TestEnumeration:
         assert len(reps) == 3432
         assert peak <= 1.4 * held, (peak, held)
 
-    @pytest.mark.parametrize("n, alone, unpaired", [(1, 20, 0), (2, 695, 0), (3, 29395, 0)])
-    def test_shape_rule_mutants_change_the_count(self, n, alone, unpaired):
-        """``_tables(n).tops`` gives ``continuous_count(n)`` sets on A_{4n+1}.  The rule fails
-        on ROADMAP section 2's two mutants: one that lets each open partner top a range alone,
-        splitting at every gap, and one that drops the pairing, splitting every top."""
-        t = _tables(n)
-        count = lambda tops: len(finite._gap_keys(4 * n + 1, 4, t.code, tops))
-        opens = dict.fromkeys(iv for iv in t.code if iv[0] <= 4 and iv not in t.tops)
-        assert opens and count(t.tops) == continuous_count(n)
-        assert count({**opens, **t.tops}) == alone
-        assert count(dict.fromkeys(t.tops)) == unpaired
+    @staticmethod
+    def cut(monkeypatch, n, edges):
+        """``continuous._tables(n)`` with every vertex pair of ``edges`` made non-adjacent, both
+        ways, in the closed rows the enumerator reads."""
+        t = copy.copy(_Tables(n))
+        t.closed = list(t.closed)
+        for u, v in edges:
+            t.closed[u] &= ~(1 << v)
+            t.closed[v] &= ~(1 << u)
+        monkeypatch.setattr(continuous, "_tables", lambda m: t)
+        return Breakpoints.uniform(n)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_adjacency_claim_stops_a_missing_cross_segment_edge(self, monkeypatch, n):
+        """With the edge between the families of the first rep's segments 0 and 1 removed,
+        those two are still forced by its summands but no longer adjacent."""
+        split = len(_tables(n).summands)
+        first = enumerate_maximal_rigid_reps(Breakpoints.uniform(n))[0]
+        u, v = (split + _tables(n).families.index(f) for f in first.families[:2])
+        grid = self.cut(monkeypatch, n, [(u, v)])
+        with pytest.raises(ClaimError, match="^forced families of different segments are pairwise adjacent$"):
+            enumerate_maximal_rigid_reps(grid)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_side_claim_stops_an_emptied_family_row(self, monkeypatch, n):
+        """With the first rep's segment-0 family adjacent to nothing, no summand set forces it,
+        so its side of segment 0 has no forced family."""
+        split = len(_tables(n).summands)
+        first = enumerate_maximal_rigid_reps(Breakpoints.uniform(n))[0]
+        u = split + _tables(n).families.index(first.families[0])
+        grid = self.cut(monkeypatch, n, [(u, v) for v in range(len(_tables(n).closed)) if v != u])
+        with pytest.raises(ClaimError, match="^one forced anchor per segment side$"):
+            enumerate_maximal_rigid_reps(grid)
 
     def test_key_width_bounds_every_n_under_the_cap(self):
-        """A key holds each code in a byte.  There are at most as many codes as intervals of
-        A_m, m = 4n+1, and A_{4 MAX_N + 1} = A_21 has 231."""
-        m = 4 * MAX_N + 1
-        assert m * (m + 1) // 2 - 1 <= 255
-        assert sorted(_tables(MAX_N).code.values()) == list(range(len(_tables(MAX_N).code)))
-        assert len(_tables(MAX_N).code) <= m * (m + 1) // 2
+        """A key holds each summand vertex in a byte.  There are as many as intervals of
+        A_{2n+1}, and A_{2 MAX_N + 1} = A_11 has 66."""
+        m = 2 * MAX_N + 1
+        assert len(_tables(MAX_N).summands) == m * (m + 1) // 2 <= 256
 
     def test_reps_share_their_summand_and_family_tuples(self):
         reps = enumerate_maximal_rigid_reps(Breakpoints.uniform(2))

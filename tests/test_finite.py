@@ -24,10 +24,10 @@ from maxrigid import (
     is_tilting,
 )
 from maxrigid import bridge, finite, verify
-from maxrigid.continuous import MAX_N, _tables
+from maxrigid.continuous import MAX_N
 from maxrigid.finite import MAX_M, _pair_tables, _rank, _shift_tables
 
-from oracles import finite_max_cliques, pair_tables, reflect
+from oracles import finite_max_cliques, image_vertices, pair_tables, reflect
 
 
 def f(a, b):
@@ -246,11 +246,13 @@ class TestEnumeration:
         """Byte ``code[a, b]`` of the shift by t periods is ``code[a + d, b + d]``, d = t * period,
         in one byte, and the shifted bytes keep their order.  For ``_rank`` at period 1: every
         m whose ranks fit in a byte (A_22 has 253 intervals, A_23 has 276) and every shift d
-        the recursion uses.  For ``_tables(n).code`` at period 4: every n <= ``MAX_N`` and every
-        shift by 4t, each image that stays in [1, 4n+1] having a code of its own."""
+        the recursion uses.  For the summand vertices of A_{2n+1} (``image_vertices``, the
+        codes ``enumerate_maximal_rigid_reps`` gives ``_gap_keys``) at period 2: every n <=
+        ``MAX_N`` and every shift by 2t, each image that stays in [1, 2n+1] having a code of
+        its own."""
         cases = [({(a, b): _rank(m, a, b) for a in range(1, m + 1) for b in range(a, m + 1)}, m, 1)
                  for m in range(1, 23)]
-        cases += [(_tables(n).code, 4 * n + 1, 4) for n in range(1, MAX_N + 1)]
+        cases += [(image_vertices(n), 2 * n + 1, 2) for n in range(1, MAX_N + 1)]
         for code, m, period in cases:
             assert list(code.values()) == list(range(len(code))) and len(code) <= 256, (m, period)
             tables = _shift_tables(code, period, m // period + 1)
@@ -265,16 +267,16 @@ class TestEnumeration:
     def test_gap_keys_hold_one_ascending_run_per_gap(self):
         """The unsorted [1, m] list of ``_gap_keys`` is at most one ascending run per gap
         vertex, which makes the caller's sort a merge: ``_rank`` codes at period 1 for
-        m = 1..11, and ``_tables(n)``'s codes and tops at period 4 for n = 1..4."""
+        m = 1..11, and the summand vertices of A_{2n+1} at period 2 for n = 1..5."""
         cases = []
         for m in range(1, 12):
-            code = {(a, b): _rank(m, a, b) for a in range(1, m + 1) for b in range(a, m + 1)}
-            cases.append((m, 1, code, dict.fromkeys(code)))
-        cases += [(4 * n + 1, 4, _tables(n).code, _tables(n).tops) for n in range(1, 5)]
-        for m, period, code, tops in cases:
-            keys = finite._gap_keys(m, period, code, tops)
+            cases.append((m, 1, {(a, b): _rank(m, a, b) for a in range(1, m + 1) for b in range(a, m + 1)}))
+        cases += [(2 * n + 1, 2, image_vertices(n)) for n in range(1, MAX_N + 1)]
+        for m, period, code in cases:
+            keys = finite._gap_keys(m, period, code)
             runs = 1 + sum(later < earlier for earlier, later in zip(keys, keys[1:]))
             assert runs <= m, (m, period, runs)
+            assert len(keys) == catalan_by_recurrence(m)[m], (m, period)
 
     def test_peak_memory_is_the_result(self):
         """The keys are replaced in place by their sets, and the shorter ranges are freed
