@@ -33,10 +33,11 @@ import functools
 import itertools
 from dataclasses import dataclass
 from math import isqrt
+from operator import itemgetter
 from typing import Iterable
 
 from .cliques import bits, common_neighbourhood
-from .continuous import BreakpointRep, Breakpoints, BreakSummand, _forced_families, _summand_codes, _tables
+from .continuous import BreakpointRep, Breakpoints, BreakSummand, _forced_pairs, _summand_codes, _tables
 from .counting import _check_count
 from .intervals import CLOSED, OPEN, Interval
 from .finite import FiniteInterval, LinearQuiver, ext_dim
@@ -148,13 +149,12 @@ def fiber_reps(image: Iterable[FiniteInterval], grid: Breakpoints) -> list[Break
     (code b * b + a).  Raises NotMaximalRigidImageError unless those are
     2n+1 distinct vertices forming a clique: exact, as compatibility is Ext
     vanishing on images and 2n+1 rigid modules tilt.  The forced families
-    are the family bits of the summands' ``common_neighbourhood``, read by
-    ``continuous._forced_families``, which claims one per (segment, side).
-    Vertex order is dataclass order, so the summands come out sorted, the
-    families pair up per segment and ``product`` yields the reps in
-    ``rep_sort_key`` order; it takes forced families of different segments
-    as adjacent, which the tests check for n <= 4.  The reps share the
-    table's own objects.
+    are the family bits of the summands' ``common_neighbourhood``, paired
+    per segment by ``continuous._forced_pairs``, which claims one per
+    (segment, side) and those of different segments pairwise adjacent.
+    Vertex order is dataclass order, so the summands come out sorted and
+    ``product`` yields the reps in ``rep_sort_key`` order.  The reps share
+    the table's own objects.
     """
     n = grid.n
     tables = _tables(n)
@@ -169,9 +169,8 @@ def fiber_reps(image: Iterable[FiniteInterval], grid: Breakpoints) -> list[Break
     if not len(image) == len(vertices) == 2 * n + 1 or common & smask != smask:
         names = ",".join(map(str, pull_back_summands(image, n)))
         raise NotMaximalRigidImageError(f"NotMaximalRigidImage({names})")
-    summands = tuple(tables.summands[v] for v in vertices)
-    fams = list(map(tables.families.__getitem__, _forced_families(tables, common >> len(tables.summands))))
-    pairs = zip(fams[0::2], fams[1::2])  # (left, right) per segment
+    summands, family = itemgetter(*vertices)(tables.summands), tables.families
+    pairs = [(family[l], family[r]) for l, r in _forced_pairs(tables, common >> len(tables.summands))]
     return [BreakpointRep(grid, summands, fs) for fs in itertools.product(*pairs)]
 
 

@@ -279,7 +279,7 @@ def is_uniform(rep: BreakpointRep) -> bool:
 
 
 def is_rigid(rep: BreakpointRep) -> bool:
-    """Whether the rep's summands and families form a clique of ``_Tables.adj``.
+    """Whether the rep's summands and families are in each other's ``_Tables.closed`` rows.
 
     One generic position per segment settles the continuum statement for
     valid encodings (``_Tables``).  Two members of one family are always
@@ -315,12 +315,12 @@ class _Tables:
     Vertex ``si < S`` is the breakpoint summand ``summands[si]`` and vertex
     ``S + fi`` is the family choice ``families[fi]``, where ``S`` is the
     summand count: summand ``s`` is ``code_vertex[s.code]``, and a family's
-    ``fi`` is a formula of it (``all_family_choices``).  Two vertices are adjacent in
-    ``adj`` when every member of one is compatible with every member of the
-    other; ``cliques.common_neighbourhood`` over ``closed[v] = adj[v] | 1 << v``
-    decides rigidity, maximality and ``bridge.fiber_reps``' forced families;
-    ``sides`` lists the (segment, side) pairs in order and ``family_side``
-    holds each family's, the same objects.
+    ``fi`` is a formula of it (``all_family_choices``).  The closed row
+    ``closed[v]`` holds v and every vertex adjacent to it: one whose every
+    member is compatible with every member of v.  ``common_neighbourhood``
+    over closed rows decides rigidity, maximality and the forced families
+    (``_forced_pairs``); ``sides`` lists the (segment, side) pairs in order
+    and ``family_side`` holds each family's, the same objects.
 
     The rows are read off the finite model.  The 2n+1 points a_0 < x_0 <
     a_1 < ... < a_n, x_j the one generic position of segment j, have the
@@ -382,7 +382,6 @@ class _Tables:
         first, last = (itemgetter(*[w - 1 - rs[end] for rs in reversed(ranks)]) for end in (0, -1))
         digits = (format(common_neighbourhood(rows, rs), f"0{w}b") for rs in ranks)
         self.closed = [int("".join(first(d)), 2) & int("".join(last(d)), 2) for d in digits]
-        self.adj = [row ^ 1 << v for v, row in enumerate(self.closed)]
 
 
 _tables = functools.cache(_Tables)
@@ -399,7 +398,7 @@ def _vertex_mask(rep: BreakpointRep) -> tuple[_Tables, int, int]:
 
 
 def is_maximal_rigid(rep: BreakpointRep) -> bool:
-    """Whether the rep is a clique of ``_Tables.adj`` that no summand extends.
+    """Whether the rep is rigid and no summand is in every one of its closed rows.
 
     Raises NotRigidError when the representation is not rigid (not a
     clique).  Only breakpoint summands are tried: a generic-endpoint one
@@ -415,17 +414,23 @@ def rep_sort_key(rep: BreakpointRep):
     return (rep.summands, rep.families)
 
 
-def _forced_families(tables: _Tables, fmask: int) -> list[int]:
-    """The indices of the families in ``fmask``, the family bits of a summand set's
-    ``common_neighbourhood``, ascending.
+def _forced_pairs(tables: _Tables, fmask: int) -> list[tuple[int, int]]:
+    """The (left, right) indices of the families in ``fmask``, the family bits of a summand
+    set's ``common_neighbourhood``, one pair per segment in segment order.
 
-    A ``claim`` checks there is one per (segment, side) (``_Tables.sides``):
-    family order is dataclass order and "left" < "right", so they pair up
-    per segment, left first.
+    Two ``claim``s make the pairs a fiber: there is one per (segment, side)
+    (``_Tables.sides``; family order is dataclass order and "left" < "right",
+    so they pair up per segment, left first), and families of different
+    segments are pairwise adjacent.
     """
     forced = bits(fmask)
     claim(list(map(tables.family_side.__getitem__, forced)) == tables.sides, "one forced anchor per segment side")
-    return forced
+    pairs = list(zip(forced[0::2], forced[1::2]))
+    closed, split, adjacent = tables.closed, len(tables.summands), fmask
+    for l, r in pairs:  # keep the families adjacent to both, and l and r
+        adjacent &= (closed[split + l] & closed[split + r]) >> split | 1 << l | 1 << r
+    claim(adjacent == fmask, "forced families of different segments are pairwise adjacent")
+    return pairs
 
 
 def enumerate_maximal_rigid_reps(grid: Breakpoints) -> list[BreakpointRep]:
@@ -437,12 +442,12 @@ def enumerate_maximal_rigid_reps(grid: Breakpoints) -> list[BreakpointRep]:
     is adjacent to every summand.  The reps are the 2^n per tilting set T
     of A_{2n+1}: T's summands and one forced family per segment.
 
-      * <=: ``_forced_families`` claims one forced family per (segment,
-        side), and a second ``claim``, once per forced mask, that those of
-        different segments are pairwise adjacent.  So each rep built is a
-        clique with one family per segment, and no summand extends it: no
-        breakpoint one, as none extends T, and no generic-endpoint one, by
-        ``_Tables``' argument.
+      * <=: ``_forced_pairs`` claims, once per forced mask, one forced
+        family per (segment, side) and that those of different segments
+        are pairwise adjacent.  So each rep built is a clique with one
+        family per segment, and no summand extends it: no breakpoint one,
+        as none extends T, and no generic-endpoint one, by ``_Tables``'
+        argument.
       * =>: a maximal rigid rep's summands are a rigid set on A_{2n+1};
         with 2n+1 of them they are a tilting set T, which forces each of
         its families.  The 2n+1 is what the tests' Bron-Kerbosch oracle
@@ -475,12 +480,8 @@ def enumerate_maximal_rigid_reps(grid: Breakpoints) -> list[BreakpointRep]:
             fmask = common_neighbourhood(closed, key) >> split
             fiber = fibers.get(fmask)
             if fiber is None:
-                forced = _forced_families(tables, fmask)
-                pairs = list(zip(forced[0::2], forced[1::2]))
-                claim(all((closed[split + l] & closed[split + r]) >> split & fmask | 1 << l | 1 << r == fmask
-                          for l, r in pairs), "forced families of different segments are pairwise adjacent")
                 fiber = fibers[fmask] = [family_tuples.get(t) or family_tuples.setdefault(t, tuple(map(family, t)))
-                                         for t in product(*pairs)]
+                                         for t in product(*_forced_pairs(tables, fmask))]
             summands = itemgetter(*key)(tables.summands)
             for families in fiber:
                 rep = new(BreakpointRep)

@@ -28,17 +28,17 @@ from .intervals import CLOSED, OPEN, Interval, Point, compatible
 Result = tuple[str, bool]
 
 
-def closed_forms(max_m: int = 6) -> Result:
-    """Hom/Ext closed forms against brute force, resolutions and the Euler form."""
+def closed_forms() -> Result:
+    """Hom/Ext closed forms against brute force, resolutions and the Euler form, m <= 6."""
     ok = all(
         finite.hom_dim(q, i, j) == finite.hom_dim_bruteforce(q, i, j)
         and finite.ext_dim(q, i, j) == finite.ext_dim_resolution(q, i, j)
         and finite.hom_dim(q, i, j) - finite.ext_dim(q, i, j) == finite.euler_form(q, i, j)
-        for q in map(finite.LinearQuiver, range(1, max_m + 1))
+        for q in map(finite.LinearQuiver, range(1, 7))
         for i in finite.all_intervals(q)
         for j in finite.all_intervals(q)
     )
-    return f"hom/ext closed forms match enumeration and resolution oracles (m <= {max_m})", ok
+    return "hom/ext closed forms match enumeration and resolution oracles (m <= 6)", ok
 
 
 def tilting_agrees(q: finite.LinearQuiver, ivs: list[finite.FiniteInterval], bits: int) -> bool:
@@ -47,14 +47,14 @@ def tilting_agrees(q: finite.LinearQuiver, ivs: list[finite.FiniteInterval], bit
     return finite.is_tilting(q, subset) == finite.is_maximal_rigid_set(q, subset)
 
 
-def tilting_iff_maximal_rigid(max_m: int = 4) -> Result:
-    """Tilting <=> maximal rigid on every subset of interval modules, m <= max_m."""
+def tilting_iff_maximal_rigid() -> Result:
+    """Tilting <=> maximal rigid on every subset of interval modules, m <= 4."""
     ok = True
-    for m in range(1, max_m + 1):
+    for m in range(1, 5):
         q = finite.LinearQuiver(m)
         ivs = finite.all_intervals(q)
         ok = ok and all(tilting_agrees(q, ivs, bits) for bits in range(1 << len(ivs)))
-    return f"tilting <=> maximal rigid on every subset (m <= {max_m})", ok
+    return "tilting <=> maximal rigid on every subset (m <= 4)", ok
 
 
 def grid_compatibility(n: int) -> Result:
@@ -161,14 +161,14 @@ def round_trip(n: int) -> Result:
     return f"n={n}: refined/segment round-trip on all interval modules", ok
 
 
-def count_identities(max_n: int = 64) -> Result:
-    """count(n) = 2^n * projected(n) and projected(n) = Catalan(2n+1)."""
+def count_identities() -> Result:
+    """count(n) = 2^n * projected(n) and projected(n) = Catalan(2n+1), n <= 64."""
     ok = all(
         counting.continuous_count(n) == 2**n * counting.projected_count(n)
         and counting.projected_count(n) == counting.catalan(2 * n + 1)
-        for n in range(1, max_n + 1)
+        for n in range(1, 65)
     )
-    return f"count identities hold for n <= {max_n}", ok
+    return "count identities hold for n <= 64", ok
 
 
 def checks(n: int, seed: int) -> Iterator[Result]:

@@ -29,7 +29,7 @@ suite can compare the two:
   * ``searched_anchors`` finds the anchors a side admits with ``compatible``
     on sampled family members, and ``fiber_by_anchor`` builds a fiber from
     them with new ``FamilyChoice`` objects; ``bridge.fiber_reps`` reads the
-    same anchors off the family rows of ``_Tables.adj``.
+    same anchors off the family rows of ``_Tables.closed``.
   * ``to_refined`` and ``refined_quiver`` are the refined-quiver route:
     ``condense(to_refined(rep))`` is ``project``'s oracle.
   * ``canonicalize`` sorts an encoding's summands and families.
@@ -48,9 +48,11 @@ suite can compare the two:
   * ``rep_from_dict_reference`` is ``cli.rep_from_dict`` as it was written
     with its own literal spellings of kinds and sides; the library's
     decoder must return an equal rep or raise the same error.
+  * ``open_rows`` is the adjacency rows of a ``_Tables``: each closed row
+    less its own vertex.
   * ``enumerate_by_groups`` is ``enumerate_maximal_rigid_reps`` as it was
     written before the gap-vertex recursion: one Bron-Kerbosch run on
-    ``_Tables.adj`` with its vertex bits reversed, the cliques grouped by
+    ``open_rows`` with its vertex bits reversed, the cliques grouped by
     summand mask and taken in descending mask order, with a ``claim`` that
     each holds 2n+1 summands and one family per segment; the library's
     list must equal it, order included.
@@ -434,10 +436,15 @@ def finite_max_cliques(m: int) -> list[tuple[int, ...]]:
     return sorted(tuple(bits(mask)) for mask in max_cliques(adj))
 
 
+def open_rows(tables) -> list[int]:
+    """The open adjacency rows of ``tables``: each closed row without its own vertex."""
+    return [row ^ 1 << v for v, row in enumerate(tables.closed)]
+
+
 def enumerate_by_groups(grid: Breakpoints) -> list[BreakpointRep]:
     """The maximal rigid reps on ``grid`` in ``rep_sort_key`` order, from one Bron-Kerbosch run.
 
-    The run is on ``_tables(n).adj`` with its vertex numbering reversed:
+    The run is on ``open_rows(_tables(n))`` with its vertex numbering reversed:
     vertex v is bit V-1-v, so the summands, which come first there, are
     the high bits, and the binary digits of a mask, most significant
     first, list its vertices in ``_Tables`` order.  The cliques are
@@ -451,8 +458,8 @@ def enumerate_by_groups(grid: Breakpoints) -> list[BreakpointRep]:
     """
     n = grid.n
     tables = _tables(n)
-    width, split = len(tables.adj), len(tables.families)
-    adj = [int(format(row, f"0{width}b")[::-1], 2) for row in reversed(tables.adj)]
+    width, split = len(tables.closed), len(tables.families)
+    adj = [int(format(row, f"0{width}b")[::-1], 2) for row in reversed(open_rows(tables))]
 
     def members(items: list, mask: int) -> tuple:
         return tuple(itertools.compress(items, map(int, format(mask, f"0{len(items)}b"))))

@@ -83,7 +83,7 @@ def test_criterion_4_projection_suite(capsys):
 
 
 def test_criterion_5_tilting_iff_maximal_rigid(capsys):
-    _, ok = verify.tilting_iff_maximal_rigid(4)
+    _, ok = verify.tilting_iff_maximal_rigid()
     q5 = LinearQuiver(5)
     ivs5 = all_intervals(q5)
     rng = random.Random(0)
@@ -97,7 +97,7 @@ def test_criterion_5_tilting_iff_maximal_rigid(capsys):
 def test_criterion_6_oracle_equivalence(capsys):
     results = [verify.grid_compatibility(n) for n in (1, 2, 3)]
     results.append(verify.random_compatibility(seed=0, pairs=10_000))
-    results.append(verify.closed_forms(6))
+    results.append(verify.closed_forms())
     with capsys.disabled():
         report(6, "compatibility = discretized Ext (grid n<=3 + 10^4 random); closed forms = oracles (m<=6)",
                all(ok for _, ok in results))

@@ -52,6 +52,7 @@ from golden import five_projected_sets, ten_reps
 from oracles import (
     fiber_by_anchor,
     image_vertices,
+    open_rows,
     pair_tables,
     refined_quiver,
     searched_anchors,
@@ -223,7 +224,7 @@ class TestProjection:
                 assert project(rep) == frozenset(subset)
 
     def test_summand_graph_is_the_segment_quiver_graph(self):
-        """Under ``project``, the summand block of ``_Tables(n).adj`` is A_{2n+1}'s graph.
+        """Under ``project``, the summand block of ``_Tables(n)``'s rows is A_{2n+1}'s graph.
 
         ``fiber_reps`` rests on this: a (2n+1)-set is maximal rigid on the
         segment quiver exactly when its pull-back is a summand clique.
@@ -237,7 +238,7 @@ class TestProjection:
             images = [project(BreakpointRep(grid, (s,), families)) for s in tables.summands]
             perm = [index[iv] for (iv,) in images]
             assert sorted(perm) == list(range(len(ivs))), n
-            for si, row in enumerate(tables.adj[: len(tables.summands)]):
+            for si, row in enumerate(open_rows(tables)[: len(tables.summands)]):
                 image_row = sum(1 << perm[sj] for sj in bits(row & tables.summand_mask))
                 assert image_row == adj[perm[si]], (n, tables.summands[si])
 
@@ -246,7 +247,8 @@ class TestProjection:
         """For every tilting set of A_{2n+1}, each family adjacent to all its summands in the
         pair-loop rows is adjacent there to each such family of another segment.
 
-        ``fiber_reps`` takes the product of the forced families without checking this.
+        ``continuous._forced_pairs`` claims this on the library's rows at every forced mask
+        that the enumerator and ``fiber_reps`` meet; this checks it on the independent rows.
         """
         adj = tables_pair_loop(n)
         split, vertex = len(continuous._tables(n).summands), image_vertices(n)

@@ -638,13 +638,16 @@ class TestVerify:
         assert out == ""
         assert err.splitlines() == [f"error: n={n} exceeds cap 5"]
 
-    def test_stdout_digest(self, capsys):
-        # sha256 of the stdout of `maxrigid verify --n 3 --seed 7`
-        code, out, _ = run(capsys, "verify", "--n", "3", "--seed", "7")
+    @pytest.mark.parametrize("n, digest", [
+        ("3", "6974e28aa04f180519e1f8a3209bcf24fa6f5ef4c1a37a8bf3f4b08a9d817c70"),
+        # n = 4 runs fiber_reps on each of its 4,862 tilting sets against the enumerator
+        ("4", "2010ca5e202ca491845777198c79321067e5ec0995dc0e75b10d9bbf58461e15"),
+    ], ids=["n3", "n4"])
+    def test_stdout_digest(self, capsys, n, digest):
+        # sha256 of the stdout of `maxrigid verify --n <n> --seed 7`
+        code, out, _ = run(capsys, "verify", "--n", n, "--seed", "7")
         assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == (
-            "6974e28aa04f180519e1f8a3209bcf24fa6f5ef4c1a37a8bf3f4b08a9d817c70"
-        )
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_each_n_is_enumerated_once(self, monkeypatch):
         """The per-n checks share one direct and one segment-quiver enumeration."""

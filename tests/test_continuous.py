@@ -47,6 +47,7 @@ from maxrigid import (
     continuous_count,
     enumerate_maximal_rigid,
     enumerate_maximal_rigid_reps,
+    fiber_reps,
     is_maximal_rigid,
     is_rigid,
     is_uniform,
@@ -56,7 +57,7 @@ from maxrigid import (
     validate_rep,
 )
 
-from maxrigid import cli, continuous, finite
+from maxrigid import bridge, cli, continuous, finite
 from maxrigid.cliques import bits, max_cliques
 from maxrigid.continuous import MAX_N, _Tables, _tables, _vertex_mask, rep_sort_key
 from maxrigid.counting import ClaimError
@@ -75,6 +76,7 @@ from oracles import (
     is_maximal_clique,
     live_candidates,
     maximal_oracle,
+    open_rows,
     profile_uniform,
     random_fresh,
     reflect,
@@ -376,6 +378,7 @@ class TestSummandCode:
         on every maximal rigid rep, the rep minus one summand and plus one foreign summand."""
         grid = Breakpoints.uniform(n)
         t = _tables(n)
+        adj = open_rows(t)
         seen = set()
         for k, r in enumerate(enumerate_maximal_rigid_reps(grid)):
             cut = k % len(r.summands)
@@ -384,10 +387,10 @@ class TestSummandCode:
             added = r.summands + (foreign[k % len(foreign)],)
             for v in (r, rep(grid, dropped, r.families), rep(grid, added, r.families)):
                 mask = hash_mask(n, v.summands, v.families)
-                rigid = is_clique(t.adj, mask)
+                rigid = is_clique(adj, mask)
                 assert is_rigid(v) == rigid, v
                 if rigid:
-                    maximal = is_maximal_clique(t.adj, mask, t.summand_mask)
+                    maximal = is_maximal_clique(adj, mask, t.summand_mask)
                     assert is_maximal_rigid(v) == maximal, v
                 else:
                     maximal = None
@@ -830,37 +833,42 @@ class TestEnumeration:
 
     @staticmethod
     def cut(monkeypatch, n, edges):
-        """``continuous._tables(n)`` with every vertex pair of ``edges`` made non-adjacent, both
-        ways, in the closed rows the enumerator reads."""
+        """``_tables(n)`` with every vertex pair of ``edges`` made non-adjacent, both ways, in
+        the closed rows that the enumerator and ``bridge.fiber_reps`` read."""
         t = copy.copy(_Tables(n))
         t.closed = list(t.closed)
         for u, v in edges:
             t.closed[u] &= ~(1 << v)
             t.closed[v] &= ~(1 << u)
         monkeypatch.setattr(continuous, "_tables", lambda m: t)
+        monkeypatch.setattr(bridge, "_tables", lambda m: t)
         return Breakpoints.uniform(n)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_adjacency_claim_stops_a_missing_cross_segment_edge(self, monkeypatch, n):
         """With the edge between the families of the first rep's segments 0 and 1 removed,
-        those two are still forced by its summands but no longer adjacent."""
+        those two are still forced by its summands but no longer adjacent: the enumerator and
+        ``fiber_reps`` of the rep's image both refuse."""
         split = len(_tables(n).summands)
         first = enumerate_maximal_rigid_reps(Breakpoints.uniform(n))[0]
         u, v = (split + _tables(n).families.index(f) for f in first.families[:2])
         grid = self.cut(monkeypatch, n, [(u, v)])
-        with pytest.raises(ClaimError, match="^forced families of different segments are pairwise adjacent$"):
-            enumerate_maximal_rigid_reps(grid)
+        for build in (lambda: enumerate_maximal_rigid_reps(grid), lambda: fiber_reps(project(first), grid)):
+            with pytest.raises(ClaimError, match="^forced families of different segments are pairwise adjacent$"):
+                build()
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_side_claim_stops_an_emptied_family_row(self, monkeypatch, n):
         """With the first rep's segment-0 family adjacent to nothing, no summand set forces it,
-        so its side of segment 0 has no forced family."""
+        so its side of segment 0 has no forced family, in the enumerator or in ``fiber_reps``
+        of the rep's image."""
         split = len(_tables(n).summands)
         first = enumerate_maximal_rigid_reps(Breakpoints.uniform(n))[0]
         u = split + _tables(n).families.index(first.families[0])
         grid = self.cut(monkeypatch, n, [(u, v) for v in range(len(_tables(n).closed)) if v != u])
-        with pytest.raises(ClaimError, match="^one forced anchor per segment side$"):
-            enumerate_maximal_rigid_reps(grid)
+        for build in (lambda: enumerate_maximal_rigid_reps(grid), lambda: fiber_reps(project(first), grid)):
+            with pytest.raises(ClaimError, match="^one forced anchor per segment side$"):
+                build()
 
     def test_key_width_bounds_every_n_under_the_cap(self):
         """A key holds each summand vertex in a byte.  There are as many as intervals of
@@ -876,11 +884,11 @@ class TestEnumeration:
     @staticmethod
     def doctored(monkeypatch, n, row):
         """The oracle's ``_tables(n)`` with each adjacency row replaced by ``row(v, adj[v])``,
-        both ways."""
+        both ways, in the closed rows ``open_rows`` reads."""
         t = copy.copy(_Tables(n))
-        t.adj = [row(v, r) for v, r in enumerate(t.adj)]
-        assert all((t.adj[u] >> v & 1) == (t.adj[v] >> u & 1) for u in range(len(t.adj))
-                   for v in range(len(t.adj)))
+        t.closed = [row(v, r) | 1 << v for v, r in enumerate(open_rows(t))]
+        adj = open_rows(t)
+        assert all((adj[u] >> v & 1) == (adj[v] >> u & 1) for u in range(len(adj)) for v in range(len(adj)))
         monkeypatch.setattr(oracles, "_tables", lambda m: t)
         return Breakpoints.uniform(n)
 
@@ -916,7 +924,7 @@ class TestReflection:
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_reflection_is_an_automorphism_of_the_graph(self, n):
-        adj = _tables(n).adj
+        adj = open_rows(_tables(n))
         _, mirror = self.vertices(n)
         assert sorted(mirror) == list(range(len(adj)))
         for u, row in enumerate(adj):
@@ -1003,7 +1011,8 @@ def historical_masks(t) -> dict[str, list[int]]:
     ``MASK_DIGESTS`` and ``oracles.sampled_masks`` have them.
     """
     split = len(t.summands)
-    summand_rows, family_rows = t.adj[:split], t.adj[split:]
+    adj = open_rows(t)
+    summand_rows, family_rows = adj[:split], adj[split:]
     return {
         "adj": [row & t.summand_mask for row in summand_rows],
         "fam_pool": [row & t.summand_mask for row in family_rows],
@@ -1075,7 +1084,7 @@ class TestTables:
         """
         t = _tables(n)
         split = len(t.summands)
-        cliques = max_cliques(t.adj)
+        cliques = max_cliques(open_rows(t))
         assert len(cliques) == continuous_count(n)
         for clique in cliques:
             segments = [t.families[fi].segment for fi in bits(clique >> split)]
@@ -1092,7 +1101,7 @@ class TestTables:
         t = _tables(n)
         sw = sweep(n)
         split = len(t.summands)
-        cliques = max_cliques(t.adj)
+        cliques = max_cliques(open_rows(t))
         live = {}
         for clique in cliques:
             fmask = clique >> split
@@ -1129,9 +1138,10 @@ class TestTables:
     def test_families_on_one_segment_are_never_adjacent(self, n):
         """The graph leaves out every pair a rep cannot hold (see ``_Tables``)."""
         t = _tables(n)
+        adj = open_rows(t)
         for fam in t.families:
             same = [findex(n)[g] for g in t.families if g.segment == fam.segment]
-            assert t.adj[findex(n)[fam]] & sum(1 << v for v in same) == 0, fam
+            assert adj[findex(n)[fam]] & sum(1 << v for v in same) == 0, fam
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_rows_equal_the_pair_loop_oracle(self, n):
@@ -1139,7 +1149,7 @@ class TestTables:
         pair loop on ranks 2i and 2j+1 (``oracles.tables_pair_loop``), bit for bit."""
         t = _tables(n)
         adj = tables_pair_loop(n)
-        assert t.adj == adj
+        assert open_rows(t) == adj
         assert t.closed == [row | 1 << v for v, row in enumerate(adj)]
 
     def test_tables_build_without_ext_dim(self, monkeypatch):

@@ -146,8 +146,12 @@ class TestRigidity:
         assert is_maximal_rigid_set(q3, {f(1, 3), f(1, 1), f(1, 2)})
 
     def test_tilting_iff_maximal_rigid_exhaustive(self):
-        label, ok = verify.tilting_iff_maximal_rigid(5)
+        """``verify``'s check for m <= 4, then every subset at m = 5."""
+        label, ok = verify.tilting_iff_maximal_rigid()
         assert ok, label
+        q = LinearQuiver(5)
+        ivs = all_intervals(q)
+        assert all(verify.tilting_agrees(q, ivs, bits) for bits in range(1 << len(ivs)))
 
     @pytest.mark.parametrize("m", [6, 7, 8])
     def test_tilting_iff_maximal_rigid_random(self, m):
