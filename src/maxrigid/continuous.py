@@ -30,7 +30,7 @@ from fractions import Fraction
 from itertools import product
 from operator import itemgetter
 
-from .cliques import bits, common_neighbourhood
+from .cliques import common_neighbourhood
 from .counting import _check_count, claim
 from .finite import _check_cap, _collector_paused, _gap_keys, _pair_tables, _rank
 from .intervals import (
@@ -319,8 +319,9 @@ class _Tables:
     ``closed[v]`` holds v and every vertex adjacent to it: one whose every
     member is compatible with every member of v.  ``common_neighbourhood``
     over closed rows decides rigidity, maximality and the forced families
-    (``_forced_pairs``); ``sides`` lists the (segment, side) pairs in order
-    and ``family_side`` holds each family's, the same objects.
+    (``_forced_pairs``).  ``blocks[j]`` is the shift of segment j's 2n+2
+    family bits and a dict from each block of them with one left and one
+    right family, by ``FamilyChoice.side``, to those (left, right) indices.
 
     The rows are read off the finite model.  The 2n+1 points a_0 < x_0 <
     a_1 < ... < a_n, x_j the one generic position of segment j, have the
@@ -364,8 +365,10 @@ class _Tables:
         vertex = {s.code: v for v, s in enumerate(self.summands)}
         self.code_vertex = [vertex.get(c) for c in range(max(vertex) + 1)]
         self.families = all_family_choices(n)
-        self.sides = [(j, side) for j in range(n) for side in (LEFT, RIGHT)]
-        self.family_side = [self.sides[2 * f.segment + (f.side is RIGHT)] for f in self.families]
+        sides = [([], []) for _ in range(n)]
+        for fi, f in enumerate(self.families):
+            sides[f.segment][f.side is RIGHT].append(fi)
+        self.blocks = [(ls[0], {(1 << l | 1 << r) >> ls[0]: (l, r) for l in ls for r in rs}) for ls, rs in sides]
         self.summand_mask = (1 << len(self.summands)) - 1
 
         m = 4 * n + 1
@@ -418,14 +421,15 @@ def _forced_pairs(tables: _Tables, fmask: int) -> list[tuple[int, int]]:
     """The (left, right) indices of the families in ``fmask``, the family bits of a summand
     set's ``common_neighbourhood``, one pair per segment in segment order.
 
-    Two ``claim``s make the pairs a fiber: there is one per (segment, side)
-    (``_Tables.sides``; family order is dataclass order and "left" < "right",
-    so they pair up per segment, left first), and families of different
-    segments are pairwise adjacent.
+    Two ``claim``s make the pairs a fiber: there is one per (segment, side),
+    as each segment's block of ``fmask`` is a key of its dict in
+    ``_Tables.blocks`` (one lookup per segment; a block with two families on
+    a side or none is not), and families of different segments are pairwise
+    adjacent.
     """
-    forced = bits(fmask)
-    claim(list(map(tables.family_side.__getitem__, forced)) == tables.sides, "one forced anchor per segment side")
-    pairs = list(zip(forced[0::2], forced[1::2]))
+    width = (1 << 2 * tables.n + 2) - 1
+    pairs = [block.get(fmask >> shift & width) for shift, block in tables.blocks]
+    claim(None not in pairs, "one forced anchor per segment side")
     closed, split, adjacent = tables.closed, len(tables.summands), fmask
     for l, r in pairs:  # keep the families adjacent to both, and l and r
         adjacent &= (closed[split + l] & closed[split + r]) >> split | 1 << l | 1 << r

@@ -73,8 +73,11 @@ class TestCount:
              "8b77a0c4fadf2ddcdb63e8a0a26f106cc165fc8a2ef10215f9ad0a35b240c78a"),
             (("--n", "4", "--mode", "formula"),
              "f9c9bb005536686c0db06265158c35e49cea179064a0168cb866d30679c71bac"),
+            # the enumerator at MAX_N: both forced-family claims on all 23,296 forced masks
+            (("--n", "5", "--mode", "enumerate"),
+             "c2718ba25bb72c466663206781d2f11dfa8844dcaeae0147c64a3f8a6f75d091"),
         ],
-        ids=["n3-both", "n3-enumerate", "n2-json", "n2-formula-json", "n4-formula"],
+        ids=["n3-both", "n3-enumerate", "n2-json", "n2-formula-json", "n4-formula", "n5-enumerate"],
     )
     def test_stdout_digest(self, capsys, argv, digest):
         # sha256 of the stdout of `maxrigid count ...`

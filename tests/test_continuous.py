@@ -58,8 +58,8 @@ from maxrigid import (
 )
 
 from maxrigid import bridge, cli, continuous, finite
-from maxrigid.cliques import bits, max_cliques
-from maxrigid.continuous import MAX_N, _Tables, _tables, _vertex_mask, rep_sort_key
+from maxrigid.cliques import bits, common_neighbourhood, max_cliques
+from maxrigid.continuous import MAX_N, _forced_pairs, _Tables, _tables, _vertex_mask, rep_sort_key
 from maxrigid.counting import ClaimError
 
 import oracles
@@ -870,6 +870,66 @@ class TestEnumeration:
             with pytest.raises(ClaimError, match="^one forced anchor per segment side$"):
                 build()
 
+    @staticmethod
+    def forced_masks(n):
+        """Each distinct forced mask of the n-segment reps, the family bits of their summands'
+        ``common_neighbourhood``, with the (left, right) indices of the families those reps
+        hold on each segment, read off ``FamilyChoice.segment`` and ``.side``."""
+        t = _tables(n)
+        split, vertex = len(t.summands), {x: v for v, x in enumerate(t.summands + t.families)}
+        held = {}
+        for r in enumerate_maximal_rigid_reps(Breakpoints.uniform(n)):
+            fmask = common_neighbourhood(t.closed, [vertex[s] for s in r.summands]) >> split
+            held.setdefault(fmask, set()).update(r.families)
+        return {fmask: [(vertex[l] - split, vertex[r] - split) for j in range(n)
+                        for l in fs if l.segment == j and l.side is LEFT
+                        for r in fs if r.segment == j and r.side is RIGHT]
+                for fmask, fs in held.items()}
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_forced_pairs_are_the_pairs_of_each_masks_reps(self, n):
+        """``_forced_pairs`` called directly on every distinct forced mask (4, 28 and 240 of
+        them) returns the pairs its reps hold, and between them the masks use every entry of
+        ``_Tables.blocks``."""
+        t = _tables(n)
+        used = set()
+        for fmask, pairs in self.forced_masks(n).items():
+            assert _forced_pairs(t, fmask) == pairs, fmask
+            used.update(pairs)
+        assert used == {lr for _, block in t.blocks for lr in block.values()}
+
+    @pytest.mark.parametrize("craft", ["second-left-in-first", "no-right-in-last", "left-moved-right-in-last"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_side_claim_stops_a_crafted_mask(self, n, craft):
+        """Each real forced mask passes.  Add segment 0's other left family, remove the last
+        segment's right family, or move the last segment's left family to its free right slot,
+        and that segment's block has two families on a side or none: the side claim raises."""
+        t = _tables(n)
+        first_left, last_left, last_right = (
+            sum(1 << fi for fi, f in enumerate(t.families) if f.segment == j and f.side is side)
+            for j, side in ((0, LEFT), (n - 1, LEFT), (n - 1, RIGHT)))
+        crafted = {
+            "second-left-in-first": lambda m: m | first_left,
+            "no-right-in-last": lambda m: m & ~last_right,
+            "left-moved-right-in-last": lambda m: m & ~last_left | last_right,
+        }[craft]
+        for fmask, pairs in self.forced_masks(n).items():
+            assert _forced_pairs(t, fmask) == pairs, fmask
+            with pytest.raises(ClaimError, match="^one forced anchor per segment side$"):
+                _forced_pairs(t, crafted(fmask))
+
+    @pytest.mark.parametrize("n", range(1, MAX_N + 1))
+    def test_blocks_are_the_side_pairs_of_each_segment(self, n):
+        """Segment j's block is exactly its 2n+2 family bits, and its dict holds one entry per
+        (left, right) pair of its families by ``FamilyChoice.side``, keyed by their two bits."""
+        t = _tables(n)
+        assert len(t.blocks) == n
+        for j, (shift, block) in enumerate(t.blocks):
+            side = {fi: f.side for fi, f in enumerate(t.families) if f.segment == j}
+            assert sorted(side) == list(range(shift, shift + 2 * n + 2)), j
+            pairs = [(l, r) for l in side for r in side if side[l] is LEFT and side[r] is RIGHT]
+            assert {key << shift: lr for key, lr in block.items()} == {1 << l | 1 << r: (l, r) for l, r in pairs}
+
     def test_key_width_bounds_every_n_under_the_cap(self):
         """A key holds each summand vertex in a byte.  There are as many as intervals of
         A_{2n+1}, and A_{2 MAX_N + 1} = A_11 has 66."""
@@ -952,6 +1012,44 @@ class TestReflection:
                 image = reflect(2, r)
                 assert is_maximal_rigid(image) and image.grid.values[1] == 1 - grid.values[1]
                 assert reflect(2, image) == r
+
+    @pytest.mark.parametrize("n, sample", [(1, None), (2, None), (3, None), (4, 500)])
+    def test_fiber_reps_and_project_commute_with_reflection(self, n, sample):
+        """``fiber_reps`` of a reflected image on the reflected grid is the reflected fiber, and
+        ``project`` of a reflected rep is the reflected image: every image for n <= 3 and 500
+        seeded ones of the 4,862 at n = 4, each on a seeded rational grid."""
+        rng, m = random.Random(32 + n), 2 * n + 1
+        images = [h.members for h in enumerate_maximal_rigid(segment_quiver(n))]
+        for image in rng.sample(images, sample) if sample else images:
+            grid = random_grid(rng, n)
+            mirror_grid = Breakpoints(tuple(1 - v for v in reversed(grid.values)))
+            reps = fiber_reps(image, grid)
+            mirrored = fiber_reps([reflect(m, iv) for iv in image], mirror_grid)
+            assert mirrored == sorted((reflect(n, r) for r in reps), key=rep_sort_key), image
+            for r in reps:
+                assert project(r) == frozenset(image)
+                assert project(reflect(n, r)) == {reflect(m, iv) for iv in image}
+
+    def test_verdicts_agree_on_reflected_query_variants(self):
+        """``is_rigid`` and ``is_maximal_rigid`` give a reflected rep the rep's verdicts on 256
+        seeded n = 4 reps of each kind the ``query-n4`` benchmark builds: a maximal rep, one
+        with a summand dropped (rigid, not maximal) and one with a foreign breakpoint summand
+        added (not rigid)."""
+        rng, n = random.Random(32), 4
+        grid = Breakpoints.uniform(n)
+        images = [h.members for h in enumerate_maximal_rigid(segment_quiver(n))]
+        every = all_break_summands(n)
+        for _ in range(256):
+            r = rng.choice(fiber_reps(rng.choice(images), grid))
+            dropped = list(r.summands)
+            del dropped[rng.randrange(len(dropped))]
+            foreign = sorted([*r.summands, rng.choice([s for s in every if s not in r.summands])])
+            for summands, rigid, maximal in ((r.summands, True, True), (dropped, True, False), (foreign, False, None)):
+                v = rep(grid, summands, r.families)
+                w = reflect(n, v)
+                assert is_rigid(v) is is_rigid(w) is rigid, v
+                if rigid:
+                    assert is_maximal_rigid(v) is is_maximal_rigid(w) is maximal, v
 
 
 def random_grid(rng, n):
