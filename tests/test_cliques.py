@@ -1,10 +1,15 @@
 """Clique verdicts and maximal-clique enumeration against a brute-force subset filter."""
 
 import gc
+import hashlib
 import random
 from itertools import combinations
 
+import pytest
+
 from maxrigid.cliques import bits, common_neighbourhood, max_cliques
+from maxrigid.continuous import _tables
+from maxrigid.finite import _pair_tables
 
 
 def brute_max_cliques(adj, n, subset):
@@ -63,17 +68,17 @@ def test_against_bruteforce():
         assert sorted(max_cliques(adj)) == brute_max_cliques(adj, n, (1 << n) - 1), (trial, adj)
 
 
-def test_shortcut_shapes_in_order():
-    """The exact lists, order included, on graphs that drive each shortcut of ``max_cliques``.
+def test_shapes_in_order():
+    """The exact lists, order included, on the hand-made shapes.
 
-    The edgeless graph gives its k singletons, all appended at once from an
-    independent P; the complete graph one clique, its scans stopping at the
-    first vertex; the star and the path end in independent P's and in
-    children with nothing left to add.  In the star beside a triangle, the
-    first triangle vertex, once done, is an X vertex that covers the P of
-    the next one's branch, and is scanned first there.  In the triangle
-    {2, 4, 5} on the leaf 2 of the star centred at 0, the branch of 5 has
-    P = {2}, independent, and X = {4}, adjacent to 2: {2, 5} is no leaf.
+    Each pivot is the first vertex of P | X with the most neighbours in P.
+    The edgeless graph gives its k singletons in vertex order and the
+    complete graph one clique; the star and the path give their edges in
+    order.  In the star beside a triangle, the first triangle vertex, once
+    done, is an X vertex joined to all of the next one's P, so it is the
+    pivot there and that branch appends nothing.  In the triangle {2, 4, 5}
+    on the leaf 2 of the star centred at 0, the branch of 5 ends with
+    P = {2} and X = {4}, adjacent to 2: {2, 5} is not maximal.
     """
     assert max_cliques(SHAPES["empty"]) == [0]
     assert max_cliques(SHAPES["edgeless"]) == [1 << v for v in range(6)]
@@ -82,6 +87,24 @@ def test_shortcut_shapes_in_order():
     assert max_cliques(SHAPES["path"]) == [3 << v for v in range(6)]
     assert max_cliques(SHAPES["star and triangle"]) == [0b11, 0b101, 0b111000]
     assert max_cliques(SHAPES["triangle on a star's leaf"]) == [0b11, 0b101, 0b1001, 0b110100]
+
+
+MODEL_GRAPHS = {
+    # the continuous compatibility graph at n = 3 and the finite one on A_8
+    "continuous-n3": (lambda: _tables(3).closed, 3432,
+                      "72381161a448bfaca74174f6f0c5f5fdc436f4de047731b618093c1d1f08da6b"),
+    "finite-m8": (lambda: _pair_tables(8), 1430,
+                  "27bfdeb9907cbe55ee98f8c02f85e768c8a327afaa0091e75c453f2143441fa7"),
+}
+
+
+@pytest.mark.parametrize("name", MODEL_GRAPHS)
+def test_order_on_the_model_graphs(name):
+    """The whole list, order included, pinned by sha256 on both models' graphs."""
+    closed, count, digest = MODEL_GRAPHS[name]
+    cliques = max_cliques([row ^ 1 << v for v, row in enumerate(closed())])
+    assert len(cliques) == count
+    assert hashlib.sha256(",".join(map(str, cliques)).encode()).hexdigest() == digest
 
 
 def test_bits_roundtrip():
