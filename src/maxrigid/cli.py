@@ -271,7 +271,7 @@ def cmd_finite(args) -> int:
         if sets is not None:
             payload["enumerated"] = len(sets)
             payload["match"] = len(sets) == formula
-            payload["sets"] = [[str(i) for i in s.sorted_summands()] for s in sets]
+            payload["sets"] = [[str(i) for i in s.members] for s in sets]
         print(json.dumps(payload, indent=2))
     else:
         if sets is not None:

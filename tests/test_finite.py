@@ -3,6 +3,7 @@
 import gc
 import random
 import tracemalloc
+from itertools import repeat
 from operator import itemgetter
 
 import pytest
@@ -305,7 +306,7 @@ class TestBulkBuild:
     """The enumerator builds its sets without ``RigidSet.__init__`` (``finite._collector_paused``)."""
 
     def test_sets_are_built_without_the_constructor(self, monkeypatch):
-        expected = {m: enumerate_maximal_rigid(LinearQuiver(m)) for m in range(2, 9)}
+        expected = {m: enumerate_maximal_rigid(LinearQuiver(m)) for m in range(1, 9)}
 
         def refuse(self, *args, **kwargs):
             raise AssertionError("the enumerator builds its sets without __init__")
@@ -323,6 +324,16 @@ class TestBulkBuild:
                 assert type(s) is RigidSet and s == built
                 assert hash(s) == hash(built) and str(s) == str(built)
 
+    @pytest.mark.parametrize("chunk", [1, 7])
+    def test_chunk_size_does_not_change_the_list(self, monkeypatch, chunk):
+        """One key per pass, and passes of 7 keys, which do not divide the 1,430 sets of
+        A_8, so the last pass is short."""
+        expected = enumerate_maximal_rigid(LinearQuiver(8))
+        monkeypatch.setattr(finite, "_CHUNK", chunk)
+        sets = enumerate_maximal_rigid(LinearQuiver(8))
+        assert sets == expected
+        assert all(type(s) is RigidSet and type(s.members) is tuple for s in sets)
+
 
 class TestCollectorPause:
     """The sets are built with the garbage collector off, and it is restored after."""
@@ -333,19 +344,21 @@ class TestCollectorPause:
         assert gc.isenabled()
 
     def test_on_after_an_exception_mid_build(self, monkeypatch):
-        """Hooked at ``itemgetter``, which the build calls once per set."""
+        """Hooked at ``repeat``, which the build calls once per chunk of keys; on A_10 the
+        third call raises, when the sets of the first two chunks already exist."""
         built = []
 
-        def fifth_fails(*ranks):
+        def third_fails(*args):
             built.append(gc.isenabled())
-            if len(built) == 5:
-                raise RuntimeError("fifth set")
-            return itemgetter(*ranks)
+            if len(built) == 3:
+                raise RuntimeError("third chunk")
+            return repeat(*args)
 
-        monkeypatch.setattr(finite, "itemgetter", fifth_fails)
-        with pytest.raises(RuntimeError, match="fifth set"):
-            enumerate_maximal_rigid(LinearQuiver(4))
-        assert built == [False] * 5
+        assert 16796 > 2 * finite._CHUNK
+        monkeypatch.setattr(finite, "repeat", third_fails)
+        with pytest.raises(RuntimeError, match="third chunk"):
+            enumerate_maximal_rigid(LinearQuiver(10))
+        assert built == [False] * 3
         assert gc.isenabled()
 
     def test_stays_off_when_the_caller_turned_it_off(self):
