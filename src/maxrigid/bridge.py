@@ -153,7 +153,7 @@ def fiber_reps(image: Iterable[FiniteInterval], grid: Breakpoints) -> list[Break
     per segment by ``continuous._forced_pairs``, which claims one per
     (segment, side) and those of different segments pairwise adjacent.
     Vertex order is dataclass order, so the summands come out sorted and
-    ``product`` yields the reps in ``rep_sort_key`` order.  The reps share
+    ``product`` yields the reps in (summands, families) order.  The reps share
     the table's own objects.
     """
     n = grid.n

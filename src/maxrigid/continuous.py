@@ -379,12 +379,9 @@ class _Tables:
                          for d in (0, 1)])
         ranks = [[_rank(m, a, b) for a, b in pair] for pair in ends]
         rows = _pair_tables(m)
-        # digit w - 1 - r of a w-digit binary string is bit r; the getters list
-        # each vertex's first and last member bit, the last vertex first
-        w = m * (m + 1) // 2
-        first, last = (itemgetter(*[w - 1 - rs[end] for rs in reversed(ranks)]) for end in (0, -1))
-        digits = (format(common_neighbourhood(rows, rs), f"0{w}b") for rs in ranks)
-        self.closed = [int("".join(first(d)), 2) & int("".join(last(d)), 2) for d in digits]
+        members = [sum(1 << r for r in rs) for rs in ranks]
+        commons = (common_neighbourhood(rows, rs) for rs in ranks)
+        self.closed = [sum(1 << w for w, ms in enumerate(members) if common & ms == ms) for common in commons]
 
 
 _tables = functools.cache(_Tables)
@@ -411,10 +408,6 @@ def is_maximal_rigid(rep: BreakpointRep) -> bool:
     if common & mask != mask:
         raise NotRigidError("NotRigid")
     return common & tables.summand_mask == mask & tables.summand_mask
-
-
-def rep_sort_key(rep: BreakpointRep):
-    return (rep.summands, rep.families)
 
 
 def _forced_pairs(tables: _Tables, fmask: int) -> list[tuple[int, int]]:
@@ -461,11 +454,12 @@ def enumerate_maximal_rigid_reps(grid: Breakpoints) -> list[BreakpointRep]:
     ``finite._gap_keys`` lists T at period 2 (one breakpoint), coding each
     image by its summand vertex: vertex order is dataclass order, so the
     codes order images by start, 2*lo + 1 + lo_kind, as a shift keeps.
-    Sorted, the keys are the summand tuples in ``rep_sort_key`` order.
+    Sorted, the keys are the summand tuples in ascending order.
     Each forced mask's fiber is built once, ``product`` over its (left,
     right) pairs giving the family tuples in order, each shared through a
-    dict keyed by index tuples (no dataclass ``__hash__`` runs).  So no rep
-    is sorted.  The reps are built as ``finite._collector_paused`` says.
+    dict keyed by index tuples (no dataclass ``__hash__`` runs).  So the
+    reps come in (summands, families) order, and none is sorted.  The
+    reps are built as ``finite._collector_paused`` says.
     n is at most ``MAX_N``, checked before the tables of n are built.
     """
     n = grid.n

@@ -32,7 +32,9 @@ suite can compare the two:
     same anchors off the family rows of ``_Tables.closed``.
   * ``to_refined`` and ``refined_quiver`` are the refined-quiver route:
     ``condense(to_refined(rep))`` is ``project``'s oracle.
-  * ``canonicalize`` sorts an encoding's summands and families.
+  * ``canonicalize`` sorts an encoding's summands and families, and
+    ``rep_sort_key`` is the (summands, families) order that both
+    enumerators and ``fiber_reps`` list reps in without sorting them.
   * ``validate_rep_two_loops`` is ``validate_rep`` as it was written with a
     membership test before each insertion and a scan over every segment for
     a missing family; the library's version must raise the same first error.
@@ -598,6 +600,10 @@ def to_refined(rep: BreakpointRep) -> RefinedRep:
         b = 3 * s.hi + 1 if s.hi_kind is CLOSED else 3 * s.hi
         out.add(FiniteInterval(a, b))
     return RefinedRep(rep.grid.n, frozenset(out))
+
+
+def rep_sort_key(rep: BreakpointRep) -> tuple:
+    return (rep.summands, rep.families)
 
 
 def canonicalize(rep: BreakpointRep) -> BreakpointRep:

@@ -56,6 +56,7 @@ from oracles import (
     open_rows,
     pair_tables,
     refined_quiver,
+    rep_sort_key,
     searched_anchors,
     tables_pair_loop,
     to_refined,
@@ -399,7 +400,7 @@ class TestFibers:
         grid = Breakpoints.uniform(n)
         for image in enumerate_maximal_rigid(segment_quiver(n)):
             reps = fiber_reps(image.summands, grid)
-            assert reps == sorted(reps, key=continuous.rep_sort_key), image
+            assert reps == sorted(reps, key=rep_sort_key), image
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_one_pass_equals_the_anchor_by_anchor_route(self, n):
@@ -524,8 +525,64 @@ class TestFibers:
 
     def test_fiber_union_equals_direct_enumeration(self):
         for n in (1, 2, 3):
-            label, ok = verify.fiber_expansion(n, *verify.enumerations(n))
+            label, ok = verify.projection_fibers(n, *verify.enumerations(n))[2]
             assert ok, label
+
+
+def _on_grid(reps, grid):
+    return [BreakpointRep(grid, r.summands, r.families) for r in reps]
+
+
+def _wrong_family(rep):
+    """``rep`` with its segment-0 family's anchor flavor flipped: not in its fiber."""
+    f = rep.families[0]
+    flipped = FamilyChoice(0, f.side, f.anchor, OPEN if f.anchor_kind is CLOSED else CLOSED)
+    return BreakpointRep(rep.grid, rep.summands, (flipped, *rep.families[1:]))
+
+
+THIRDS = Breakpoints((0, Fraction(1, 3), 1))
+# each doctored list of the n = 2 reps (21 runs of k = 4) with its (onto, 2^n,
+# expansion) verdicts
+DOCTORED = {
+    "intact": (lambda reps, k: reps, "TTT"),
+    "one-rep-dropped": (lambda reps, k: reps[1:], "TFF"),
+    "one-run-dropped": (lambda reps, k: reps[k:], "FTF"),
+    "one-run-duplicated-in-place": (lambda reps, k: reps[:k] + reps, "TFF"),
+    "one-run-duplicated-at-the-end": (lambda reps, k: reps + reps[:k], "TFF"),
+    "two-runs-swapped": (lambda reps, k: reps[k:2 * k] + reps[:k] + reps[2 * k:], "TTF"),
+    "wrong-segment-0-family": (lambda reps, k: [_wrong_family(reps[0]), *reps[1:]], "TTF"),
+    "two-reps-of-one-run-swapped": (lambda reps, k: [reps[1], reps[0], *reps[2:]], "TTF"),
+    "first-run-on-thirds": (lambda reps, k: _on_grid(reps[:k], THIRDS) + reps[k:], "TTF"),
+    "last-run-on-thirds": (lambda reps, k: reps[:-k] + _on_grid(reps[-k:], THIRDS), "TTF"),
+}
+
+
+class TestProjectionFibers:
+    """``verify.projection_fibers``: onto, 2^n preimages and the fiber expansion, on runs."""
+
+    @pytest.mark.parametrize("name", list(DOCTORED))
+    def test_doctored_lists(self, name):
+        doctor, verdicts = DOCTORED[name]
+        reps, projected = verify.enumerations(2)
+        results = verify.projection_fibers(2, doctor(reps, 4), projected)
+        assert "".join("TF"[not ok] for _, ok in results) == verdicts, results
+
+    def test_one_projection_and_one_fiber_per_run(self, monkeypatch):
+        """At n = 3 each of the 429 tilting sets is projected and expanded once,
+        not each of the 3,432 reps."""
+        calls = {"project": 0, "fiber_reps": 0}
+
+        def counted(name, function):
+            def wrapper(*args):
+                calls[name] += 1
+                return function(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(bridge, name, counted(name, getattr(bridge, name)))
+        results = verify.projection_fibers(3, *verify.enumerations(3))
+        assert all(ok for _, ok in results), results
+        assert calls == {"project": 429, "fiber_reps": 429}
 
 
 class TestDiscretizedOracle:

@@ -59,7 +59,7 @@ from maxrigid import (
 
 from maxrigid import bridge, cli, continuous, finite
 from maxrigid.cliques import bits, common_neighbourhood, max_cliques
-from maxrigid.continuous import MAX_N, _forced_pairs, _Tables, _tables, _vertex_mask, rep_sort_key
+from maxrigid.continuous import MAX_N, _forced_pairs, _Tables, _tables, _vertex_mask
 from maxrigid.counting import ClaimError
 
 import oracles
@@ -80,6 +80,7 @@ from oracles import (
     profile_uniform,
     random_fresh,
     reflect,
+    rep_sort_key,
     sample_model,
     sampled_masks,
     shaped_counts,
