@@ -15,9 +15,13 @@ rule to the grid refined by one generic point per segment.  ``condense`` and
 interval modules).  Over maximal rigid sets ``project`` is onto and every
 image has exactly 2^n preimages: per segment the family side is left or
 right, and for each side the summands force the anchor, which ``fiber_reps``
-reads off the summands' common closed neighbourhood in ``_Tables``.  Both
-stay on integers until they build their output, by the code b * b + a of an
-image interval [a, b] (``BreakSummand.code``): ``fiber_reps`` indexes
+reads off the summands' common closed neighbourhood in ``_Tables``.
+``verify`` does not call ``fiber_reps``: it checks the enumerator's fibers
+against a rule that reads the anchors off the image alone
+(``verify._forced_by_rule``), as ``fiber_reps`` shares the enumerator's
+``_forced_pairs``.  ``project`` and ``fiber_reps`` stay on integers until
+they build their output, by the code b * b + a of an image interval [a, b]
+(``BreakSummand.code``): ``fiber_reps`` indexes
 ``_Tables.code_vertex`` with it, and ``project`` unions the one-interval
 sets ``_single`` caches by it, so ``project`` builds nothing sized by n.
 
@@ -154,7 +158,8 @@ def fiber_reps(image: Iterable[FiniteInterval], grid: Breakpoints) -> list[Break
     (segment, side) and those of different segments pairwise adjacent.
     Vertex order is dataclass order, so the summands come out sorted and
     ``product`` yields the reps in (summands, families) order.  The reps share
-    the table's own objects.
+    the table's own objects.  ``verify`` does not call it; the tests check
+    its families against ``verify._forced_by_rule`` on every image for n <= 4.
     """
     n = grid.n
     tables = _tables(n)

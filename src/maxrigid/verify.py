@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import groupby
+from itertools import groupby, product, repeat
 from operator import attrgetter
 from typing import Iterator
 
@@ -127,25 +127,85 @@ def enumeration_counts(n: int, reps: list, projected: list) -> list[Result]:
     ]
 
 
+def _forced_by_rule(image, n: int) -> list[tuple[int, int]]:
+    """The (left, right) indices in ``all_family_choices(n)`` of the families that a tilting
+    set T (``image``) of the segment quiver A_{2n+1} forces, one pair per segment.
+
+    Segment j is vertex s = 2j+2.  Its right family stands for [s, F_r], F_r
+    the largest b over members [s+1, b] of T, or s if there are none; its
+    left family for [F_l, s], F_l the smallest a over members [a, s-1], or
+    s.  A right family at a_i has F_r = 2i+1 if closed and 2i if open, so
+    it is 2i + kind = F_r ^ 1 in its segment's block (CLOSED is 0); a left
+    one has F_l = 2i+1 if closed and 2i+2 if open, and is F_l - 1 there.
+    It reads T only, none of ``_Tables``' rows.
+
+    Why.  In ``_Tables``' model A_{4n+1}, a vertex v of A_{2n+1} is 2v-1 if
+    odd and, if even, 2v-2 as a start and 2v as an end; both maps keep
+    order.  The right family whose anchor stands for F >= s has the members
+    [4j+3, E] and [4j+4, E], E the image of F as an end, and no summand
+    starts at 4j+3 or 4j+4.  Two intervals of A_m are compatible exactly
+    when nested or apart by a vertex, so the family is compatible with a
+    member [c, d] exactly when
+
+      * c < s and (d < s or d >= F), or c = s and d >= F;
+      * c > s and (d <= F or c >= F+2).
+
+    By the second line with c = s+1, F >= F_r.  Now take the member [a, b]
+    whose gap is s: the one range of T's tree of ranges and gaps
+    (``finite._gap_keys``) that splits at s, so a <= s <= b.  If b > s its
+    right part [s+1, b] is a member, and every member that starts at s+1
+    lies in that part: the ranges above [a, b] start at or before a, and
+    the others lie in one of its parts or past b.  If b = s, none starts at
+    s+1: the lowest range above [a, b] that ends past s splits at s+1, and
+    every range starts at or before a, in one of that range's parts, or
+    past its end.  Either way b = F_r.  As a <= s <= b = F_r, [a, b] fails
+    the first line for every F > F_r.  The family at F_r passes both lines:
+    if F_r = s a member fails them only by starting at s+1, and none does;
+    otherwise a member that fails them is neither nested in nor apart from
+    [s+1, F_r].  So the forced right family is the one at F_r.  Reflecting
+    A_{2n+1} keeps tilting sets and segment vertices and swaps the sides,
+    so the forced left family is the one at F_l = a.  The tests check the
+    rule against ``_forced_pairs`` on every tilting set for n <= 4, and
+    ``verify --n 5`` checks it on every one at n = 5.
+    """
+    ends, starts = {}, {}  # the largest end per start, the smallest start per end
+    for a, b in map(attrgetter("a", "b"), image):
+        if ends.get(a, 0) < b:
+            ends[a] = b
+        if starts.get(b, b) >= a:
+            starts[b] = a
+    step = 2 * n + 2
+    return [(step * j + starts.get(s - 1, s) - 1, step * j + (ends.get(s + 1, s) ^ 1))
+            for j, s in enumerate(range(2, 2 * n + 1, 2))]
+
+
 def projection_fibers(n: int, reps: list, projected: list) -> list[Result]:
     """The projection is onto the segment-quiver sets with fibers of exactly 2^n,
     and expanding every set into its fiber gives the direct enumeration.
 
     ``reps`` is read as runs of equal ``summands`` (tuples the enumerator
     shares), each run projected once.  The expansion holds when the projection
-    is onto, the runs strictly ascend and each is ``fiber_reps`` of its image on
-    the first rep's grid, checked once against the uniform one.  It is not an
-    independent route; those are the formula and, in the tests, the
-    Bron-Kerbosch oracle for n <= 4 and ``shaped_counts``.
+    is onto, the runs strictly ascend, each run's summands are in vertex
+    (dataclass) order, and its ``(grid, families)`` are, in order, the first
+    rep's grid, checked once against the uniform one, beside each tuple of
+    ``product`` over :func:`_forced_by_rule`'s pairs of the image.  The rule
+    reads the image alone, so the check is independent of ``_forced_pairs``,
+    which the enumerator and ``bridge.fiber_reps`` share; it runs neither of
+    them and builds no rep.  The families are ``_tables(n).families``, the
+    objects the enumerator shares, so equal tuples compare by identity.
     """
-    targets, grid = {h.summands for h in projected}, reps[0].grid if reps else None
+    tables = _tables(n)
+    targets, grid, family = {h.summands for h in projected}, reps[0].grid if reps else None, tables.families
     images, sized, expands, previous = [], True, grid == Breakpoints.uniform(n), ()
     for summands, run in groupby(reps, key=attrgetter("summands")):
         run = list(run)
         image = bridge.project(run[0])
         images.append(image)
         sized = sized and len(run) == 2**n
-        expands = expands and previous < summands and image in targets and run == bridge.fiber_reps(image, grid)
+        order = list(map(tables.code_vertex.__getitem__, map(attrgetter("code"), summands)))
+        pairs = image in targets and [(family[l], family[r]) for l, r in _forced_by_rule(image, n)]
+        expands = (expands and previous < summands and pairs and order == sorted(order)
+                   and list(map(attrgetter("grid", "families"), run)) == list(zip(repeat(grid), product(*pairs))))
         previous = summands
     onto = set(images) == targets
     return [

@@ -45,9 +45,10 @@ from maxrigid import (
     validate_rep,
 )
 from maxrigid import bridge, continuous, verify
-from maxrigid.cliques import bits
-from maxrigid.counting import ClaimError, NonPositiveCountError
-from maxrigid.finite import _pair_tables
+from maxrigid.cliques import bits, common_neighbourhood
+from maxrigid.continuous import _forced_pairs
+from maxrigid.counting import ClaimError, NonPositiveCountError, projected_count
+from maxrigid.finite import _gap_keys, _pair_tables
 
 from golden import five_projected_sets, ten_reps
 from oracles import (
@@ -355,6 +356,28 @@ class TestForcedAnchor:
                     (found,) = searched_anchors(j, side, summands, n)
                     assert read[(j, side)] == found, (h, j, side)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_rule_is_forced_pairs_on_every_tilting_set(self, n):
+        """``verify._forced_by_rule`` reads the image only, ``_forced_pairs`` the family bits of
+        its summands' common neighbourhood; they agree on every key of the enumerator's
+        ``_gap_keys`` (5, 42, 429 and 4,862 of them)."""
+        t, code = continuous._tables(n), image_vertices(n)
+        interval = {v: FiniteInterval(*ends) for ends, v in code.items()}
+        keys = _gap_keys(2 * n + 1, 2, code)
+        assert len(keys) == projected_count(n)
+        for key in keys:
+            fmask = common_neighbourhood(t.closed, key) >> len(t.summands)
+            assert verify._forced_by_rule([interval[v] for v in key], n) == _forced_pairs(t, fmask), key
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_fiber_reps_families_are_the_rules_product(self, n):
+        """The families of ``fiber_reps`` of every image, in order, are ``product`` over the
+        rule's (left, right) pairs."""
+        grid, family = Breakpoints.uniform(n), continuous._tables(n).families
+        for h in enumerate_maximal_rigid(segment_quiver(n)):
+            pairs = [(family[l], family[r]) for l, r in verify._forced_by_rule(h.summands, n)]
+            assert [r.families for r in fiber_reps(h.summands, grid)] == list(itertools.product(*pairs)), h
+
 
 def test_segment_quiver_counts_match_the_formula():
     from maxrigid import projected_count
@@ -540,8 +563,13 @@ def _wrong_family(rep):
     return BreakpointRep(rep.grid, rep.summands, (flipped, *rep.families[1:]))
 
 
+def _reversed_summands(reps):
+    """``reps`` with each summand tuple reversed: the same image, the runs still ascend."""
+    return [BreakpointRep(r.grid, r.summands[::-1], r.families) for r in reps]
+
+
 THIRDS = Breakpoints((0, Fraction(1, 3), 1))
-# each doctored list of the n = 2 reps (21 runs of k = 4) with its (onto, 2^n,
+# each doctored list of the n = 2 reps (42 runs of k = 4) with its (onto, 2^n,
 # expansion) verdicts
 DOCTORED = {
     "intact": (lambda reps, k: reps, "TTT"),
@@ -554,6 +582,7 @@ DOCTORED = {
     "two-reps-of-one-run-swapped": (lambda reps, k: [reps[1], reps[0], *reps[2:]], "TTF"),
     "first-run-on-thirds": (lambda reps, k: _on_grid(reps[:k], THIRDS) + reps[k:], "TTF"),
     "last-run-on-thirds": (lambda reps, k: reps[:-k] + _on_grid(reps[-k:], THIRDS), "TTF"),
+    "last-run-summands-reversed": (lambda reps, k: reps[:-k] + _reversed_summands(reps[-k:]), "TTF"),
 }
 
 
@@ -568,9 +597,13 @@ class TestProjectionFibers:
         assert "".join("TF"[not ok] for _, ok in results) == verdicts, results
 
     def test_one_projection_and_one_fiber_per_run(self, monkeypatch):
-        """At n = 3 each of the 429 tilting sets is projected and expanded once,
-        not each of the 3,432 reps."""
-        calls = {"project": 0, "fiber_reps": 0}
+        """At n = 3 each of the 429 tilting sets is projected once, not each of the 3,432
+        reps, and its run is compared with one fiber, the rule's: no ``fiber_reps``, no
+        ``_forced_pairs``, no rep built and no rep compared by its dataclass ``__eq__``."""
+        reps, projected = verify.enumerations(3)
+        owners = {"project": bridge, "fiber_reps": bridge, "_forced_pairs": continuous,
+                  "__init__": BreakpointRep, "__eq__": BreakpointRep}
+        calls = dict.fromkeys(owners, 0)
 
         def counted(name, function):
             def wrapper(*args):
@@ -578,11 +611,29 @@ class TestProjectionFibers:
                 return function(*args)
             return wrapper
 
-        for name in calls:
-            monkeypatch.setattr(bridge, name, counted(name, getattr(bridge, name)))
-        results = verify.projection_fibers(3, *verify.enumerations(3))
+        for name, owner in owners.items():
+            monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+        results = verify.projection_fibers(3, reps, projected)
         assert all(ok for _, ok in results), results
-        assert calls == {"project": 429, "fiber_reps": 429}
+        assert calls == {"project": 429, "fiber_reps": 0, "_forced_pairs": 0, "__init__": 0, "__eq__": 0}
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_swapped_blocks_fail_the_expansion(self, monkeypatch, n):
+        """With segment 0's (left, right) pairs swapped in ``_Tables.blocks`` on a copy of the
+        tables, the enumerator and ``fiber_reps``, which share ``_forced_pairs``, both list
+        each fiber right family first and agree.  The rule reads the image only, so the
+        expansion fails, and only the expansion."""
+        t = copy.copy(continuous._tables(n))
+        shift, block = t.blocks[0]
+        t.blocks = [(shift, {key: (r, l) for key, (l, r) in block.items()}), *t.blocks[1:]]
+        monkeypatch.setattr(continuous, "_tables", lambda m: t)
+        monkeypatch.setattr(bridge, "_tables", lambda m: t)
+        reps, projected = verify.enumerations(n)
+        assert reps[0].families[0].side is RIGHT
+        assert reps[:2**n] == fiber_reps(project(reps[0]), reps[0].grid)
+        results = verify.projection_fibers(n, reps, projected)
+        assert [ok for _, ok in results] == [True, True, False], results
+        assert results[2][0] == f"n={n}: fiber expansion reproduces the direct enumeration"
 
 
 class TestDiscretizedOracle:

@@ -643,7 +643,7 @@ class TestVerify:
 
     @pytest.mark.parametrize("n, digest", [
         ("3", "6974e28aa04f180519e1f8a3209bcf24fa6f5ef4c1a37a8bf3f4b08a9d817c70"),
-        # n = 4 runs fiber_reps on each of its 4,862 tilting sets against the enumerator
+        # n = 4 checks the forced-anchor rule on each of its 4,862 tilting sets against the enumerator
         ("4", "2010ca5e202ca491845777198c79321067e5ec0995dc0e75b10d9bbf58461e15"),
     ], ids=["n3", "n4"])
     def test_stdout_digest(self, capsys, n, digest):
