@@ -158,8 +158,11 @@ def fiber_reps(image: Iterable[FiniteInterval], grid: Breakpoints) -> list[Break
     (segment, side) and those of different segments pairwise adjacent.
     Vertex order is dataclass order, so the summands come out sorted and
     ``product`` yields the reps in (summands, families) order.  The reps share
-    the table's own objects.  ``verify`` does not call it; the tests check
-    its families against ``verify._forced_by_rule`` on every image for n <= 4.
+    the table's own objects and one summand tuple, and are built without
+    ``BreakpointRep.__init__``, as ``finite._collector_paused`` says, but
+    with the collector left as it is: there are only 2^n of them.
+    ``verify`` does not call it; the tests check its families against
+    ``verify._forced_by_rule`` on every image for n <= 4.
     """
     n = grid.n
     tables = _tables(n)
@@ -176,7 +179,16 @@ def fiber_reps(image: Iterable[FiniteInterval], grid: Breakpoints) -> list[Break
         raise NotMaximalRigidImageError(f"NotMaximalRigidImage({names})")
     summands, family = itemgetter(*vertices)(tables.summands), tables.families
     pairs = [(family[l], family[r]) for l, r in _forced_pairs(tables, common >> len(tables.summands))]
-    return [BreakpointRep(grid, summands, fs) for fs in itertools.product(*pairs)]
+    slots = (BreakpointRep.grid, BreakpointRep.summands, BreakpointRep.families)
+    set_grid, set_summands, set_families = (slot.__set__ for slot in slots)
+    reps = []
+    for families in itertools.product(*pairs):
+        rep = object.__new__(BreakpointRep)
+        set_grid(rep, grid)
+        set_summands(rep, summands)
+        set_families(rep, families)
+        reps.append(rep)
+    return reps
 
 
 def discretized_compatible(i: Interval, j: Interval) -> bool:

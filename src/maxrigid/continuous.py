@@ -453,7 +453,10 @@ def enumerate_maximal_rigid_reps(grid: Breakpoints) -> list[BreakpointRep]:
 
     ``finite._gap_keys`` lists T at period 2 (one breakpoint), coding each
     image by its summand vertex: vertex order is dataclass order, so the
-    codes order images by start, 2*lo + 1 + lo_kind, as a shift keeps.
+    codes order images by start, 2*lo + 1 + lo_kind, as a shift keeps,
+    and within a start by (hi, hi_kind), which puts [a, j] below [a, b]
+    whenever j < b - 1 but [a, 2h] above [a, 2h+1].  The 66 vertices at
+    ``MAX_N`` lie below ``_gap_keys``' mark 255.
     Sorted, the keys are the summand tuples in ascending order.
     Each forced mask's fiber is built once, ``product`` over its (left,
     right) pairs giving the family tuples in order, each shared through a

@@ -18,12 +18,11 @@ from __future__ import annotations
 
 import functools
 import gc
-from bisect import bisect_left
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import accumulate, product, repeat
-from operator import lt
+from itertools import accumulate, product, repeat, starmap
+from operator import add, lt
 from typing import Iterable
 
 from .cliques import bits, common_neighbourhood
@@ -33,6 +32,7 @@ from .intervals import _check_ints
 
 MAX_M = 15  # Catalan(15) is already ~9.7 million sets
 _CHUNK = 1024  # sorted keys that ``enumerate_maximal_rigid`` turns into sets per bulk pass
+_END = b"\xff"  # the mark that ``_gap_keys`` puts after the members starting at a range's first vertex
 
 
 class ResourceLimitError(ValueError):
@@ -61,8 +61,9 @@ def _collector_paused():
     not reached.  The fields they write are already valid, and the object
     equals, hashes, prints and pickles as the constructor's would.  This
     also skips ``__post_init__``, so ``RigidSet``'s check costs the bulk
-    build nothing, and ``BreakpointRep`` must have none.  Every other
-    caller uses the constructors.
+    build nothing, and ``BreakpointRep`` must have none.
+    ``bridge.fiber_reps`` builds its 2^n reps the same way, without the
+    pause; every other caller uses the constructors.
 
     ``enumerate_maximal_rigid`` also runs no Python loop per set: each
     chunk of ``_CHUNK`` keys is built by C-level passes (``map``, ``zip``
@@ -313,40 +314,64 @@ def _gap_keys(m: int, period: int, code: dict[tuple[int, int], int]) -> list[byt
     ``bytes.translate``.
 
     A key is the ascending bytes of its members' ``code``s.  The codes
-    are numbered in byte order below 256, and they order the intervals by
+    are numbered in byte order below 255, and they order the intervals by
     start, in a way a shift keeps.  So a left part's bytes lie below a
-    right part's, and the top [a, b] joins its left part where bisection
-    puts it.  ``bytes`` are not tracked by the garbage collector and sort
-    by ``memcmp``.
+    right part's.  ``bytes`` are not tracked by the garbage collector and
+    sort by ``memcmp``.
+
+    Every range but [1, m] holds templates: a key with the mark ``_END``,
+    byte 255, right after its run, the members that start at the range's
+    first vertex a.  So a template is run + mark + rest, each run byte
+    below each rest byte and the mark above both, and two templates of a
+    range compare as their keys do: where the runs differ first, by the
+    same bytes, and where one run ends first, by a run byte against a rest
+    byte in the keys and against the mark in the templates.
+
+    The top c = ``code[a, b]`` joins each left template, a set on
+    [a, k-1], at the end of its run by one ``bytes.replace`` of the mark.
+    That is c's place in the run: the run's members [a, j] have j <= b-1,
+    and ``code`` puts [a, j] below [a, b] whenever j < b-1.  Only the
+    left's top d = ``code[a, b-1]`` at k = b may lie above c (the
+    segment-quiver codes put [a, 2h] above [a, 2h+1]); then every other
+    run byte is below c < d, so d ends the run and d + mark is replaced
+    by c + d + mark.  For [1, m] the new bytes leave the mark out, so its
+    keys are plain.  Each right part is its range's templates with the
+    mark deleted and then shifted, one ``bytes.translate`` each
+    (``shifts[0]`` is the identity).  A gap's keys are head + right, by
+    ``starmap`` of ``add`` over ``product``: each step per key is one C
+    call.  The heads and right parts are lists: from a ``map``,
+    ``product`` builds its tuples by resizing ones of a guessed length,
+    which moves tuples between the free lists of their sizes, and those
+    lists then grew with every call and spread the heap.
 
     Each range's list but [1, m]'s is sorted, and for one gap k its keys
-    come out ascending: inserting one byte that neither holds into two
-    ascending keys of one length keeps their order, every key of a range
-    has one length, and the pairs (left, right) are taken in order.  Each
-    gap's keys come from one comprehension, left-major (not one per left
-    key: a comprehension is a call on CPython <= 3.11), so each gap is
-    still one ascending run, and each ``list.sort`` merges one run per
-    gap.  The [1, m] list is returned as those runs, for the caller to
-    sort, and the shorter ranges are freed on return.
+    come out ascending: the heads keep the order of the left templates,
+    as templates compare as keys and inserting one byte that neither
+    holds into two ascending keys of one length keeps their order; every
+    key of a range has one length, and ``product`` takes the pairs (head,
+    right) left-major.  So each gap is one ascending run, and each
+    ``list.sort`` merges one run per gap.  The [1, m] list is returned as
+    those runs, for the caller to sort, and the shorter ranges are freed
+    on return.
     """
     shifts = _shift_tables(code, period, m // period + 1)
-    ranges = {(a, a - 1): [b""] for a in range(1, period + 1)}  # each range's keys; the empty ranges first
+    ranges = {(a, a - 1): [_END] for a in range(1, period + 1)}  # each range's templates; the empty ranges first
 
-    def part(a: int, b: int) -> list[bytes]:  # a range that starts past ``period`` is a shifted copy
+    def part(a: int, b: int) -> list[bytes]:  # plain keys; a range that starts past ``period`` is a shifted copy
         t = (a - 1) // period
-        return [key.translate(shifts[t]) for key in ranges[a - t * period, b - t * period]] if t else ranges[a, b]
+        return [*map(bytes.translate, ranges[a - t * period, b - t * period], repeat(shifts[t]), repeat(_END))]
 
     for b in range(1, m + 1):
         for a in range(min(b, period), 0, -1):  # [k+1, b] with k+1 <= period is built before [a, b]
             keys = ranges[a, b] = []
             c = code[a, b]
-            top = bytes((c,))
+            mark = _END if b < m or a > 1 else b""
             for k in range(a, b + 1):
-                rights = part(k + 1, b)
-                keys += [head + right for left in part(a, k - 1)
-                         for i in (bisect_left(left, c),) for head in (left[:i] + top + left[i:],)
-                         for right in rights]
-            if b < m or a > 1:
+                d = code[a, k - 1] if k > a else -1  # the left's top
+                old, new = (bytes((d,)) + _END, bytes((c, d)) + mark) if d > c else (_END, bytes((c,)) + mark)
+                heads = [*map(bytes.replace, ranges[a, k - 1], repeat(old), repeat(new))]
+                keys += starmap(add, product(heads, part(k + 1, b)))
+            if mark:
                 keys.sort()  # merges the ascending run of each k; [1, m] is the caller's
     return ranges[1, m]
 
@@ -359,7 +384,9 @@ def enumerate_maximal_rigid(q: LinearQuiver) -> list[RigidSet]:
     ``all_intervals`` order, by start, and the dataclass order.  So
     sorting the keys sorts the sets, and each set's members are its key's
     intervals in order.  m is at most ``MAX_M`` (a guard against huge
-    runs), so the largest rank, m(m+1)/2 - 1 <= 119, fits in one byte.
+    runs), so the largest rank, m(m+1)/2 - 1 <= 119, fits in one byte
+    below ``_gap_keys``' mark 255, and ``_rank`` puts [a, j] below [a, b]
+    for every j < b.
     The sets are built in place of their keys, as ``_collector_paused``
     says: with the collector paused and without ``RigidSet.__init__``.
     Each chunk of ``_CHUNK`` sorted keys is joined into one ``bytes`` of

@@ -17,6 +17,10 @@ suite can compare the two:
   * ``finite_max_cliques`` lists the maximal rigid sets on A_m by
     Bron-Kerbosch on the pairwise compatibility graph, the route
     ``finite.enumerate_maximal_rigid`` took before the Catalan recursion.
+  * ``gap_keys_by_insertion`` is ``finite._gap_keys`` as it was before
+    templates: each range holds plain keys, and the top [a, b] joins each
+    left key where ``bisect_left`` puts its code; ``_gap_keys`` must
+    return the same list, order included.
   * ``pair_tables`` is ``finite._pair_tables`` as it was before interval
     ranks came by formula and rows came from runs: the interval list, a
     ``{FiniteInterval: rank}`` dict and the open adjacency rows, from the
@@ -74,6 +78,7 @@ from __future__ import annotations
 import functools
 import itertools
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
@@ -112,7 +117,7 @@ from maxrigid import (
 from maxrigid.cliques import bits, max_cliques
 from maxrigid.continuous import _lowest_unnamed, _tables
 from maxrigid.counting import claim
-from maxrigid.finite import _pair_tables
+from maxrigid.finite import _pair_tables, _shift_tables
 from maxrigid.intervals import InvalidIntervalError, _compatible_ends
 
 
@@ -532,6 +537,30 @@ def reflect(size: int, item):
         tuple(sorted(reflect(size, s) for s in item.summands)),
         tuple(sorted(reflect(size, f) for f in item.families)),
     )
+
+
+def gap_keys_by_insertion(m: int, period: int, code: dict[tuple[int, int], int]) -> list[bytes]:
+    """The [1, m] keys of ``finite._gap_keys``, in its order, with plain keys in every range."""
+    shifts = _shift_tables(code, period, m // period + 1)
+    ranges = {(a, a - 1): [b""] for a in range(1, period + 1)}
+
+    def part(a: int, b: int) -> list[bytes]:
+        t = (a - 1) // period
+        return [key.translate(shifts[t]) for key in ranges[a - t * period, b - t * period]] if t else ranges[a, b]
+
+    for b in range(1, m + 1):
+        for a in range(min(b, period), 0, -1):
+            keys = ranges[a, b] = []
+            c = code[a, b]
+            top = bytes((c,))
+            for k in range(a, b + 1):
+                rights = part(k + 1, b)
+                keys += [head + right for left in part(a, k - 1)
+                         for i in (bisect_left(left, c),) for head in (left[:i] + top + left[i:],)
+                         for right in rights]
+            if b < m or a > 1:
+                keys.sort()
+    return ranges[1, m]
 
 
 def pair_tables(m: int) -> tuple[list[FiniteInterval], dict[FiniteInterval, int], list[int]]:

@@ -425,6 +425,26 @@ class TestFibers:
             reps = fiber_reps(image.summands, grid)
             assert reps == sorted(reps, key=rep_sort_key), image
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_reps_equal_what_the_constructor_builds(self, n, monkeypatch):
+        """``fiber_reps`` builds its reps without ``BreakpointRep.__init__``; each equals the
+        constructor's, with equal hash and text, and a fiber's reps share one summand tuple."""
+        grid = Breakpoints.uniform(n)
+        images = [h.summands for h in enumerate_maximal_rigid(segment_quiver(n))]
+        fibers = [fiber_reps(image, grid) for image in images]
+        for reps in fibers:
+            assert len({id(r.summands) for r in reps}) == 1
+            for r in reps:
+                built = BreakpointRep(r.grid, r.summands, r.families)
+                assert type(r) is BreakpointRep and r == built
+                assert hash(r) == hash(built) and str(r) == str(built)
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("fiber_reps builds its reps without __init__")
+
+        monkeypatch.setattr(BreakpointRep, "__init__", refuse)
+        assert [fiber_reps(image, grid) for image in images] == fibers
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_one_pass_equals_the_anchor_by_anchor_route(self, n):
         """Every image at n <= 3 and 500 seeded ones at n = 4, order included.

@@ -703,7 +703,8 @@ class TestClaims:
 
     def test_constructor_bypass_only_in_the_bulk_builds(self):
         """``object.__new__`` and slot ``__set__`` skip a dataclass ``__init__`` and its
-        checks, so only the two enumerators use them (``finite._collector_paused``)."""
+        checks, so only the two enumerators and ``bridge.fiber_reps`` use them
+        (``finite._collector_paused``)."""
         found = set()
         for path in sorted(pathlib.Path(maxrigid.__file__).parent.glob("*.py")):
             tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -716,7 +717,8 @@ class TestClaims:
                     found.add((path.name, max(inside, key=lambda f: f.lineno).name
                                if inside else None))
         assert found == {("finite.py", "enumerate_maximal_rigid"),
-                         ("continuous.py", "enumerate_maximal_rigid_reps")}
+                         ("continuous.py", "enumerate_maximal_rigid_reps"),
+                         ("bridge.py", "fiber_reps")}
 
     @staticmethod
     def raisers(error: str) -> list[tuple[str, str | None]]:

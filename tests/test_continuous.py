@@ -935,10 +935,10 @@ class TestEnumeration:
             assert {key << shift: lr for key, lr in block.items()} == {1 << l | 1 << r: (l, r) for l, r in pairs}
 
     def test_key_width_bounds_every_n_under_the_cap(self):
-        """A key holds each summand vertex in a byte.  There are as many as intervals of
-        A_{2n+1}, and A_{2 MAX_N + 1} = A_11 has 66."""
+        """A key holds each summand vertex in a byte below the mark 255.  There are as many
+        as intervals of A_{2n+1}, and A_{2 MAX_N + 1} = A_11 has 66."""
         m = 2 * MAX_N + 1
-        assert len(_tables(MAX_N).summands) == m * (m + 1) // 2 <= 256
+        assert len(_tables(MAX_N).summands) == m * (m + 1) // 2 <= 255
 
     def test_reps_share_their_summand_and_family_tuples(self):
         reps = enumerate_maximal_rigid_reps(Breakpoints.uniform(2))

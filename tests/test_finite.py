@@ -3,7 +3,7 @@
 import gc
 import random
 import tracemalloc
-from itertools import repeat
+from collections import deque
 from operator import itemgetter
 
 import pytest
@@ -28,7 +28,7 @@ from maxrigid import bridge, finite, verify
 from maxrigid.continuous import MAX_N
 from maxrigid.finite import MAX_M, _pair_tables, _rank, _shift_tables
 
-from oracles import finite_max_cliques, image_vertices, pair_tables, reflect
+from oracles import finite_max_cliques, gap_keys_by_insertion, image_vertices, pair_tables, reflect
 
 
 def f(a, b):
@@ -251,7 +251,8 @@ class TestEnumeration:
         """Byte ``code[a, b]`` of the shift by t periods is ``code[a + d, b + d]``, d = t * period,
         in one byte, and the shifted bytes keep their order.  For ``_rank`` at period 1: every
         m whose ranks fit in a byte (A_22 has 253 intervals, A_23 has 276) and every shift d
-        the recursion uses.  For the summand vertices of A_{2n+1} (``image_vertices``, the
+        the recursion uses, each code below 255, the mark ``_gap_keys`` puts in its templates.
+        For the summand vertices of A_{2n+1} (``image_vertices``, the
         codes ``enumerate_maximal_rigid_reps`` gives ``_gap_keys``) at period 2: every n <=
         ``MAX_N`` and every shift by 2t, each image that stays in [1, 2n+1] having a code of
         its own."""
@@ -259,7 +260,7 @@ class TestEnumeration:
                  for m in range(1, 23)]
         cases += [(image_vertices(n), 2 * n + 1, 2) for n in range(1, MAX_N + 1)]
         for code, m, period in cases:
-            assert list(code.values()) == list(range(len(code))) and len(code) <= 256, (m, period)
+            assert list(code.values()) == list(range(len(code))) and len(code) <= 255, (m, period)
             tables = _shift_tables(code, period, m // period + 1)
             assert [len(table) for table in tables] == [256] * (m // period + 1), (m, period)
             for t, table in enumerate(tables):
@@ -269,19 +270,39 @@ class TestEnumeration:
                 assert moved == [code[a + d, b + d] for a, b in kept], (m, period, d)
                 assert moved == sorted(moved), (m, period, d)
 
+    @staticmethod
+    def code_sets():
+        """``_rank`` codes at period 1 for m = 1..11, and the summand vertices of A_{2n+1}
+        at period 2 for n = 1..``MAX_N``: the codes both enumerators give ``_gap_keys``."""
+        cases = [(m, 1, {(a, b): _rank(m, a, b) for a in range(1, m + 1) for b in range(a, m + 1)})
+                 for m in range(1, 12)]
+        return cases + [(2 * n + 1, 2, image_vertices(n)) for n in range(1, MAX_N + 1)]
+
     def test_gap_keys_hold_one_ascending_run_per_gap(self):
         """The unsorted [1, m] list of ``_gap_keys`` is at most one ascending run per gap
-        vertex, which makes the caller's sort a merge: ``_rank`` codes at period 1 for
-        m = 1..11, and the summand vertices of A_{2n+1} at period 2 for n = 1..5."""
-        cases = []
-        for m in range(1, 12):
-            cases.append((m, 1, {(a, b): _rank(m, a, b) for a in range(1, m + 1) for b in range(a, m + 1)}))
-        cases += [(2 * n + 1, 2, image_vertices(n)) for n in range(1, MAX_N + 1)]
-        for m, period, code in cases:
+        vertex, which makes the caller's sort a merge, for both code sets."""
+        for m, period, code in self.code_sets():
             keys = finite._gap_keys(m, period, code)
             runs = 1 + sum(later < earlier for earlier, later in zip(keys, keys[1:]))
             assert runs <= m, (m, period, runs)
             assert len(keys) == catalan_by_recurrence(m)[m], (m, period)
+
+    def test_gap_keys_equal_the_insertion_oracle(self):
+        """The templates give the keys that inserting each top by bisection gave, in the
+        same order, and no returned key keeps the mark byte 255."""
+        for m, period, code in self.code_sets():
+            keys = finite._gap_keys(m, period, code)
+            assert keys == gap_keys_by_insertion(m, period, code), (m, period)
+            assert not any(255 in key for key in keys), (m, period)
+
+    def test_codes_keep_the_rule_that_placing_the_top_needs(self):
+        """Every code is below the mark 255, and within one start [a, j] sorts below [a, b]
+        whenever j < b - 1, so a range's top joins each left run at its end, or just before
+        the left's own top [a, b - 1]."""
+        for m, period, code in self.code_sets():
+            assert max(code.values()) < 255, (m, period)
+            for (a, b), c in code.items():
+                assert all(code[a, j] < c for j in range(a, b - 1)), (m, period, a, b)
 
     def test_peak_memory_is_the_result(self):
         """The keys are replaced in place by their sets, and the shorter ranges are freed
@@ -297,9 +318,9 @@ class TestEnumeration:
         assert peak <= 1.05 * held, (peak, held)
 
     def test_key_width_bounds_m_whatever_the_cap(self):
-        """A key holds each rank in a byte, which bounds m at 22; the largest rank
-        under the cap, on A_15, is 119."""
-        assert MAX_M * (MAX_M + 1) // 2 - 1 <= 255
+        """A key holds each rank in a byte below the mark 255, which bounds m at 22; the
+        largest rank under the cap, on A_15, is 119."""
+        assert MAX_M * (MAX_M + 1) // 2 - 1 <= 254
 
 
 class TestBulkBuild:
@@ -344,18 +365,18 @@ class TestCollectorPause:
         assert gc.isenabled()
 
     def test_on_after_an_exception_mid_build(self, monkeypatch):
-        """Hooked at ``repeat``, which the build calls once per chunk of keys; on A_10 the
-        third call raises, when the sets of the first two chunks already exist."""
+        """Hooked at ``deque``, which only the build calls, once per chunk of keys; on A_10
+        the third call raises, when the sets of the first two chunks already exist."""
         built = []
 
         def third_fails(*args):
             built.append(gc.isenabled())
             if len(built) == 3:
                 raise RuntimeError("third chunk")
-            return repeat(*args)
+            return deque(*args)
 
         assert 16796 > 2 * finite._CHUNK
-        monkeypatch.setattr(finite, "repeat", third_fails)
+        monkeypatch.setattr(finite, "deque", third_fails)
         with pytest.raises(RuntimeError, match="third chunk"):
             enumerate_maximal_rigid(LinearQuiver(10))
         assert built == [False] * 3
