@@ -7,15 +7,23 @@ Endpoint flavors become vertex choices on two auxiliary quivers:
   * the *segment* quiver has 2n+1 vertices: the breakpoints interleaved
     with one vertex per open segment.
 
+One vertex rule places every end: a closed end on point i sits at
+stride * i + 1 and an open end one vertex inward, a lower end at
+stride * i + 2 and an upper end at stride * i, with stride 2 on the segment
+quiver, 3 on the refined quiver and 4 on ``continuous._Tables``' A_{4n+1}
+(the grid refined by one generic point per segment).  As CLOSED == 0 and
+OPEN == 1, a summand [a_k, a_l] lands on [stride * k + 1 + lo_kind,
+stride * l + 1 - hi_kind]; ``BreakSummand.code`` and ``_Tables`` compute
+it, ``pull_back_summands`` inverts it at stride 2, ``expand`` applies it at
+stride 3 to that inverse and ``condense`` takes stride 3 back to stride 2
+(a bijection on interval modules).
+
 ``project`` maps a breakpoint representation to the segment quiver: families
-vanish, closed ends stay on breakpoint vertices and open ends move inward to
-the segment vertex.  ``continuous._Tables`` applies this one discretization
-rule to the grid refined by one generic point per segment.  ``condense`` and
-``expand`` translate between the refined and segment quivers (a bijection on
-interval modules).  Over maximal rigid sets ``project`` is onto and every
-image has exactly 2^n preimages: per segment the family side is left or
-right, and for each side the summands force the anchor, which ``fiber_reps``
-reads off the summands' common closed neighbourhood in ``_Tables``.
+vanish and the summands follow the rule at stride 2.  Over maximal rigid
+sets ``project`` is onto and every image has exactly 2^n preimages: per
+segment the family side is left or right, and for each side the summands
+force the anchor, which ``fiber_reps`` reads off the summands' common
+closed neighbourhood in ``_Tables``.
 ``verify`` does not call ``fiber_reps``: it checks the enumerator's fibers
 against a rule that reads the anchors off the image alone
 (``verify._forced_by_rule``), as ``fiber_reps`` shares the enumerator's
@@ -28,7 +36,8 @@ sets ``_single`` caches by it, so ``project`` builds nothing sized by n.
 ``discretized_compatible`` is the independent oracle for the interval
 compatibility predicate: it replays a pair of flavored intervals as
 interval modules on an ad-hoc linear quiver (every endpoint gets its own
-satellites) and asks for Ext vanishing in both directions.
+satellites: the rule at stride 3, one vertex up) and asks for Ext vanishing
+in both directions.
 """
 
 from __future__ import annotations
@@ -73,6 +82,7 @@ class RefinedRep:
     summands: frozenset[FiniteInterval]
 
     def __post_init__(self):
+        _check_count(self.n, "segment")
         top = 3 * self.n + 1
         for s in self.summands:
             if s.b > top:
@@ -84,32 +94,18 @@ class RefinedRep:
 
 
 def condense(refined: RefinedRep) -> frozenset[FiniteInterval]:
-    """Merge satellites into segment vertices: a bijection onto the segment quiver."""
-    out = set()
-    for s in refined.summands:
-        if s.a % 3 == 1:
-            u = 2 * (s.a - 1) // 3 + 1
-        else:  # right satellite a_i+
-            u = 2 * (s.a - 2) // 3 + 2
-        if s.b % 3 == 1:
-            v = 2 * (s.b - 1) // 3 + 1
-        else:  # left satellite a_j-
-            v = 2 * s.b // 3
-        out.add(FiniteInterval(u, v))
-    return frozenset(out)
+    """Merge satellites into segment vertices: the module's vertex rule from stride 3 to stride 2.
+
+    A start 3i+1 or 3i+2 goes to 2i+1 or 2i+2 and an end 3i+1 or 3i to
+    2i+1 or 2i: a bijection onto the segment quiver's interval modules.
+    """
+    return frozenset(FiniteInterval((2 * s.a + 2) // 3, (2 * s.b + 1) // 3) for s in refined.summands)
 
 
 def expand(image: Iterable[FiniteInterval], n: int) -> RefinedRep:
-    """Inverse of :func:`condense`."""
-    top = 2 * n + 1
-    out = set()
-    for s in image:
-        if s.b > top:
-            raise ValueError(f"summand {s} out of range on the segment quiver")
-        a = 3 * (s.a - 1) // 2 + 1 if s.a % 2 == 1 else 3 * (s.a - 2) // 2 + 2
-        b = 3 * (s.b - 1) // 2 + 1 if s.b % 2 == 1 else 3 * s.b // 2
-        out.add(FiniteInterval(a, b))
-    return RefinedRep(n, frozenset(out))
+    """Inverse of :func:`condense`: the module's vertex rule at stride 3 on ``pull_back_summands``."""
+    ends = ((3 * s.lo + 1 + s.lo_kind, 3 * s.hi + 1 - s.hi_kind) for s in pull_back_summands(image, n))
+    return RefinedRep(n, frozenset(FiniteInterval(a, b) for a, b in ends))
 
 
 @functools.cache
@@ -136,6 +132,7 @@ def project(rep: BreakpointRep) -> frozenset[FiniteInterval]:
 
 def pull_back_summands(image: Iterable[FiniteInterval], n: int) -> tuple[BreakSummand, ...]:
     """The anchored summands that ``project`` maps onto the set; odd vertices are closed ends."""
+    _check_count(n, "segment")
     top = 2 * n + 1
     out = []
     for s in image:
@@ -204,11 +201,7 @@ def discretized_compatible(i: Interval, j: Interval) -> bool:
     quiver = LinearQuiver(3 * len(points))
 
     def translate(iv: Interval) -> FiniteInterval:
-        k = index[iv.lo]
-        a = 3 * k + 2 if iv.lo_kind is CLOSED else 3 * k + 3
-        l = index[iv.hi]
-        b = 3 * l + 2 if iv.hi_kind is CLOSED else 3 * l + 1
-        return FiniteInterval(a, b)
+        return FiniteInterval(3 * index[iv.lo] + 2 + iv.lo_kind, 3 * index[iv.hi] + 2 - iv.hi_kind)
 
     fi, fj = translate(i), translate(j)
     return ext_dim(quiver, fi, fj) == 0 and ext_dim(quiver, fj, fi) == 0

@@ -326,6 +326,8 @@ class TestCheck:
             # exact, but not strictly increasing from 0 to 1
             ["0", "1", "1"],
             ["1/4", "1/2", "1"],
+            # not a list: its keys alone would read as the grid (0, 1/2, 1)
+            {"0": 0, "1/2": 0, "1": 0},
         ],
     )
     def test_non_exact_alpha_rejected(self, tmp_path, capsys, alpha):

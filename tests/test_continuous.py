@@ -47,12 +47,14 @@ from maxrigid import (
     continuous_count,
     enumerate_maximal_rigid,
     enumerate_maximal_rigid_reps,
+    expand,
     fiber_reps,
     is_maximal_rigid,
     is_rigid,
     is_uniform,
     project,
     projected_count,
+    pull_back_summands,
     segment_quiver,
     validate_rep,
 )
@@ -180,6 +182,9 @@ class TestValidate:
                     (LinearQuiver, "vertex", 1),
                     (Breakpoints.uniform, "segment", 1),
                     (segment_quiver, "segment", 1),
+                    (lambda n: RefinedRep(n, frozenset()), "segment", 1),
+                    (lambda n: expand([], n), "segment", 1),
+                    (lambda n: pull_back_summands([], n), "segment", 1),
                     (projected_count, "segment", 1),
                     (continuous_count, "segment", 1),
                     (catalan, "vertex", 0),
@@ -200,6 +205,7 @@ class TestValidate:
              "descending-rigid-set", "repeated-rigid-set", "int-members-rigid-set",
              "list-rigid-set",
              *[f"{value}-{name}" for name in ("linear-quiver", "uniform", "segment-quiver",
+                                              "refined-rep", "expand", "pull-back-summands",
                                               "projected-count", "continuous-count", "catalan")
                for value in ("bool", "float", "too-few")]],
     )
