@@ -43,8 +43,8 @@ in both directions.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
+from itertools import product, repeat
 from math import isqrt
 from operator import itemgetter
 from typing import Iterable
@@ -53,7 +53,7 @@ from .cliques import bits, common_neighbourhood
 from .continuous import BreakpointRep, Breakpoints, BreakSummand, _forced_pairs, _summand_codes, _tables
 from .counting import _check_count
 from .intervals import CLOSED, OPEN, Interval
-from .finite import FiniteInterval, LinearQuiver, ext_dim
+from .finite import FiniteInterval, LinearQuiver, _build, ext_dim
 
 
 class NotMaximalRigidImageError(ValueError):
@@ -155,9 +155,9 @@ def fiber_reps(image: Iterable[FiniteInterval], grid: Breakpoints) -> list[Break
     (segment, side) and those of different segments pairwise adjacent.
     Vertex order is dataclass order, so the summands come out sorted and
     ``product`` yields the reps in (summands, families) order.  The reps share
-    the table's own objects and one summand tuple, and are built without
-    ``BreakpointRep.__init__``, as ``finite._collector_paused`` says, but
-    with the collector left as it is: there are only 2^n of them.
+    the table's own objects and one summand tuple, and are built by
+    ``finite._build``, with the collector left as it is: there are only 2^n
+    of them.
     ``verify`` does not call it; the tests check its families against
     ``verify._forced_by_rule`` on every image for n <= 4.
     """
@@ -176,16 +176,7 @@ def fiber_reps(image: Iterable[FiniteInterval], grid: Breakpoints) -> list[Break
         raise NotMaximalRigidImageError(f"NotMaximalRigidImage({names})")
     summands, family = itemgetter(*vertices)(tables.summands), tables.families
     pairs = [(family[l], family[r]) for l, r in _forced_pairs(tables, common >> len(tables.summands))]
-    slots = (BreakpointRep.grid, BreakpointRep.summands, BreakpointRep.families)
-    set_grid, set_summands, set_families = (slot.__set__ for slot in slots)
-    reps = []
-    for families in itertools.product(*pairs):
-        rep = object.__new__(BreakpointRep)
-        set_grid(rep, grid)
-        set_summands(rep, summands)
-        set_families(rep, families)
-        reps.append(rep)
-    return reps
+    return _build(BreakpointRep, 1 << n, grid=repeat(grid), summands=repeat(summands), families=product(*pairs))
 
 
 def discretized_compatible(i: Interval, j: Interval) -> bool:

@@ -49,26 +49,9 @@ def _check_cap(name: str, value: int, cap: int) -> None:
 def _collector_paused():
     """Keep the cyclic garbage collector off inside the block.
 
-    For bulk builds of acyclic objects: a collection there only rescans
-    live objects and frees nothing.  Afterwards, even on an exception, the
-    collector is switched back on only if it was on before.
-
-    The two bulk builds, ``enumerate_maximal_rigid`` and
-    ``continuous.enumerate_maximal_rigid_reps``, also skip the dataclass
-    ``__init__`` of their results: each object is ``object.__new__`` of its
-    class, and each field is written by its slot's member descriptor
-    ``__set__``, so no Python frame runs and the frozen ``__setattr__`` is
-    not reached.  The fields they write are already valid, and the object
-    equals, hashes, prints and pickles as the constructor's would.  This
-    also skips ``__post_init__``, so ``RigidSet``'s check costs the bulk
-    build nothing, and ``BreakpointRep`` must have none.
-    ``bridge.fiber_reps`` builds its 2^n reps the same way, without the
-    pause; every other caller uses the constructors.
-
-    ``enumerate_maximal_rigid`` also runs no Python loop per set: each
-    chunk of ``_CHUNK`` keys is built by C-level passes (``map``, ``zip``
-    and a zero-length ``deque``), and the one collection that follows the
-    block scans each new set and its member tuple once.
+    For bulk builds of acyclic objects (``_build``): a collection there only
+    rescans live objects and frees nothing.  Afterwards, even on an
+    exception, the collector is switched back on only if it was on before.
     """
     was_on = gc.isenabled()
     gc.disable()
@@ -77,6 +60,31 @@ def _collector_paused():
     finally:
         if was_on:
             gc.enable()
+
+
+def _build(cls: type, count: int, **columns: Iterable) -> list:
+    """``count`` objects of the slotted dataclass ``cls``, built without its ``__init__``.
+
+    Each object is ``object.__new__`` of ``cls``, and each slot named in
+    ``columns`` is written by its member descriptor's ``__set__``, the i-th
+    object taking the i-th value of its column.  Both are C-level passes
+    (``map`` into a zero-length ``deque``, one per column), so no Python
+    frame runs per object and the frozen ``__setattr__`` is not reached.
+    The callers name every slot and pass values that are already valid, so
+    an object equals, hashes, prints and pickles as the constructor's
+    would.  This also skips ``__post_init__``: ``RigidSet``'s check costs
+    the bulk builds nothing, and ``BreakpointRep`` must have none.
+
+    The callers are ``enumerate_maximal_rigid`` and
+    ``continuous.enumerate_maximal_rigid_reps``, inside
+    ``_collector_paused``, and ``bridge.fiber_reps``, with the collector
+    left as it is, as it builds only 2^n reps.  Every other caller uses the
+    constructors.
+    """
+    objs = list(map(object.__new__, repeat(cls, count)))
+    for name, column in columns.items():
+        deque(map(getattr(cls, name).__set__, objs, column), 0)
+    return objs
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -387,11 +395,13 @@ def enumerate_maximal_rigid(q: LinearQuiver) -> list[RigidSet]:
     runs), so the largest rank, m(m+1)/2 - 1 <= 119, fits in one byte
     below ``_gap_keys``' mark 255, and ``_rank`` puts [a, j] below [a, b]
     for every j < b.
-    The sets are built in place of their keys, as ``_collector_paused``
-    says: with the collector paused and without ``RigidSet.__init__``.
-    Each chunk of ``_CHUNK`` sorted keys is joined into one ``bytes`` of
-    ranks, whose ``ivs`` lookups ``zip`` cuts into m-tuples, one per key
-    in order (1-tuples when m = 1), and the chunk's sets replace its keys.
+    The sets are built in place of their keys by ``_build``, with the
+    collector paused.  Each chunk of ``_CHUNK`` sorted keys is joined into
+    one ``bytes`` of ranks, whose ``ivs`` lookups ``zip`` cuts into
+    m-tuples, one per key in order (1-tuples when m = 1), and the chunk's
+    sets replace its keys.  One pause spans every chunk, so no collection
+    runs between them, and the one that follows scans each new set and its
+    member tuple once.
     The chunks bound the joined bytes alive at once: joining all keys of
     A_10 at once would hold 168 KB beside the sets, and
     ``test_peak_memory_is_the_result`` allows the peak 5% over the result.
@@ -405,7 +415,6 @@ def enumerate_maximal_rigid(q: LinearQuiver) -> list[RigidSet]:
     with _collector_paused():
         for start in range(0, len(keys), _CHUNK):
             flat = b"".join(keys[start:start + _CHUNK])
-            sets = list(map(object.__new__, repeat(RigidSet, len(flat) // m)))
-            deque(map(RigidSet.members.__set__, sets, zip(*[map(ivs.__getitem__, flat)] * m)), 0)
-            keys[start:start + _CHUNK] = sets
+            members = zip(*[map(ivs.__getitem__, flat)] * m)
+            keys[start:start + _CHUNK] = _build(RigidSet, len(flat) // m, members=members)
     return keys

@@ -705,8 +705,8 @@ class TestClaims:
 
     def test_constructor_bypass_only_in_the_bulk_builds(self):
         """``object.__new__`` and slot ``__set__`` skip a dataclass ``__init__`` and its
-        checks, so only the two enumerators and ``bridge.fiber_reps`` use them
-        (``finite._collector_paused``)."""
+        checks, so only the one bulk constructor ``finite._build`` uses them; the two
+        enumerators and ``bridge.fiber_reps`` call it."""
         found = set()
         for path in sorted(pathlib.Path(maxrigid.__file__).parent.glob("*.py")):
             tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -718,9 +718,7 @@ class TestClaims:
                     inside = [f for f in funcs if f.lineno <= node.lineno <= f.end_lineno]
                     found.add((path.name, max(inside, key=lambda f: f.lineno).name
                                if inside else None))
-        assert found == {("finite.py", "enumerate_maximal_rigid"),
-                         ("continuous.py", "enumerate_maximal_rigid_reps"),
-                         ("bridge.py", "fiber_reps")}
+        assert found == {("finite.py", "_build")}
 
     @staticmethod
     def raisers(error: str) -> list[tuple[str, str | None]]:

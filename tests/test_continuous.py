@@ -1,5 +1,6 @@
 """Breakpoint representations: validation, uniformity, rigidity, maximality."""
 
+import contextlib
 import copy
 import dataclasses
 import gc
@@ -431,7 +432,7 @@ class TestValueClasses:
                    if dataclasses.is_dataclass(obj) and obj.__module__ == m.__name__}
         assert classes == {type(x) for x in self.SAMPLES}
 
-    # built by the enumerators without __init__ (``finite._collector_paused``); each is
+    # built by the enumerators without __init__ (``finite._build``); each is
     # built when its test runs, so a faulty enumerator fails that test, not collection
     ENUMERATED = [
         pytest.param(lambda: enumerate_maximal_rigid(LinearQuiver(3))[2], id="enumerated-RigidSet"),
@@ -767,8 +768,10 @@ class TestEnumeration:
             enumerate_maximal_rigid_reps(Breakpoints.uniform(6))
         assert str(err.value) == "n=6 exceeds cap 5"
 
-    def test_reps_are_built_with_the_collector_paused(self, monkeypatch):
-        """Hooked at the ``families`` slot, which the build writes once per rep."""
+    @staticmethod
+    def hook_families(monkeypatch, fail_at=None):
+        """Hook the ``families`` slot, which the build writes once per rep: each write appends
+        ``gc.isenabled()`` to the list returned, and write number ``fail_at`` raises."""
         built = []
         slot = BreakpointRep.families
 
@@ -778,12 +781,39 @@ class TestEnumeration:
 
             def __set__(self, rep, families):
                 built.append(gc.isenabled())
+                if len(built) == fail_at:
+                    raise RuntimeError("mid build")
                 slot.__set__(rep, families)
 
         monkeypatch.setattr(BreakpointRep, "families", Recorded())
+        return built
+
+    def test_reps_are_built_with_the_collector_paused(self, monkeypatch):
+        built = self.hook_families(monkeypatch)
         assert len(enumerate_maximal_rigid_reps(Breakpoints.uniform(2))) == 168
         assert built == [False] * 168
         assert gc.isenabled()
+
+    def test_collector_on_after_an_exception_mid_build(self, monkeypatch):
+        """The 100th of the 168 writes at n = 2 raises, when every rep exists and 99 hold
+        their families."""
+        built = self.hook_families(monkeypatch, fail_at=100)
+        with pytest.raises(RuntimeError, match="mid build"):
+            enumerate_maximal_rigid_reps(Breakpoints.uniform(2))
+        assert built == [False] * 100
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("fail_at", [None, 100], ids=["return", "exception"])
+    def test_collector_stays_off_when_the_caller_turned_it_off(self, monkeypatch, fail_at):
+        built = self.hook_families(monkeypatch, fail_at)
+        gc.disable()
+        try:
+            with pytest.raises(RuntimeError, match="mid build") if fail_at else contextlib.nullcontext():
+                enumerate_maximal_rigid_reps(Breakpoints.uniform(2))
+            assert built == [False] * (fail_at or 168)
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
 
     def test_reps_are_built_without_the_constructor(self, monkeypatch):
         expected = {n: enumerate_maximal_rigid_reps(Breakpoints.uniform(n)) for n in (1, 2)}
@@ -827,8 +857,8 @@ class TestEnumeration:
 
     def test_peak_memory_is_a_small_multiple_of_the_result(self):
         """The keys are the tilting sets of A_{2n+1}, one per fiber, and each fiber's family
-        tuples are built once, so the peak stays under 1.4 times the reps held (1.30 at n = 3
-        and 1.47 at n = 4 when the bound was set; n = 3, as tracing every allocation of n = 4
+        tuples are built once, so the peak stays under 1.4 times the reps held (1.26 at n = 3
+        and 1.16 at n = 4, each traced alone; n = 3, as tracing every allocation of n = 4
         takes seconds)."""
         _tables(3)
         gc.collect()
@@ -947,9 +977,22 @@ class TestEnumeration:
         assert len(_tables(MAX_N).summands) == m * (m + 1) // 2 <= 255
 
     def test_reps_share_their_summand_and_family_tuples(self):
-        reps = enumerate_maximal_rigid_reps(Breakpoints.uniform(2))
-        assert len({id(r.summands) for r in reps}) == len({r.summands for r in reps}) == catalan(5)
-        assert len({id(r.families) for r in reps}) == len({r.families for r in reps})
+        """Each run of 2^n reps with equal summands, from the enumerator and from
+        ``fiber_reps`` of its image, holds one summand tuple; every family is an object of
+        ``_tables(n).families``; and the enumerator's equal family tuples are one object.
+        ``test_peak_memory_is_a_small_multiple_of_the_result`` checks this only in aggregate."""
+        for n in (1, 2, 3):
+            grid = Breakpoints.uniform(n)
+            reps = enumerate_maximal_rigid_reps(grid)
+            table_families = {id(f) for f in _tables(n).families}
+            runs = [reps[start:start + (1 << n)] for start in range(0, len(reps), 1 << n)]
+            assert len({run[0].summands for run in runs}) == len(runs) == catalan(2 * n + 1)
+            for run in runs:
+                for fiber in (run, fiber_reps(project(run[0]), grid)):
+                    assert all(r.summands is fiber[0].summands for r in fiber), (n, run[0])
+                    assert all(id(f) in table_families for r in fiber for f in r.families), (n, run[0])
+            family_tuples = {}
+            assert all(family_tuples.setdefault(r.families, r.families) is r.families for r in reps), n
 
     @staticmethod
     def doctored(monkeypatch, n, row):

@@ -324,7 +324,7 @@ class TestEnumeration:
 
 
 class TestBulkBuild:
-    """The enumerator builds its sets without ``RigidSet.__init__`` (``finite._collector_paused``)."""
+    """The enumerator builds its sets without ``RigidSet.__init__`` (``finite._build``)."""
 
     def test_sets_are_built_without_the_constructor(self, monkeypatch):
         expected = {m: enumerate_maximal_rigid(LinearQuiver(m)) for m in range(1, 9)}
@@ -365,8 +365,9 @@ class TestCollectorPause:
         assert gc.isenabled()
 
     def test_on_after_an_exception_mid_build(self, monkeypatch):
-        """Hooked at ``deque``, which only the build calls, once per chunk of keys; on A_10
-        the third call raises, when the sets of the first two chunks already exist."""
+        """Hooked at ``deque``, which only ``_build`` calls, once per column; a ``RigidSet``
+        has one column, so once per chunk of keys.  On A_10 the third call raises, when the
+        sets of the first two chunks already exist."""
         built = []
 
         def third_fails(*args):
