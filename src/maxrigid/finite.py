@@ -22,7 +22,7 @@ from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import accumulate, product, repeat, starmap
-from operator import add, lt
+from operator import add, itemgetter, lt
 from typing import Iterable
 
 from .cliques import bits, common_neighbourhood
@@ -73,7 +73,9 @@ def _build(cls: type, count: int, **columns: Iterable) -> list:
     The callers name every slot and pass values that are already valid, so
     an object equals, hashes, prints and pickles as the constructor's
     would.  This also skips ``__post_init__``: ``RigidSet``'s check costs
-    the bulk builds nothing, and ``BreakpointRep`` must have none.
+    the bulk builds nothing, and ``BreakpointRep`` must have none.  The
+    objects come first in each ``map``, so a column longer than ``count``
+    stops with them and its surplus is never read.
 
     The callers are ``enumerate_maximal_rigid`` and
     ``continuous.enumerate_maximal_rigid_reps``, inside
@@ -397,14 +399,19 @@ def enumerate_maximal_rigid(q: LinearQuiver) -> list[RigidSet]:
     for every j < b.
     The sets are built in place of their keys by ``_build``, with the
     collector paused.  Each chunk of ``_CHUNK`` sorted keys is joined into
-    one ``bytes`` of ranks, whose ``ivs`` lookups ``zip`` cuts into
-    m-tuples, one per key in order (1-tuples when m = 1), and the chunk's
+    one ``bytes`` of ranks, and one ``itemgetter`` call looks every rank
+    up in ``ivs`` in a C loop.  The extra index 0 gives the getter at
+    least two indexes, so it returns a tuple for every m and chunk; ``zip``
+    cuts that tuple into m-tuples, one per key in order, and drops the one
+    surplus member (``_build`` never reads it when m = 1).  The chunk's
     sets replace its keys.  One pause spans every chunk, so no collection
     runs between them, and the one that follows scans each new set and its
     member tuple once.
-    The chunks bound the joined bytes alive at once: joining all keys of
-    A_10 at once would hold 168 KB beside the sets, and
-    ``test_peak_memory_is_the_result`` allows the peak 5% over the result.
+    The chunks bound what is alive beside the sets to one chunk's joined
+    bytes, the getter's index tuple and its result, each tuple of
+    ``_CHUNK`` * m + 1 pointers.  Joining all keys of A_10 at once would
+    hold 168 KB of bytes alone, and ``test_peak_memory_is_the_result``
+    allows the peak 5% over the result.
     """
     m = q.m
     _check_cap("m", m, MAX_M)
@@ -415,6 +422,6 @@ def enumerate_maximal_rigid(q: LinearQuiver) -> list[RigidSet]:
     with _collector_paused():
         for start in range(0, len(keys), _CHUNK):
             flat = b"".join(keys[start:start + _CHUNK])
-            members = zip(*[map(ivs.__getitem__, flat)] * m)
+            members = zip(*[iter(itemgetter(*flat, 0)(ivs))] * m)
             keys[start:start + _CHUNK] = _build(RigidSet, len(flat) // m, members=members)
     return keys

@@ -317,6 +317,22 @@ class TestEnumeration:
         assert len(sets) == 16796
         assert peak <= 1.05 * held, (peak, held)
 
+    @pytest.mark.parametrize("m", [10, 11])
+    def test_peak_over_the_result_is_one_chunk(self, m):
+        """What the build holds beside the sets is one chunk's: its joined bytes and the
+        rank getter's index tuple and result, ``_CHUNK`` * m + 1 pointers each.  The peak
+        read 111 KB over the result at A_10 and 123 KB at A_11.  The bound is absolute, as
+        the ratio to the result grows when m falls (1.41 at A_8)."""
+        gc.collect()
+        tracemalloc.start()
+        try:
+            sets = enumerate_maximal_rigid(LinearQuiver(m))
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(sets) == catalan_by_recurrence(m)[m]
+        assert peak - held < 256 * 1024, (peak, held)
+
     def test_key_width_bounds_m_whatever_the_cap(self):
         """A key holds each rank in a byte below the mark 255, which bounds m at 22; the
         largest rank under the cap, on A_15, is 119."""
@@ -345,15 +361,17 @@ class TestBulkBuild:
                 assert type(s) is RigidSet and s == built
                 assert hash(s) == hash(built) and str(s) == str(built)
 
-    @pytest.mark.parametrize("chunk", [1, 7])
+    @pytest.mark.parametrize("chunk", [1, 2, 7])
     def test_chunk_size_does_not_change_the_list(self, monkeypatch, chunk):
-        """One key per pass, and passes of 7 keys, which do not divide the 1,430 sets of
-        A_8, so the last pass is short."""
-        expected = enumerate_maximal_rigid(LinearQuiver(8))
+        """One key per pass, two, and seven, which do not divide the 1,430 sets of A_8, so
+        the last pass is short.  On A_1 every pass gathers a single rank: the getter's
+        extra index keeps its result a tuple, and the surplus member is never read."""
+        expected = {m: enumerate_maximal_rigid(LinearQuiver(m)) for m in (1, 2, 3, 8)}
         monkeypatch.setattr(finite, "_CHUNK", chunk)
-        sets = enumerate_maximal_rigid(LinearQuiver(8))
-        assert sets == expected
-        assert all(type(s) is RigidSet and type(s.members) is tuple for s in sets)
+        for m, default in expected.items():
+            sets = enumerate_maximal_rigid(LinearQuiver(m))
+            assert sets == default, m
+            assert all(type(s) is RigidSet and type(s.members) is tuple and len(s.members) == m for s in sets), m
 
 
 class TestCollectorPause:
