@@ -28,11 +28,12 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from itertools import chain, product, repeat
-from operator import itemgetter
+from operator import and_
+from typing import Iterator
 
 from .cliques import common_neighbourhood
 from .counting import _check_count, claim
-from .finite import _build, _check_cap, _collector_paused, _gap_keys, _pair_tables, _rank
+from .finite import _CHUNK, _build, _check_cap, _collector_paused, _gap_keys, _pair_tables, _rank, _rows
 from .intervals import (
     CLOSED,
     OPEN,
@@ -410,6 +411,21 @@ def is_maximal_rigid(rep: BreakpointRep) -> bool:
     return common & tables.summand_mask == mask & tables.summand_mask
 
 
+class _Memo(dict):
+    """A dict that makes each missing value as ``make(key)`` and keeps it, so a hit is one C
+    lookup.  ``make`` must not refer to the memo: that cycle would outlive the caller until
+    a collection."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make):
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
 def _forced_pairs(tables: _Tables, fmask: int) -> list[tuple[int, int]]:
     """The (left, right) indices of the families in ``fmask``, the family bits of a summand
     set's ``common_neighbourhood``, one pair per segment in segment order.
@@ -458,35 +474,49 @@ def enumerate_maximal_rigid_reps(grid: Breakpoints) -> list[BreakpointRep]:
     whenever j < b - 1 but [a, 2h] above [a, 2h+1].  The 66 vertices at
     ``MAX_N`` lie below ``_gap_keys``' mark 255.
     Sorted, the keys are the summand tuples in ascending order.
-    Each forced mask's fiber is built once, ``product`` over its (left,
-    right) pairs giving the family tuples in order, each shared through a
-    dict keyed by index tuples (no dataclass ``__hash__`` runs).  One
-    ``finite._build``, with the collector paused, then makes every rep:
-    key by key, its summand tuple 2^n times beside its fiber's family
-    tuples.  So the reps come in (summands, families) order, and none is
-    sorted.  The build looks up each key's fiber as it goes (``map`` over
-    the keys), so no list per key is held beside the keys and the reps: a
-    list of each key's fiber raised the max RSS of ``count --n 5 --mode
-    enumerate`` by ~1.2 MB, and a list of each key's mask by ~2.6 MB.
+    One ``finite._build``, with the collector paused, makes every rep: key
+    by key, its summand tuple 2^n times beside its fiber's family tuples.
+    So the reps come in (summands, families) order, and none is sorted.
+    Each chunk of ``_CHUNK`` sorted keys is joined once per column and read
+    by ``finite._rows``, one C gather: from ``tables.summands`` for the
+    summand tuples, and from ``family_bits``, each summand vertex's closed
+    row shifted to its family bits, for the forced masks: a key's mask is
+    the AND of its tuple, by ``functools.reduce``.
+    Each mask's fiber, and each family tuple, comes from a ``_Memo`` made
+    by this call, so a hit is one C lookup: ``_forced_pairs`` and
+    ``product`` over its (left, right) pairs run once per distinct mask,
+    and equal family tuples are one object, keyed by index tuples (no
+    dataclass ``__hash__`` runs).  Neither memo refers to itself, so both
+    are freed by reference counts on return, and nothing outlives the call.
+    The build reads each column in its own pass, lazily, so beside the keys
+    and the reps it holds one chunk's gather at a time: its index tuple and
+    result, ``_CHUNK`` * (2n+1) + 1 pointers each.  The summand pass reads
+    each chunk into a list first, so that its last gather is not kept
+    through the family pass.  At n = 3 that is one chunk, and the
+    tracemalloc peak reads 1.36 times the reps held (1.25 when each key was
+    looked up alone); ``count --n 5 --mode enumerate`` reads 169.3-169.7 MB
+    max RSS, against 169.8-169.9 MB then.  A list of each key's fiber or
+    mask beside the reps would not hold that: they raised it by ~1.2 MB and
+    ~2.6 MB.
     n is at most ``MAX_N``, checked before the tables of n are built.
     """
     n = grid.n
     _check_cap("n", n, MAX_N)
     tables = _tables(n)
-    split, closed, family = len(tables.summands), tables.closed, tables.families.__getitem__
+    split, width, family = len(tables.summands), 2 * n + 1, tables.families.__getitem__
     code = {(2 * s.lo + 1 + s.lo_kind, 2 * s.hi + 1 - s.hi_kind): v for v, s in enumerate(tables.summands)}
-    keys = _gap_keys(2 * n + 1, 2, code)
+    keys = _gap_keys(width, 2, code)
     keys.sort()
-    fibers, family_tuples = {}, {}
+    family_bits = [row >> split for row in tables.closed[:split]]
+    family_tuples = _Memo(lambda t: tuple(map(family, t)))
+    fibers = _Memo(lambda fmask: list(map(family_tuples.__getitem__, product(*_forced_pairs(tables, fmask)))))
 
-    def fiber(key: bytes) -> list[tuple[FamilyChoice, ...]]:  # built once per distinct forced mask
-        fmask = common_neighbourhood(closed, key) >> split
-        if fmask not in fibers:
-            fibers[fmask] = [family_tuples.get(t) or family_tuples.setdefault(t, tuple(map(family, t)))
-                             for t in product(*_forced_pairs(tables, fmask))]
-        return fibers[fmask]
+    def gathered(table: list) -> Iterator[Iterator[tuple]]:  # per chunk of keys, each key's entries of ``table``
+        return (_rows(b"".join(keys[start:start + _CHUNK]), table, width) for start in range(0, len(keys), _CHUNK))
 
+    summands = chain.from_iterable(map(list, gathered(tables.summands)))
+    masks = map(functools.reduce, repeat(and_), chain.from_iterable(gathered(family_bits)))
     with _collector_paused():
         return _build(BreakpointRep, len(keys) << n, grid=repeat(grid),
-                      summands=chain.from_iterable(repeat(itemgetter(*key)(tables.summands), 1 << n) for key in keys),
-                      families=chain.from_iterable(map(fiber, keys)))
+                      summands=chain.from_iterable(map(repeat, summands, repeat(1 << n))),
+                      families=chain.from_iterable(map(fibers.__getitem__, masks)))

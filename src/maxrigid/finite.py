@@ -23,7 +23,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import accumulate, product, repeat, starmap
 from operator import add, itemgetter, lt
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .cliques import bits, common_neighbourhood
 from .counting import _check_count, claim
@@ -87,6 +87,20 @@ def _build(cls: type, count: int, **columns: Iterable) -> list:
     for name, column in columns.items():
         deque(map(getattr(cls, name).__set__, objs, column), 0)
     return objs
+
+
+def _rows(flat: bytes, table: list, width: int) -> Iterator[tuple]:
+    """``table``'s entries at the bytes of ``flat``, in order, cut into ``width``-tuples.
+
+    One ``itemgetter`` call looks every byte up in a C loop.  The extra
+    index 0 gives the getter at least two indexes, so it returns a tuple
+    even for one byte, and no caller needs a branch on its width.  ``zip``
+    drops the one surplus entry when ``width`` >= 2; when ``width`` = 1 it
+    is a last 1-tuple, which ``_build`` never reads.  The getter's index
+    tuple, ``len(flat)`` + 1 pointers, lives for the call; its result, as
+    many, until the rows are read.
+    """
+    return zip(*[iter(itemgetter(*flat, 0)(table))] * width)
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -399,14 +413,11 @@ def enumerate_maximal_rigid(q: LinearQuiver) -> list[RigidSet]:
     for every j < b.
     The sets are built in place of their keys by ``_build``, with the
     collector paused.  Each chunk of ``_CHUNK`` sorted keys is joined into
-    one ``bytes`` of ranks, and one ``itemgetter`` call looks every rank
-    up in ``ivs`` in a C loop.  The extra index 0 gives the getter at
-    least two indexes, so it returns a tuple for every m and chunk; ``zip``
-    cuts that tuple into m-tuples, one per key in order, and drops the one
-    surplus member (``_build`` never reads it when m = 1).  The chunk's
-    sets replace its keys.  One pause spans every chunk, so no collection
-    runs between them, and the one that follows scans each new set and its
-    member tuple once.
+    one ``bytes`` of ranks, and ``_rows`` looks every rank up in ``ivs`` in
+    one C loop and cuts the members into m-tuples, one per key in order.
+    The chunk's sets replace its keys.  One pause spans every chunk, so no
+    collection runs between them, and the one that follows scans each new
+    set and its member tuple once.
     The chunks bound what is alive beside the sets to one chunk's joined
     bytes, the getter's index tuple and its result, each tuple of
     ``_CHUNK`` * m + 1 pointers.  Joining all keys of A_10 at once would
@@ -422,6 +433,5 @@ def enumerate_maximal_rigid(q: LinearQuiver) -> list[RigidSet]:
     with _collector_paused():
         for start in range(0, len(keys), _CHUNK):
             flat = b"".join(keys[start:start + _CHUNK])
-            members = zip(*[iter(itemgetter(*flat, 0)(ivs))] * m)
-            keys[start:start + _CHUNK] = _build(RigidSet, len(flat) // m, members=members)
+            keys[start:start + _CHUNK] = _build(RigidSet, len(flat) // m, members=_rows(flat, ivs, m))
     return keys

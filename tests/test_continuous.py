@@ -856,10 +856,11 @@ class TestEnumeration:
         assert time.process_time() - start < 2
 
     def test_peak_memory_is_a_small_multiple_of_the_result(self):
-        """The keys are the tilting sets of A_{2n+1}, one per fiber, and each fiber's family
-        tuples are built once, so the peak stays under 1.4 times the reps held (1.26 at n = 3
-        and 1.16 at n = 4, each traced alone; n = 3, as tracing every allocation of n = 4
-        takes seconds)."""
+        """The keys are the tilting sets of A_{2n+1}, one per fiber, each fiber's family
+        tuples are built once, and one chunk's gathered tuple is alive at a time, so the peak
+        stays under 1.4 times the reps held (1.36 at n = 3 and 1.17 at n = 4, each traced
+        alone, against 1.25 and 1.15 when each key was looked up alone; n = 3, as tracing
+        every allocation of n = 4 takes seconds)."""
         _tables(3)
         gc.collect()
         tracemalloc.start()
@@ -870,6 +871,57 @@ class TestEnumeration:
             tracemalloc.stop()
         assert len(reps) == 3432
         assert peak <= 1.4 * held, (peak, held)
+
+    @pytest.mark.parametrize("n, count", [(1, 4), (2, 28), (3, 240)])
+    def test_each_forced_mask_is_split_once_per_call(self, monkeypatch, n, count):
+        """``_forced_pairs`` runs once per distinct forced mask, on each of two calls in a
+        row, so no fiber is carried from one call to the next; and the masks it is given are
+        the keys' ``common_neighbourhood`` family bits, read here key by key."""
+        t = _tables(n)
+        keys = finite._gap_keys(2 * n + 1, 2, oracles.image_vertices(n))
+        masks = {common_neighbourhood(t.closed, key) >> len(t.summands) for key in keys}
+        assert len(masks) == count
+        given = []
+        monkeypatch.setattr(continuous, "_forced_pairs", lambda tables, fmask: given.append(fmask) or
+                            _forced_pairs(tables, fmask))
+        for _ in range(2):
+            given.clear()
+            assert len(enumerate_maximal_rigid_reps(Breakpoints.uniform(n))) == continuous_count(n)
+            assert len(given) == count and set(given) == masks
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("build", ["reps", "sets", "fiber"])
+    def test_no_garbage_cycles(self, n, build):
+        """A call leaves nothing for the collector: once its result is dropped, reference
+        counts have freed all of it.  A memo whose maker refers to the memo would be a cycle
+        (as ``max_cliques``' recursion is, until it deletes itself)."""
+        grid = Breakpoints.uniform(n)
+        image = project(enumerate_maximal_rigid_reps(grid)[0])
+        call = {"reps": lambda: enumerate_maximal_rigid_reps(grid),
+                "sets": lambda: enumerate_maximal_rigid(segment_quiver(n)),
+                "fiber": lambda: fiber_reps(image, grid)}[build]
+        assert call()  # fills the caches of n first, which outlive every call
+        gc.collect()
+        gc.disable()
+        try:
+            result = call()
+            del result
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("chunk", [1, 2, 7])
+    def test_chunk_size_does_not_change_the_list(self, monkeypatch, chunk):
+        """The keys are gathered a chunk at a time.  One key per chunk, two, and seven give
+        the same reps, each run of 2^n with one summand tuple; at n = 1 and 3 (5 and 429
+        keys) two and seven leave a short last chunk."""
+        expected = {n: enumerate_maximal_rigid_reps(Breakpoints.uniform(n)) for n in (1, 2, 3)}
+        monkeypatch.setattr(continuous, "_CHUNK", chunk)
+        for n, default in expected.items():
+            reps = enumerate_maximal_rigid_reps(Breakpoints.uniform(n))
+            assert reps == default, n
+            assert all(r.summands is reps[start].summands
+                       for start in range(0, len(reps), 1 << n) for r in reps[start:start + (1 << n)]), n
 
     @staticmethod
     def cut(monkeypatch, n, edges):
