@@ -26,8 +26,10 @@ force the anchor, which ``fiber_reps`` reads off the summands' common
 closed neighbourhood in ``_Tables``.
 ``verify`` does not call ``fiber_reps``: it checks the enumerator's fibers
 against a rule that reads the anchors off the image alone
-(``verify._forced_by_rule``), as ``fiber_reps`` shares the enumerator's
-``_forced_pairs``.  ``project`` and ``fiber_reps`` stay on integers until
+(``verify._forced_by_rule``), as ``fiber_reps`` reads the enumerator's
+block table and closed rows: it pairs its one mask by ``_forced_pairs``, the
+one-mask form of the enumerator's ``_forced_pairs_batch`` and its reference
+in the tests.  ``project`` and ``fiber_reps`` stay on integers until
 they build their output, by the code b * b + a of an image interval [a, b]
 (``BreakSummand.code``): ``fiber_reps`` indexes
 ``_Tables.code_vertex`` with it, and ``project`` unions the one-interval

@@ -27,8 +27,8 @@ import functools
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from itertools import chain, product, repeat
-from operator import and_
+from itertools import chain, product, repeat, starmap
+from operator import and_, rshift
 from typing import Iterator
 
 from .cliques import common_neighbourhood
@@ -434,7 +434,9 @@ def _forced_pairs(tables: _Tables, fmask: int) -> list[tuple[int, int]]:
     as each segment's block of ``fmask`` is a key of its dict in
     ``_Tables.blocks`` (one lookup per segment; a block with two families on
     a side or none is not), and families of different segments are pairwise
-    adjacent.
+    adjacent.  This is the one-mask path, which ``bridge.fiber_reps`` takes,
+    and the reference that the tests hold ``_forced_pairs_batch``, the
+    enumerator's batched form, to.
     """
     width = (1 << 2 * tables.n + 2) - 1
     pairs = [block.get(fmask >> shift & width) for shift, block in tables.blocks]
@@ -446,6 +448,33 @@ def _forced_pairs(tables: _Tables, fmask: int) -> list[tuple[int, int]]:
     return pairs
 
 
+def _forced_pairs_batch(tables: _Tables, fmasks: list[int]) -> list[tuple[tuple[int, int], ...]]:
+    """``_forced_pairs`` of each mask of ``fmasks``, in order, each as a tuple, with both claims.
+
+    The enumerator's fiber step, a batch of masks per chunk of keys.  Each
+    pass is C-level over the whole batch: per segment, its block of every
+    mask (``rshift``, ``and_``) is looked up in its ``_Tables.blocks`` dict,
+    and the side claim, with ``_forced_pairs``' message, is that no lookup
+    missed.  ``rows``, made for the call from ``tables.closed``, holds for
+    each (left, right) pair that occurs the family bits adjacent to both,
+    and the two.  Families of one segment are never adjacent, so a mask is
+    the ``functools.reduce`` AND of its pairs' rows exactly when its
+    families of different segments are pairwise adjacent: the adjacency
+    claim, with ``_forced_pairs``' message.  ``fiber_reps`` keeps the
+    one-mask ``_forced_pairs``: routed through here, one mask per call, a
+    split took ~4.5 times as long at n = 4.
+    """
+    width, closed, split = (1 << 2 * tables.n + 2) - 1, tables.closed, len(tables.summands)
+    columns = [list(map(block.get, map(and_, map(rshift, fmasks, repeat(shift)), repeat(width))))
+               for shift, block in tables.blocks]
+    claim(not any(None in column for column in columns), "one forced anchor per segment side")
+    rows = {(l, r): (closed[split + l] & closed[split + r]) >> split | 1 << l | 1 << r
+            for l, r in set(chain.from_iterable(columns))}
+    ands = functools.reduce(functools.partial(map, and_), [map(rows.__getitem__, column) for column in columns])
+    claim(list(ands) == fmasks, "forced families of different segments are pairwise adjacent")
+    return list(zip(*columns))
+
+
 def enumerate_maximal_rigid_reps(grid: Breakpoints) -> list[BreakpointRep]:
     """All maximal rigid encodings on the grid, canonical and sorted.
 
@@ -455,7 +484,7 @@ def enumerate_maximal_rigid_reps(grid: Breakpoints) -> list[BreakpointRep]:
     is adjacent to every summand.  The reps are the 2^n per tilting set T
     of A_{2n+1}: T's summands and one forced family per segment.
 
-      * <=: ``_forced_pairs`` claims, once per forced mask, one forced
+      * <=: ``_forced_pairs_batch`` claims, once per forced mask, one forced
         family per (segment, side) and that those of different segments
         are pairwise adjacent.  So each rep built is a clique with one
         family per segment, and no summand extends it: no breakpoint one,
@@ -482,22 +511,25 @@ def enumerate_maximal_rigid_reps(grid: Breakpoints) -> list[BreakpointRep]:
     summand tuples, and from ``family_bits``, each summand vertex's closed
     row shifted to its family bits, for the forced masks: a key's mask is
     the AND of its tuple, by ``functools.reduce``.
-    Each mask's fiber, and each family tuple, comes from a ``_Memo`` made
-    by this call, so a hit is one C lookup: ``_forced_pairs`` and
-    ``product`` over its (left, right) pairs run once per distinct mask,
-    and equal family tuples are one object, keyed by index tuples (no
-    dataclass ``__hash__`` runs).  Neither memo refers to itself, so both
-    are freed by reference counts on return, and nothing outlives the call.
+    Each chunk's masks go into a list; the ones that ``fibers``, a plain
+    dict made by this call, lacks are split in one ``_forced_pairs_batch``
+    call, and each one's fiber, the list of its family tuples by
+    ``product`` over its (left, right) pairs, is stored there.  So both
+    claims run once per distinct mask, summed over the chunks, and a known
+    mask is one C lookup.  Equal family tuples are one object: they come
+    from a ``_Memo``, keyed by index tuples (no dataclass ``__hash__``
+    runs).  Neither dict refers to itself, so both are freed by reference
+    counts on return, and nothing outlives the call.
     The build reads each column in its own pass, lazily, so beside the keys
     and the reps it holds one chunk's gather at a time: its index tuple and
-    result, ``_CHUNK`` * (2n+1) + 1 pointers each.  The summand pass reads
-    each chunk into a list first, so that its last gather is not kept
-    through the family pass.  At n = 3 that is one chunk, and the
-    tracemalloc peak reads 1.36 times the reps held (1.25 when each key was
-    looked up alone); ``count --n 5 --mode enumerate`` reads 169.3-169.7 MB
-    max RSS, against 169.8-169.9 MB then.  A list of each key's fiber or
-    mask beside the reps would not hold that: they raised it by ~1.2 MB and
-    ~2.6 MB.
+    result, ``_CHUNK`` * (2n+1) + 1 pointers each, and the chunk's masks.
+    The summand pass reads each chunk into a list first, so that its last
+    gather is not kept through the family pass.  At n = 3 that is one
+    chunk, and the tracemalloc peak reads 1.31 times the reps held (1.25
+    when each key was looked up alone); ``count --n 5 --mode enumerate``
+    reads ~169.5 MB max RSS, against 169.8-169.9 MB then.  A list of each
+    key's fiber or mask beside the reps would not hold that: they raised it
+    by ~1.2 MB and ~2.6 MB.
     n is at most ``MAX_N``, checked before the tables of n are built.
     """
     n = grid.n
@@ -509,14 +541,20 @@ def enumerate_maximal_rigid_reps(grid: Breakpoints) -> list[BreakpointRep]:
     keys.sort()
     family_bits = [row >> split for row in tables.closed[:split]]
     family_tuples = _Memo(lambda t: tuple(map(family, t)))
-    fibers = _Memo(lambda fmask: list(map(family_tuples.__getitem__, product(*_forced_pairs(tables, fmask)))))
+    fibers = {}
 
     def gathered(table: list) -> Iterator[Iterator[tuple]]:  # per chunk of keys, each key's entries of ``table``
         return (_rows(b"".join(keys[start:start + _CHUNK]), table, width) for start in range(0, len(keys), _CHUNK))
 
+    def chunk_fibers(rows: Iterator[tuple]) -> Iterator[list]:  # each key's fiber, splitting the new masks
+        masks = list(map(functools.reduce, repeat(and_), rows))
+        new = list(set(masks).difference(fibers))
+        tuples = map(map, repeat(family_tuples.__getitem__), starmap(product, _forced_pairs_batch(tables, new)))
+        fibers.update(zip(new, map(list, tuples)))
+        return map(fibers.__getitem__, masks)
+
     summands = chain.from_iterable(map(list, gathered(tables.summands)))
-    masks = map(functools.reduce, repeat(and_), chain.from_iterable(gathered(family_bits)))
     with _collector_paused():
         return _build(BreakpointRep, len(keys) << n, grid=repeat(grid),
                       summands=chain.from_iterable(map(repeat, summands, repeat(1 << n))),
-                      families=chain.from_iterable(map(fibers.__getitem__, masks)))
+                      families=chain.from_iterable(chain.from_iterable(map(chunk_fibers, gathered(family_bits)))))

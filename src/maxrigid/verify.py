@@ -165,7 +165,8 @@ def _forced_by_rule(image, n: int) -> list[tuple[int, int]]:
     [s+1, F_r].  So the forced right family is the one at F_r.  Reflecting
     A_{2n+1} keeps tilting sets and segment vertices and swaps the sides,
     so the forced left family is the one at F_l = a.  The tests check the
-    rule against ``_forced_pairs`` on every tilting set for n <= 4, and
+    rule against ``_forced_pairs``, the reference for the enumerator's
+    ``_forced_pairs_batch``, on every tilting set for n <= 4, and
     ``verify --n 5`` checks it on every one at n = 5.
     """
     ends, starts = {}, {}  # the largest end per start, the smallest start per end
@@ -189,10 +190,11 @@ def projection_fibers(n: int, reps: list, projected: list) -> list[Result]:
     (dataclass) order, and its ``(grid, families)`` are, in order, the first
     rep's grid, checked once against the uniform one, beside each tuple of
     ``product`` over :func:`_forced_by_rule`'s pairs of the image.  The rule
-    reads the image alone, so the check is independent of ``_forced_pairs``,
-    which the enumerator and ``bridge.fiber_reps`` share; it runs neither of
-    them and builds no rep.  The families are ``_tables(n).families``, the
-    objects the enumerator shares, so equal tuples compare by identity.
+    reads the image alone, so the check is independent of the enumerator's
+    ``_forced_pairs_batch`` and ``bridge.fiber_reps``' ``_forced_pairs``,
+    which read one block table; it runs none of them and builds no rep.
+    The families are ``_tables(n).families``, the objects the enumerator
+    shares, so equal tuples compare by identity.
     """
     tables = _tables(n)
     targets, grid, family = {h.summands for h in projected}, reps[0].grid if reps else None, tables.families

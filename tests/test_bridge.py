@@ -38,6 +38,7 @@ from maxrigid import (
     is_maximal_rigid,
     is_rigid,
     is_rigid_set,
+    is_tilting,
     is_uniform,
     project,
     pull_back_summands,
@@ -250,8 +251,9 @@ class TestProjection:
         """For every tilting set of A_{2n+1}, each family adjacent to all its summands in the
         pair-loop rows is adjacent there to each such family of another segment.
 
-        ``continuous._forced_pairs`` claims this on the library's rows at every forced mask
-        that the enumerator and ``fiber_reps`` meet; this checks it on the independent rows.
+        ``continuous._forced_pairs_batch`` and ``_forced_pairs`` claim this on the library's
+        rows at every forced mask that the enumerator and ``fiber_reps`` meet; this checks it
+        on the independent rows.
         """
         adj = tables_pair_loop(n)
         split, vertex = len(continuous._tables(n).summands), image_vertices(n)
@@ -619,9 +621,11 @@ class TestProjectionFibers:
     def test_one_projection_and_one_fiber_per_run(self, monkeypatch):
         """At n = 3 each of the 429 tilting sets is projected once, not each of the 3,432
         reps, and its run is compared with one fiber, the rule's: no ``fiber_reps``, no
-        ``_forced_pairs``, no rep built and no rep compared by its dataclass ``__eq__``."""
+        ``_forced_pairs`` or ``_forced_pairs_batch``, no rep built and no rep compared by its
+        dataclass ``__eq__``."""
         reps, projected = verify.enumerations(3)
         owners = {"project": bridge, "fiber_reps": bridge, "_forced_pairs": continuous,
+                  "_forced_pairs_batch": continuous,
                   "__init__": BreakpointRep, "__eq__": BreakpointRep}
         calls = dict.fromkeys(owners, 0)
 
@@ -635,12 +639,26 @@ class TestProjectionFibers:
             monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
         results = verify.projection_fibers(3, reps, projected)
         assert all(ok for _, ok in results), results
-        assert calls == {"project": 429, "fiber_reps": 0, "_forced_pairs": 0, "__init__": 0, "__eq__": 0}
+        assert calls == {"project": 429, "fiber_reps": 0, "_forced_pairs": 0, "_forced_pairs_batch": 0,
+                         "__init__": 0, "__eq__": 0}
+
+    def test_every_set_at_max_n_is_tilting_and_the_runs_project_onto_them(self):
+        """At n = ``MAX_N``, where Bron-Kerbosch does not reach, a check that ``_gap_keys``
+        did not make: every ``RigidSet`` of the segment quiver A_11 passes ``is_tilting``,
+        whose rows come from ``_pair_tables``, and the first reps of the 58,786 runs of 32
+        project onto exactly those sets."""
+        n = continuous.MAX_N
+        reps, projected = verify.enumerations(n)
+        q, k = segment_quiver(n), 1 << n
+        assert len(projected) == projected_count(n) == 58786 and len(reps) == k * len(projected)
+        assert all(is_tilting(q, h.members) for h in projected)
+        images = [project(reps[start]) for start in range(0, len(reps), k)]
+        assert len(set(images)) == len(images) and set(images) == {h.summands for h in projected}
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_swapped_blocks_fail_the_expansion(self, monkeypatch, n):
         """With segment 0's (left, right) pairs swapped in ``_Tables.blocks`` on a copy of the
-        tables, the enumerator and ``fiber_reps``, which share ``_forced_pairs``, both list
+        tables, the enumerator and ``fiber_reps``, which read the same blocks, both list
         each fiber right family first and agree.  The rule reads the image only, so the
         expansion fails, and only the expansion."""
         t = copy.copy(continuous._tables(n))

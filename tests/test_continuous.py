@@ -62,7 +62,7 @@ from maxrigid import (
 
 from maxrigid import bridge, cli, continuous, finite
 from maxrigid.cliques import bits, common_neighbourhood, max_cliques
-from maxrigid.continuous import MAX_N, _forced_pairs, _Tables, _tables, _vertex_mask
+from maxrigid.continuous import MAX_N, _forced_pairs, _forced_pairs_batch, _Tables, _tables, _vertex_mask
 from maxrigid.counting import ClaimError
 
 import oracles
@@ -858,7 +858,7 @@ class TestEnumeration:
     def test_peak_memory_is_a_small_multiple_of_the_result(self):
         """The keys are the tilting sets of A_{2n+1}, one per fiber, each fiber's family
         tuples are built once, and one chunk's gathered tuple is alive at a time, so the peak
-        stays under 1.4 times the reps held (1.36 at n = 3 and 1.17 at n = 4, each traced
+        stays under 1.4 times the reps held (1.31 at n = 3 and 1.17 at n = 4, each traced
         alone, against 1.25 and 1.15 when each key was looked up alone; n = 3, as tracing
         every allocation of n = 4 takes seconds)."""
         _tables(3)
@@ -874,20 +874,40 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("n, count", [(1, 4), (2, 28), (3, 240)])
     def test_each_forced_mask_is_split_once_per_call(self, monkeypatch, n, count):
-        """``_forced_pairs`` runs once per distinct forced mask, on each of two calls in a
-        row, so no fiber is carried from one call to the next; and the masks it is given are
-        the keys' ``common_neighbourhood`` family bits, read here key by key."""
+        """Summed over its batches, ``_forced_pairs_batch`` gets each distinct forced mask
+        once per call, on each of two calls in a row, with ``_CHUNK`` at its default, 7 and
+        1: no known mask is split again, also when masks repeat across chunks (at 1 there are
+        more keys than masks), and no fiber is carried from one call to the next.  The masks
+        it is given are the keys' ``common_neighbourhood`` family bits, read here key by key,
+        and the enumerator no longer calls the one-mask ``_forced_pairs``."""
         t = _tables(n)
         keys = finite._gap_keys(2 * n + 1, 2, oracles.image_vertices(n))
         masks = {common_neighbourhood(t.closed, key) >> len(t.summands) for key in keys}
+        assert len(masks) == count < len(keys)
+        given, single = [], []
+        monkeypatch.setattr(continuous, "_forced_pairs_batch", lambda tables, fmasks: given.extend(fmasks) or
+                            _forced_pairs_batch(tables, fmasks))
+        monkeypatch.setattr(continuous, "_forced_pairs", lambda tables, fmask: single.append(fmask))
+        for chunk in (continuous._CHUNK, 7, 1):
+            monkeypatch.setattr(continuous, "_CHUNK", chunk)
+            for _ in range(2):
+                given.clear()
+                assert len(enumerate_maximal_rigid_reps(Breakpoints.uniform(n))) == continuous_count(n)
+                assert len(given) == count and set(given) == masks, chunk
+        assert single == []
+
+    @pytest.mark.parametrize("n, count", [(1, 4), (2, 28), (3, 240), (4, 2288)])
+    def test_batch_equals_the_reference_on_every_forced_mask(self, n, count):
+        """On every distinct forced mask, in ascending order and in a shuffled batch,
+        ``_forced_pairs_batch`` gives, mask by mask, the pairs of the one-mask
+        ``_forced_pairs``."""
+        t = _tables(n)
+        keys = finite._gap_keys(2 * n + 1, 2, oracles.image_vertices(n))
+        masks = sorted({common_neighbourhood(t.closed, key) >> len(t.summands) for key in keys})
         assert len(masks) == count
-        given = []
-        monkeypatch.setattr(continuous, "_forced_pairs", lambda tables, fmask: given.append(fmask) or
-                            _forced_pairs(tables, fmask))
-        for _ in range(2):
-            given.clear()
-            assert len(enumerate_maximal_rigid_reps(Breakpoints.uniform(n))) == continuous_count(n)
-            assert len(given) == count and set(given) == masks
+        shuffled = random.Random(n).sample(masks, count)
+        for batch in (masks, shuffled):
+            assert list(map(list, _forced_pairs_batch(t, batch))) == [_forced_pairs(t, m) for m in batch]
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("build", ["reps", "sets", "fiber"])
@@ -995,7 +1015,9 @@ class TestEnumeration:
     def test_side_claim_stops_a_crafted_mask(self, n, craft):
         """Each real forced mask passes.  Add segment 0's other left family, remove the last
         segment's right family, or move the last segment's left family to its free right slot,
-        and that segment's block has two families on a side or none: the side claim raises."""
+        and that segment's block has two families on a side or none: the side claim raises,
+        in ``_forced_pairs`` and in a ``_forced_pairs_batch`` of the real masks with the
+        crafted one put among them."""
         t = _tables(n)
         first_left, last_left, last_right = (
             sum(1 << fi for fi, f in enumerate(t.families) if f.segment == j and f.side is side)
@@ -1009,6 +1031,10 @@ class TestEnumeration:
             assert _forced_pairs(t, fmask) == pairs, fmask
             with pytest.raises(ClaimError, match="^one forced anchor per segment side$"):
                 _forced_pairs(t, crafted(fmask))
+        real = list(self.forced_masks(n))
+        for i, fmask in enumerate(real):
+            with pytest.raises(ClaimError, match="^one forced anchor per segment side$"):
+                _forced_pairs_batch(t, real[:i] + [crafted(fmask)] + real[i:])
 
     @pytest.mark.parametrize("n", range(1, MAX_N + 1))
     def test_blocks_are_the_side_pairs_of_each_segment(self, n):
