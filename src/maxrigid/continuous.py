@@ -503,8 +503,12 @@ def enumerate_maximal_rigid_reps(grid: Breakpoints) -> list[BreakpointRep]:
     whenever j < b - 1 but [a, 2h] above [a, 2h+1].  The 66 vertices at
     ``MAX_N`` lie below ``_gap_keys``' mark 255.
     Sorted, the keys are the summand tuples in ascending order.
-    One ``finite._build``, with the collector paused, makes every rep: key
-    by key, its summand tuple 2^n times beside its fiber's family tuples.
+    One ``finite._build``, inside ``finite._collector_paused``, makes every
+    rep: key by key, its summand tuple 2^n times beside its fiber's family
+    tuples.  The pause hands the reps, their summand tuples and their
+    family tuples to the oldest generation, so no young collection scans
+    them after the call, whose one collection is the pause's entry
+    ``gc.collect(1)``.
     So the reps come in (summands, families) order, and none is sorted.
     Each chunk of ``_CHUNK`` sorted keys is joined once per column and read
     by ``finite._rows``, one C gather: from ``tables.summands`` for the

@@ -47,17 +47,34 @@ def _check_cap(name: str, value: int, cap: int) -> None:
 
 @contextmanager
 def _collector_paused():
-    """Keep the cyclic garbage collector off inside the block.
+    """Keep the cyclic collector off inside the block, then hand what it built to the oldest generation.
 
     For bulk builds of acyclic objects (``_build``): a collection there only
-    rescans live objects and frees nothing.  Afterwards, even on an
-    exception, the collector is switched back on only if it was on before.
+    rescans live objects and frees nothing, and so would the young
+    collection that the first allocation after the block used to start.
+    The rule, when the collector is on and nothing is frozen: on entry,
+    one ``gc.collect(1)`` gives the caller's young objects the scan they
+    would get anyway and frees their cycles; on exit, even on an
+    exception, ``gc.freeze()`` then ``gc.unfreeze()`` (two list splices)
+    moves every tracked object, the new ones included, into the oldest
+    generation and zeroes the young count, so no young collection scans
+    them.  They are freed by reference counts, and only a full collection
+    reads them again.  If the caller switched the collector off, or froze
+    objects of their own (which an unfreeze would release), no collection
+    and no handoff runs.  Afterwards the collector is on exactly if it was
+    on before.
     """
     was_on = gc.isenabled()
+    handoff = was_on and not gc.get_freeze_count()
     gc.disable()
+    if handoff:
+        gc.collect(1)
     try:
         yield
     finally:
+        if handoff:
+            gc.freeze()
+            gc.unfreeze()
         if was_on:
             gc.enable()
 
@@ -79,8 +96,9 @@ def _build(cls: type, count: int, **columns: Iterable) -> list:
 
     The callers are ``enumerate_maximal_rigid`` and
     ``continuous.enumerate_maximal_rigid_reps``, inside
-    ``_collector_paused``, and ``bridge.fiber_reps``, with the collector
-    left as it is, as it builds only 2^n reps.  Every other caller uses the
+    ``_collector_paused``, which hands their results to the oldest
+    generation, and ``bridge.fiber_reps``, with the collector left as it
+    is, as it builds only 2^n reps.  Every other caller uses the
     constructors.
     """
     objs = list(map(object.__new__, repeat(cls, count)))
@@ -416,8 +434,10 @@ def enumerate_maximal_rigid(q: LinearQuiver) -> list[RigidSet]:
     one ``bytes`` of ranks, and ``_rows`` looks every rank up in ``ivs`` in
     one C loop and cuts the members into m-tuples, one per key in order.
     The chunk's sets replace its keys.  One pause spans every chunk, so no
-    collection runs between them, and the one that follows scans each new
-    set and its member tuple once.
+    collection runs between them, and it hands the sets and their member
+    tuples to the oldest generation: no young collection scans them after
+    the call, and the one collection the call runs is the pause's entry
+    ``gc.collect(1)``, over the caller's young objects.
     The chunks bound what is alive beside the sets to one chunk's joined
     bytes, the getter's index tuple and its result, each tuple of
     ``_CHUNK`` * m + 1 pointers.  Joining all keys of A_10 at once would

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import groupby, product, repeat
+from itertools import chain, groupby, product
 from operator import attrgetter
 from typing import Iterator
 
@@ -180,6 +180,12 @@ def _forced_by_rule(image, n: int) -> list[tuple[int, int]]:
             for j, s in enumerate(range(2, 2 * n + 1, 2))]
 
 
+def _ends_key(intervals) -> bytes:
+    """The (a, b) ends of ``intervals``, sorted, as one ``bytes``: equal exactly for equal sets
+    of distinct segment-quiver intervals, whose ends are at most 2 * ``MAX_N`` + 1."""
+    return bytes(chain.from_iterable(sorted(map(attrgetter("a", "b"), intervals))))
+
+
 def projection_fibers(n: int, reps: list, projected: list) -> list[Result]:
     """The projection is onto the segment-quiver sets with fibers of exactly 2^n,
     and expanding every set into its fiber gives the direct enumeration.
@@ -187,27 +193,33 @@ def projection_fibers(n: int, reps: list, projected: list) -> list[Result]:
     ``reps`` is read as runs of equal ``summands`` (tuples the enumerator
     shares), each run projected once.  The expansion holds when the projection
     is onto, the runs strictly ascend, each run's summands are in vertex
-    (dataclass) order, and its ``(grid, families)`` are, in order, the first
-    rep's grid, checked once against the uniform one, beside each tuple of
-    ``product`` over :func:`_forced_by_rule`'s pairs of the image.  The rule
-    reads the image alone, so the check is independent of the enumerator's
-    ``_forced_pairs_batch`` and ``bridge.fiber_reps``' ``_forced_pairs``,
-    which read one block table; it runs none of them and builds no rep.
-    The families are ``_tables(n).families``, the objects the enumerator
-    shares, so equal tuples compare by identity.
+    (dataclass) order, its families are, in order, each tuple of ``product``
+    over :func:`_forced_by_rule`'s pairs of the image, and each of its reps
+    has the first rep's grid, checked once against the uniform one.  The
+    rule reads the image alone, so the check is independent of the
+    enumerator's ``_forced_pairs_batch`` and ``bridge.fiber_reps``'
+    ``_forced_pairs``, which read one block table; it runs none of them and
+    builds no rep.  The families are ``_tables(n).families``, the objects
+    the enumerator shares, so equal tuples compare by identity.
+    The images and the segment-quiver sets are compared as their
+    :func:`_ends_key`, so no frozenset is built per set and no
+    ``FiniteInterval`` is hashed or compared by its dataclass methods; the
+    keys are ``bytes``, which the collector does not track, so keeping them
+    starts no collection.
     """
-    tables = _tables(n)
-    targets, grid, family = {h.summands for h in projected}, reps[0].grid if reps else None, tables.families
+    tables, targets = _tables(n), set(map(_ends_key, map(attrgetter("members"), projected)))
+    grid, family = reps[0].grid if reps else None, tables.families
     images, sized, expands, previous = [], True, grid == Breakpoints.uniform(n), ()
     for summands, run in groupby(reps, key=attrgetter("summands")):
         run = list(run)
         image = bridge.project(run[0])
-        images.append(image)
+        images.append(key := _ends_key(image))
         sized = sized and len(run) == 2**n
         order = list(map(tables.code_vertex.__getitem__, map(attrgetter("code"), summands)))
-        pairs = image in targets and [(family[l], family[r]) for l, r in _forced_by_rule(image, n)]
+        pairs = key in targets and [(family[l], family[r]) for l, r in _forced_by_rule(image, n)]
         expands = (expands and previous < summands and pairs and order == sorted(order)
-                   and list(map(attrgetter("grid", "families"), run)) == list(zip(repeat(grid), product(*pairs))))
+                   and list(map(attrgetter("families"), run)) == list(product(*pairs))
+                   and list(map(attrgetter("grid"), run)).count(grid) == len(run))
         previous = summands
     onto = set(images) == targets
     return [

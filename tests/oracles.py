@@ -71,11 +71,16 @@ suite can compare the two:
     vanishing, so it must permute the compatibility rows of either model
     and its maximal rigid objects among themselves; no second
     implementation is needed to check either.
+  * ``collections_during`` and ``in_oldest_generation`` read the cyclic
+    collector's side of a call, for the contract of
+    ``finite._collector_paused``: the generation of each collection that
+    started while it ran, and whether objects sit in ``gc.get_objects(2)``.
 """
 
 from __future__ import annotations
 
 import functools
+import gc
 import itertools
 import random
 from bisect import bisect_left
@@ -799,3 +804,25 @@ def rep_from_dict_reference(data: dict) -> BreakpointRep:
     else:
         grid = Breakpoints.uniform(n)
     return BreakpointRep(grid=grid, summands=tuple(summands), families=tuple(families))
+
+
+def collections_during(call):
+    """``call()``'s result and the generation of each collection that started while it ran,
+    in order, as a ``gc.callbacks`` hook sees them."""
+    generations = []
+
+    def record(phase, info):
+        if phase == "start":
+            generations.append(info["generation"])
+
+    gc.callbacks.append(record)
+    try:
+        return call(), generations
+    finally:
+        gc.callbacks.remove(record)
+
+
+def in_oldest_generation(objs) -> bool:
+    """Whether every object of ``objs`` is in ``gc.get_objects(2)``."""
+    oldest = set(map(id, gc.get_objects(2)))
+    return all(id(obj) in oldest for obj in objs)

@@ -13,6 +13,7 @@ import pkgutil
 import random
 import time
 import tracemalloc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -70,11 +71,13 @@ from golden import ten_reps
 from oracles import (
     DEFAULT_FRESH,
     canonicalize,
+    collections_during,
     endpoint_profile,
     enumerate_by_groups,
     findex,
     generic_addable,
     hash_mask,
+    in_oldest_generation,
     is_clique,
     is_maximal_clique,
     live_candidates,
@@ -814,6 +817,62 @@ class TestEnumeration:
             assert not gc.isenabled()
         finally:
             gc.enable()
+
+    def test_one_entry_collection_then_the_reps_are_in_the_oldest_generation(self):
+        """The tables of n are built and the young generations emptied first, so that no
+        collection the caller's own allocations are due falls inside the call.  The summand
+        and family tuples are built by the call too."""
+        _tables(3)
+        gc.collect()
+        reps, generations = collections_during(lambda: enumerate_maximal_rigid_reps(Breakpoints.uniform(3)))
+        assert len(reps) == 3432 and generations == [1]
+        assert in_oldest_generation([reps, *reps, *{id(r.summands): r.summands for r in reps}.values(),
+                                     *{id(r.families): r.families for r in reps}.values()])
+
+    def test_a_cycle_made_just_before_the_call_is_freed_by_it(self):
+        """Freed by the entry collection, with no further ``gc.collect``: a handoff without it
+        would move the cycle into the oldest generation alive."""
+
+        class Node:
+            pass
+
+        _tables(2)
+        gc.collect()
+        node = Node()
+        node.self = node
+        alive = weakref.ref(node)
+        del node
+        assert alive() is not None
+        enumerate_maximal_rigid_reps(Breakpoints.uniform(2))
+        assert alive() is None
+
+    def test_a_callers_freeze_survives(self):
+        """No collection on entry and no handoff on exit, which would unfreeze it."""
+        gc.freeze()
+        try:
+            frozen = gc.get_freeze_count()
+            reps, generations = collections_during(lambda: enumerate_maximal_rigid_reps(Breakpoints.uniform(2)))
+            assert len(reps) == 168 and 1 not in generations
+            assert frozen > 0 and gc.get_freeze_count() == frozen
+            assert gc.isenabled()
+        finally:
+            gc.unfreeze()
+
+    def test_no_collection_when_the_caller_turned_it_off(self):
+        gc.disable()
+        try:
+            reps, generations = collections_during(lambda: enumerate_maximal_rigid_reps(Breakpoints.uniform(2)))
+            assert len(reps) == 168 and generations == []
+        finally:
+            gc.enable()
+
+    def test_handed_off_after_an_exception_mid_build(self, monkeypatch):
+        """The mid-build hook's 100th write raises: the collector is on again and nothing is
+        left frozen."""
+        self.hook_families(monkeypatch, fail_at=100)
+        with pytest.raises(RuntimeError, match="mid build"):
+            enumerate_maximal_rigid_reps(Breakpoints.uniform(2))
+        assert gc.isenabled() and gc.get_freeze_count() == 0
 
     def test_reps_are_built_without_the_constructor(self, monkeypatch):
         expected = {n: enumerate_maximal_rigid_reps(Breakpoints.uniform(n)) for n in (1, 2)}

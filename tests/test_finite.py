@@ -3,6 +3,7 @@
 import gc
 import random
 import tracemalloc
+import weakref
 from collections import deque
 from operator import itemgetter
 
@@ -28,7 +29,15 @@ from maxrigid import bridge, finite, verify
 from maxrigid.continuous import MAX_N
 from maxrigid.finite import MAX_M, _pair_tables, _rank, _shift_tables
 
-from oracles import finite_max_cliques, gap_keys_by_insertion, image_vertices, pair_tables, reflect
+from oracles import (
+    collections_during,
+    finite_max_cliques,
+    gap_keys_by_insertion,
+    image_vertices,
+    in_oldest_generation,
+    pair_tables,
+    reflect,
+)
 
 
 def f(a, b):
@@ -408,3 +417,63 @@ class TestCollectorPause:
             assert not gc.isenabled()
         finally:
             gc.enable()
+
+    def test_one_entry_collection_then_the_sets_are_in_the_oldest_generation(self):
+        """The young generations are emptied first, so that no collection the caller's own
+        allocations are due falls inside the call."""
+        gc.collect()
+        sets, generations = collections_during(lambda: enumerate_maximal_rigid(LinearQuiver(8)))
+        assert len(sets) == 1430 and generations == [1]
+        assert in_oldest_generation([sets, *sets, *(s.members for s in sets)])
+
+    def test_a_cycle_made_just_before_the_call_is_freed_by_it(self):
+        """Freed by the entry collection, with no further ``gc.collect``: a handoff without it
+        would move the cycle into the oldest generation alive."""
+
+        class Node:
+            pass
+
+        gc.collect()
+        node = Node()
+        node.self = node
+        alive = weakref.ref(node)
+        del node
+        assert alive() is not None
+        enumerate_maximal_rigid(LinearQuiver(8))
+        assert alive() is None
+
+    def test_a_callers_freeze_survives(self):
+        """No collection on entry and no handoff on exit, which would unfreeze it."""
+        gc.freeze()
+        try:
+            frozen = gc.get_freeze_count()
+            sets, generations = collections_during(lambda: enumerate_maximal_rigid(LinearQuiver(8)))
+            assert len(sets) == 1430 and 1 not in generations
+            assert frozen > 0 and gc.get_freeze_count() == frozen
+            assert gc.isenabled()
+        finally:
+            gc.unfreeze()
+
+    def test_no_collection_when_the_caller_turned_it_off(self):
+        gc.disable()
+        try:
+            sets, generations = collections_during(lambda: enumerate_maximal_rigid(LinearQuiver(8)))
+            assert len(sets) == 1430 and generations == []
+        finally:
+            gc.enable()
+
+    def test_handed_off_after_an_exception_mid_build(self, monkeypatch):
+        """The second chunk's ``deque`` raises: the collector is on again and nothing is left
+        frozen."""
+        calls = []
+
+        def second_fails(*args):
+            calls.append(None)
+            if len(calls) == 2:
+                raise RuntimeError("second chunk")
+            return deque(*args)
+
+        monkeypatch.setattr(finite, "deque", second_fails)
+        with pytest.raises(RuntimeError, match="second chunk"):
+            enumerate_maximal_rigid(LinearQuiver(8))
+        assert gc.isenabled() and gc.get_freeze_count() == 0
