@@ -71,10 +71,12 @@ suite can compare the two:
     vanishing, so it must permute the compatibility rows of either model
     and its maximal rigid objects among themselves; no second
     implementation is needed to check either.
-  * ``collections_during`` and ``in_oldest_generation`` read the cyclic
-    collector's side of a call, for the contract of
+  * ``collections_during``, ``in_oldest_generation`` and ``dead_cycle``
+    read the cyclic collector's side of a call, for the contract of
     ``finite._collector_paused``: the generation of each collection that
-    started while it ran, and whether objects sit in ``gc.get_objects(2)``.
+    started while it ran, whether objects sit in ``gc.get_objects(2)``,
+    and a weak reference to an unreachable cycle that only a collection
+    frees.
 """
 
 from __future__ import annotations
@@ -83,6 +85,7 @@ import functools
 import gc
 import itertools
 import random
+import weakref
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -826,3 +829,15 @@ def in_oldest_generation(objs) -> bool:
     """Whether every object of ``objs`` is in ``gc.get_objects(2)``."""
     oldest = set(map(id, gc.get_objects(2)))
     return all(id(obj) in oldest for obj in objs)
+
+
+class _Node:
+    pass
+
+
+def dead_cycle() -> weakref.ref:
+    """A weak reference to a new object that refers to itself and to nothing else: only a
+    collection frees it."""
+    node = _Node()
+    node.self = node
+    return weakref.ref(node)

@@ -13,7 +13,6 @@ import pkgutil
 import random
 import time
 import tracemalloc
-import weakref
 from fractions import Fraction
 
 import pytest
@@ -72,6 +71,7 @@ from oracles import (
     DEFAULT_FRESH,
     canonicalize,
     collections_during,
+    dead_cycle,
     endpoint_profile,
     enumerate_by_groups,
     findex,
@@ -832,16 +832,9 @@ class TestEnumeration:
     def test_a_cycle_made_just_before_the_call_is_freed_by_it(self):
         """Freed by the entry collection, with no further ``gc.collect``: a handoff without it
         would move the cycle into the oldest generation alive."""
-
-        class Node:
-            pass
-
         _tables(2)
         gc.collect()
-        node = Node()
-        node.self = node
-        alive = weakref.ref(node)
-        del node
+        alive = dead_cycle()
         assert alive() is not None
         enumerate_maximal_rigid_reps(Breakpoints.uniform(2))
         assert alive() is None

@@ -3,7 +3,6 @@
 import gc
 import random
 import tracemalloc
-import weakref
 from collections import deque
 from operator import itemgetter
 
@@ -31,6 +30,7 @@ from maxrigid.finite import MAX_M, _pair_tables, _rank, _shift_tables
 
 from oracles import (
     collections_during,
+    dead_cycle,
     finite_max_cliques,
     gap_keys_by_insertion,
     image_vertices,
@@ -429,15 +429,8 @@ class TestCollectorPause:
     def test_a_cycle_made_just_before_the_call_is_freed_by_it(self):
         """Freed by the entry collection, with no further ``gc.collect``: a handoff without it
         would move the cycle into the oldest generation alive."""
-
-        class Node:
-            pass
-
         gc.collect()
-        node = Node()
-        node.self = node
-        alive = weakref.ref(node)
-        del node
+        alive = dead_cycle()
         assert alive() is not None
         enumerate_maximal_rigid(LinearQuiver(8))
         assert alive() is None
