@@ -29,11 +29,10 @@ from enum import Enum
 from fractions import Fraction
 from itertools import chain, product, repeat, starmap
 from operator import and_, rshift
-from typing import Iterator
 
 from .cliques import common_neighbourhood
 from .counting import _check_count, claim
-from .finite import _CHUNK, _build, _check_cap, _collector_paused, _gap_keys, _pair_tables, _rank, _rows
+from .finite import _build, _check_cap, _enumerate, _pair_tables, _rank, _rows
 from .intervals import (
     CLOSED,
     OPEN,
@@ -503,37 +502,30 @@ def enumerate_maximal_rigid_reps(grid: Breakpoints) -> list[BreakpointRep]:
     whenever j < b - 1 but [a, 2h] above [a, 2h+1].  The 66 vertices at
     ``MAX_N`` lie below ``_gap_keys``' mark 255.
     Sorted, the keys are the summand tuples in ascending order.
-    One ``finite._build``, inside ``finite._collector_paused``, makes every
-    rep: key by key, its summand tuple 2^n times beside its fiber's family
-    tuples.  The pause hands the reps, their summand tuples and their
-    family tuples to the oldest generation, so no young collection scans
-    them after the call, whose one collection is the pause's entry
-    ``gc.collect(1)``.
-    So the reps come in (summands, families) order, and none is sorted.
-    Each chunk of ``_CHUNK`` sorted keys is joined once per column and read
-    by ``finite._rows``, one C gather: from ``tables.summands`` for the
-    summand tuples, and from ``family_bits``, each summand vertex's closed
-    row shifted to its family bits, for the forced masks: a key's mask is
-    the AND of its tuple, by ``functools.reduce``.
-    Each chunk's masks go into a list; the ones that ``fibers``, a plain
-    dict made by this call, lacks are split in one ``_forced_pairs_batch``
-    call, and each one's fiber, the list of its family tuples by
-    ``product`` over its (left, right) pairs, is stored there.  So both
-    claims run once per distinct mask, summed over the chunks, and a known
-    mask is one C lookup.  Equal family tuples are one object: they come
-    from a ``_Memo``, keyed by index tuples (no dataclass ``__hash__``
-    runs).  Neither dict refers to itself, so both are freed by reference
-    counts on return, and nothing outlives the call.
-    The build reads each column in its own pass, lazily, so beside the keys
-    and the reps it holds one chunk's gather at a time: its index tuple and
-    result, ``_CHUNK`` * (2n+1) + 1 pointers each, and the chunk's masks.
-    The summand pass reads each chunk into a list first, so that its last
-    gather is not kept through the family pass.  At n = 3 that is one
-    chunk, and the tracemalloc peak reads 1.31 times the reps held (1.25
-    when each key was looked up alone); ``count --n 5 --mode enumerate``
-    reads ~169.5 MB max RSS, against 169.8-169.9 MB then.  A list of each
-    key's fiber or mask beside the reps would not hold that: they raised it
-    by ~1.2 MB and ~2.6 MB.
+    ``finite._enumerate`` runs the build, one chunk of sorted keys at a
+    time, and each key's reps come in its place: its summand tuple 2^n
+    times beside its fiber's family tuples.  So the reps come in
+    (summands, families) order, and none is sorted.
+    Per chunk, ``finite._rows`` gathers, in one C pass each, the summand
+    tuples from ``tables.summands`` and the forced masks from
+    ``family_bits``, each summand vertex's closed row shifted to its family
+    bits: a key's mask is the AND of its tuple, by ``functools.reduce``.
+    The chunk's masks that ``fibers``, a plain dict made by this call,
+    lacks are split in one ``_forced_pairs_batch`` call, and each one's
+    fiber, the list of its family tuples by ``product`` over its (left,
+    right) pairs, is stored there.  So both claims run once per distinct
+    mask, summed over the chunks, and a known mask is one C lookup.  Equal
+    family tuples are one object: they come from a ``_Memo``, keyed by
+    index tuples (no dataclass ``__hash__`` runs).  Neither dict refers to
+    itself, so both are freed by reference counts on return, and nothing
+    outlives the call.
+    Beside the reps a chunk holds its masks, its summand tuples and one
+    gather at a time, its index tuple and result, ``_CHUNK`` * (2n+1) + 1
+    pointers each.  The summand tuples are read into a list before the
+    build, which stops at the last rep and so would keep a lazy gather,
+    never read to its end, until it returns.  No list of each key's fiber
+    or mask is kept beside the reps: they raised the tracemalloc peak by
+    ~1.2 MB and ~2.6 MB.
     n is at most ``MAX_N``, checked before the tables of n are built.
     """
     n = grid.n
@@ -541,24 +533,18 @@ def enumerate_maximal_rigid_reps(grid: Breakpoints) -> list[BreakpointRep]:
     tables = _tables(n)
     split, width, family = len(tables.summands), 2 * n + 1, tables.families.__getitem__
     code = {(2 * s.lo + 1 + s.lo_kind, 2 * s.hi + 1 - s.hi_kind): v for v, s in enumerate(tables.summands)}
-    keys = _gap_keys(width, 2, code)
-    keys.sort()
     family_bits = [row >> split for row in tables.closed[:split]]
     family_tuples = _Memo(lambda t: tuple(map(family, t)))
     fibers = {}
 
-    def gathered(table: list) -> Iterator[Iterator[tuple]]:  # per chunk of keys, each key's entries of ``table``
-        return (_rows(b"".join(keys[start:start + _CHUNK]), table, width) for start in range(0, len(keys), _CHUNK))
-
-    def chunk_fibers(rows: Iterator[tuple]) -> Iterator[list]:  # each key's fiber, splitting the new masks
-        masks = list(map(functools.reduce, repeat(and_), rows))
+    def build(flat: bytes) -> list[BreakpointRep]:  # the reps of a chunk of keys, splitting its new masks
+        masks = list(map(functools.reduce, repeat(and_), _rows(flat, family_bits, width)))
         new = list(set(masks).difference(fibers))
         tuples = map(map, repeat(family_tuples.__getitem__), starmap(product, _forced_pairs_batch(tables, new)))
         fibers.update(zip(new, map(list, tuples)))
-        return map(fibers.__getitem__, masks)
-
-    summands = chain.from_iterable(map(list, gathered(tables.summands)))
-    with _collector_paused():
-        return _build(BreakpointRep, len(keys) << n, grid=repeat(grid),
+        summands = list(_rows(flat, tables.summands, width))
+        return _build(BreakpointRep, len(masks) << n, grid=repeat(grid),
                       summands=chain.from_iterable(map(repeat, summands, repeat(1 << n))),
-                      families=chain.from_iterable(chain.from_iterable(map(chunk_fibers, gathered(family_bits)))))
+                      families=chain.from_iterable(map(fibers.__getitem__, masks)))
+
+    return _enumerate(width, 2, code, build)

@@ -19,11 +19,10 @@ from __future__ import annotations
 import functools
 import gc
 from collections import deque
-from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import accumulate, product, repeat, starmap
 from operator import add, itemgetter, lt
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .cliques import bits, common_neighbourhood
 from .counting import _check_count, claim
@@ -31,7 +30,7 @@ from .intervals import _check_ints
 
 
 MAX_M = 15  # Catalan(15) is already ~9.7 million sets
-_CHUNK = 1024  # sorted keys that ``enumerate_maximal_rigid`` turns into sets per bulk pass
+_CHUNK = 1024  # sorted keys that ``_enumerate`` replaces by their objects per bulk pass
 _END = b"\xff"  # the mark that ``_gap_keys`` puts after the members starting at a range's first vertex
 
 
@@ -43,40 +42,6 @@ def _check_cap(name: str, value: int, cap: int) -> None:
     """Raise ResourceLimitError if ``value`` exceeds ``cap``; ``name`` is n or m."""
     if value > cap:
         raise ResourceLimitError(f"{name}={value} exceeds cap {cap}")
-
-
-@contextmanager
-def _collector_paused():
-    """Keep the cyclic collector off inside the block, then hand what it built to the oldest generation.
-
-    For bulk builds of acyclic objects (``_build``): a collection there only
-    rescans live objects and frees nothing, and so would the young
-    collection that the first allocation after the block used to start.
-    The rule, when the collector is on and nothing is frozen: on entry,
-    one ``gc.collect(1)`` gives the caller's young objects the scan they
-    would get anyway and frees their cycles; on exit, even on an
-    exception, ``gc.freeze()`` then ``gc.unfreeze()`` (two list splices)
-    moves every tracked object, the new ones included, into the oldest
-    generation and zeroes the young count, so no young collection scans
-    them.  They are freed by reference counts, and only a full collection
-    reads them again.  If the caller switched the collector off, or froze
-    objects of their own (which an unfreeze would release), no collection
-    and no handoff runs.  Afterwards the collector is on exactly if it was
-    on before.
-    """
-    was_on = gc.isenabled()
-    handoff = was_on and not gc.get_freeze_count()
-    gc.disable()
-    if handoff:
-        gc.collect(1)
-    try:
-        yield
-    finally:
-        if handoff:
-            gc.freeze()
-            gc.unfreeze()
-        if was_on:
-            gc.enable()
 
 
 def _build(cls: type, count: int, **columns: Iterable) -> list:
@@ -94,12 +59,11 @@ def _build(cls: type, count: int, **columns: Iterable) -> list:
     objects come first in each ``map``, so a column longer than ``count``
     stops with them and its surplus is never read.
 
-    The callers are ``enumerate_maximal_rigid`` and
-    ``continuous.enumerate_maximal_rigid_reps``, inside
-    ``_collector_paused``, which hands their results to the oldest
-    generation, and ``bridge.fiber_reps``, with the collector left as it
-    is, as it builds only 2^n reps.  Every other caller uses the
-    constructors.
+    The callers are the builds of ``enumerate_maximal_rigid`` and
+    ``continuous.enumerate_maximal_rigid_reps``, inside ``_enumerate``,
+    which hands their results to the oldest generation, and
+    ``bridge.fiber_reps``, with the collector left as it is, as it builds
+    only 2^n reps.  Every other caller uses the constructors.
     """
     objs = list(map(object.__new__, repeat(cls, count)))
     for name, column in columns.items():
@@ -418,6 +382,61 @@ def _gap_keys(m: int, period: int, code: dict[tuple[int, int], int]) -> list[byt
     return ranges[1, m]
 
 
+def _enumerate(m: int, period: int, code: dict[tuple[int, int], int], build: Callable[[bytes], list]) -> list:
+    """The objects ``build`` makes of the tilting sets on [1, m], in the keys' sorted order.
+
+    The one enumeration engine: both enumerators pass ``_gap_keys``' period
+    and codes, and a ``build`` that turns one ``bytes``, the joined keys of
+    a chunk, into a list of objects, at least one per key and in key order.
+    The keys are sorted once and then replaced in place, ``_CHUNK`` keys at
+    a time, by what ``build`` returns, so each chunk's keys are freed as
+    its objects take their place.  Beside the keys and the objects built
+    so far a chunk holds only its joined bytes and what ``build`` keeps
+    while it runs; the chunks exist to bound that, as joining every key of
+    A_10 at once would hold 168 KB of bytes alone.  A key is m bytes, and a
+    ``claim`` holds each build to at least len(flat) / m objects, so each
+    chunk moves ``start`` past its own objects and no key is dropped.
+
+    The objects are acyclic (``_build``), so a collection during the build
+    would only rescan live objects and free nothing, and so would the young
+    collection that the first allocation after it would start.  The rule,
+    when the collector is on and nothing is frozen: it is off through every
+    chunk; on entry one ``gc.collect(1)`` gives the caller's young objects
+    the scan they would get anyway and frees their cycles; on exit, even on
+    an exception, ``gc.freeze()`` then ``gc.unfreeze()`` (two list splices)
+    moves every tracked object, the new ones included, into the oldest
+    generation and zeroes the young count, so no young collection scans
+    them.  They are freed by reference counts, and only a full collection
+    reads them again.  If the caller switched the collector off, or froze
+    objects of their own (which an unfreeze would release), no collection
+    and no handoff runs.  Afterwards the collector is on exactly if it was
+    on before.  Every ``gc`` call and every ``_gap_keys`` call of the
+    library is here.
+    """
+    keys = _gap_keys(m, period, code)
+    keys.sort()
+    was_on = gc.isenabled()
+    handoff = was_on and not gc.get_freeze_count()
+    gc.disable()
+    if handoff:
+        gc.collect(1)
+    try:
+        start = 0
+        while start < len(keys):
+            flat = b"".join(keys[start:start + _CHUNK])
+            objs = build(flat)
+            claim(len(objs) * m >= len(flat), "a chunk's build makes an object per key")
+            keys[start:start + _CHUNK] = objs
+            start += len(objs)
+    finally:
+        if handoff:
+            gc.freeze()
+            gc.unfreeze()
+        if was_on:
+            gc.enable()
+    return keys
+
+
 def enumerate_maximal_rigid(q: LinearQuiver) -> list[RigidSet]:
     """All maximal rigid sets on A_m, sorted by their sorted summands.
 
@@ -429,29 +448,15 @@ def enumerate_maximal_rigid(q: LinearQuiver) -> list[RigidSet]:
     runs), so the largest rank, m(m+1)/2 - 1 <= 119, fits in one byte
     below ``_gap_keys``' mark 255, and ``_rank`` puts [a, j] below [a, b]
     for every j < b.
-    The sets are built in place of their keys by ``_build``, with the
-    collector paused.  Each chunk of ``_CHUNK`` sorted keys is joined into
-    one ``bytes`` of ranks, and ``_rows`` looks every rank up in ``ivs`` in
-    one C loop and cuts the members into m-tuples, one per key in order.
-    The chunk's sets replace its keys.  One pause spans every chunk, so no
-    collection runs between them, and it hands the sets and their member
-    tuples to the oldest generation: no young collection scans them after
-    the call, and the one collection the call runs is the pause's entry
-    ``gc.collect(1)``, over the caller's young objects.
-    The chunks bound what is alive beside the sets to one chunk's joined
-    bytes, the getter's index tuple and its result, each tuple of
-    ``_CHUNK`` * m + 1 pointers.  Joining all keys of A_10 at once would
-    hold 168 KB of bytes alone, and ``test_peak_memory_is_the_result``
-    allows the peak 5% over the result.
+    ``_enumerate`` runs the build: per chunk, ``_rows`` looks every rank up
+    in ``ivs`` in one C loop and cuts the members into m-tuples, one per
+    key in order, and ``_build`` makes one ``RigidSet`` of each.  Beside
+    the sets a chunk holds its joined bytes, the getter's index tuple and
+    its result, each of ``_CHUNK`` * m + 1 entries, and
+    ``test_peak_memory_is_the_result`` allows the peak 5% over the result.
     """
     m = q.m
     _check_cap("m", m, MAX_M)
     ivs = all_intervals(q)
     code = {(iv.a, iv.b): rank for rank, iv in enumerate(ivs)}
-    keys = _gap_keys(m, 1, code)
-    keys.sort()
-    with _collector_paused():
-        for start in range(0, len(keys), _CHUNK):
-            flat = b"".join(keys[start:start + _CHUNK])
-            keys[start:start + _CHUNK] = _build(RigidSet, len(flat) // m, members=_rows(flat, ivs, m))
-    return keys
+    return _enumerate(m, 1, code, lambda flat: _build(RigidSet, len(flat) // m, members=_rows(flat, ivs, m)))

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import chain, groupby, product
-from operator import attrgetter
+from operator import attrgetter, lt
 from typing import Iterator
 
 from . import bridge, counting, finite
@@ -190,6 +190,13 @@ def projection_fibers(n: int, reps: list, projected: list) -> list[Result]:
     """The projection is onto the segment-quiver sets with fibers of exactly 2^n,
     and expanding every set into its fiber gives the direct enumeration.
 
+    The onto check also certifies the sets it compares against: each passes
+    ``finite.is_tilting``, which reads rows of ``finite._pair_tables`` and
+    nothing of ``finite._gap_keys``, and their keys strictly ascend, so
+    they are distinct and in the enumerator's order.  Else a key that the
+    recursion got wrong in both enumerators alike would project onto
+    itself and pass every check.
+
     ``reps`` is read as runs of equal ``summands`` (tuples the enumerator
     shares), each run projected once.  The expansion holds when the projection
     is onto, the runs strictly ascend, each run's summands are in vertex
@@ -207,7 +214,10 @@ def projection_fibers(n: int, reps: list, projected: list) -> list[Result]:
     keys are ``bytes``, which the collector does not track, so keeping them
     starts no collection.
     """
-    tables, targets = _tables(n), set(map(_ends_key, map(attrgetter("members"), projected)))
+    q, tables = bridge.segment_quiver(n), _tables(n)
+    keys = list(map(_ends_key, map(attrgetter("members"), projected)))
+    targets = set(keys)
+    certified = all(map(lt, keys, keys[1:])) and all(finite.is_tilting(q, s.members) for s in projected)
     grid, family = reps[0].grid if reps else None, tables.families
     images, sized, expands, previous = [], True, grid == Breakpoints.uniform(n), ()
     for summands, run in groupby(reps, key=attrgetter("summands")):
@@ -221,7 +231,7 @@ def projection_fibers(n: int, reps: list, projected: list) -> list[Result]:
                    and list(map(attrgetter("families"), run)) == list(product(*pairs))
                    and list(map(attrgetter("grid"), run)).count(grid) == len(run))
         previous = summands
-    onto = set(images) == targets
+    onto = certified and set(images) == targets
     return [
         (f"n={n}: projection is onto the maximal rigid sets", onto),
         (f"n={n}: every projected image has exactly 2^{n} preimages", sized and len(set(images)) == len(images)),

@@ -72,8 +72,8 @@ suite can compare the two:
     and its maximal rigid objects among themselves; no second
     implementation is needed to check either.
   * ``collections_during``, ``in_oldest_generation`` and ``dead_cycle``
-    read the cyclic collector's side of a call, for the contract of
-    ``finite._collector_paused``: the generation of each collection that
+    read the cyclic collector's side of a call, for the collector contract
+    of ``finite._enumerate``: the generation of each collection that
     started while it ran, whether objects sit in ``gc.get_objects(2)``,
     and a weak reference to an unreachable cycle that only a collection
     frees.

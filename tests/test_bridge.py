@@ -45,7 +45,7 @@ from maxrigid import (
     segment_quiver,
     validate_rep,
 )
-from maxrigid import bridge, continuous, verify
+from maxrigid import bridge, continuous, finite, verify
 from maxrigid.cliques import bits, common_neighbourhood
 from maxrigid.continuous import _forced_pairs
 from maxrigid.counting import ClaimError, NonPositiveCountError, projected_count
@@ -654,6 +654,25 @@ class TestProjectionFibers:
         assert all(is_tilting(q, h.members) for h in projected)
         images = [project(reps[start]) for start in range(0, len(reps), k)]
         assert len(set(images)) == len(images) and set(images) == {h.summands for h in projected}
+
+    def test_a_non_tilting_key_in_both_enumerators_fails_onto(self, monkeypatch):
+        """The recursion on A_5 gives {[1,2], [1,3], [1,4], [1,5], [2,3]}, which is not rigid
+        ([1,2] and [2,3] have Ext^1), in place of its first key.  Both enumerators read it,
+        so the reps project onto the sets, runs of 4 and all; the onto check certifies the
+        sets by ``is_tilting`` and reads False, under its label."""
+        gap_keys = finite._gap_keys
+
+        def mutant(m, period, code):
+            keys = gap_keys(m, period, code)
+            keys[0] = bytes(sorted([*(code[1, b] for b in range(2, m + 1)), code[2, 3]]))
+            return keys
+
+        monkeypatch.setattr(finite, "_gap_keys", mutant)
+        reps, projected = verify.enumerations(2)
+        bad = frozenset([*(FiniteInterval(1, b) for b in range(2, 6)), FiniteInterval(2, 3)])
+        assert bad in {h.summands for h in projected} and bad in set(map(project, reps[::4]))
+        results = verify.projection_fibers(2, reps, projected)
+        assert results[0] == ("n=2: projection is onto the maximal rigid sets", False), results
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_swapped_blocks_fail_the_expansion(self, monkeypatch, n):

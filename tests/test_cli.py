@@ -707,32 +707,38 @@ class TestClaims:
         """``object.__new__`` and slot ``__set__`` skip a dataclass ``__init__`` and its
         checks, so only the one bulk constructor ``finite._build`` uses them; the two
         enumerators and ``bridge.fiber_reps`` call it."""
-        found = set()
-        for path in sorted(pathlib.Path(maxrigid.__file__).parent.glob("*.py")):
-            tree = ast.parse(path.read_text(encoding="utf-8"))
-            funcs = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
-            for node in ast.walk(tree):
-                if isinstance(node, ast.Attribute) and (
-                        node.attr == "__set__"
-                        or node.attr == "__new__" and ast.unparse(node.value) == "object"):
-                    inside = [f for f in funcs if f.lineno <= node.lineno <= f.end_lineno]
-                    found.add((path.name, max(inside, key=lambda f: f.lineno).name
-                               if inside else None))
-        assert found == {("finite.py", "_build")}
+        found = self.homes(lambda node: isinstance(node, ast.Attribute) and (
+            node.attr == "__set__" or node.attr == "__new__" and ast.unparse(node.value) == "object"))
+        assert set(found) == {("finite.py", "_build")}
+
+    def test_collector_and_recursion_only_in_the_engine(self):
+        """Every call to the ``gc`` module and to ``_gap_keys`` is in ``finite._enumerate``, the
+        one enumeration engine, so the keys, the collector's pause and the handoff are
+        written once for both enumerators; no module imports names from ``gc``."""
+        found = self.homes(lambda node: isinstance(node, ast.ImportFrom) and node.module == "gc"
+                           or isinstance(node, ast.Call) and (
+                               isinstance(node.func, ast.Attribute) and ast.unparse(node.func.value) == "gc"
+                               or ast.unparse(node.func).rpartition(".")[2] == "_gap_keys"))
+        assert set(found) == {("finite.py", "_enumerate")}
 
     @staticmethod
-    def raisers(error: str) -> list[tuple[str, str | None]]:
-        """(file, innermost function) of each ``raise`` in the library that names ``error``."""
+    def homes(match) -> list[tuple[str, str | None]]:
+        """(file, innermost function) of each node of the library for which ``match`` holds."""
         found = []
         for path in sorted(pathlib.Path(maxrigid.__file__).parent.glob("*.py")):
             tree = ast.parse(path.read_text(encoding="utf-8"))
             funcs = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
             for node in ast.walk(tree):
-                if isinstance(node, ast.Raise) and error in ast.unparse(node):
+                if match(node):
                     inside = [f for f in funcs if f.lineno <= node.lineno <= f.end_lineno]
                     found.append((path.name, max(inside, key=lambda f: f.lineno).name
                                   if inside else None))
         return found
+
+    @staticmethod
+    def raisers(error: str) -> list[tuple[str, str | None]]:
+        """(file, innermost function) of each ``raise`` in the library that names ``error``."""
+        return TestClaims.homes(lambda node: isinstance(node, ast.Raise) and error in ast.unparse(node))
 
     def test_one_home_for_the_count_rule_and_the_spellings(self):
         """``NonPositiveCountError`` is raised only by ``counting._check_count``, and

@@ -909,9 +909,9 @@ class TestEnumeration:
 
     def test_peak_memory_is_a_small_multiple_of_the_result(self):
         """The keys are the tilting sets of A_{2n+1}, one per fiber, each fiber's family
-        tuples are built once, and one chunk's gathered tuple is alive at a time, so the peak
-        stays under 1.4 times the reps held (1.31 at n = 3 and 1.17 at n = 4, each traced
-        alone, against 1.25 and 1.15 when each key was looked up alone; n = 3, as tracing
+        tuples are built once, one chunk's gathered tuple is alive at a time, and each
+        chunk's keys are freed as its reps replace them, so the peak stays under 1.4 times
+        the reps held (1.34 at n = 3 and 1.15 at n = 4, each traced alone; n = 3, as tracing
         every allocation of n = 4 takes seconds)."""
         _tables(3)
         gc.collect()
@@ -940,8 +940,8 @@ class TestEnumeration:
         monkeypatch.setattr(continuous, "_forced_pairs_batch", lambda tables, fmasks: given.extend(fmasks) or
                             _forced_pairs_batch(tables, fmasks))
         monkeypatch.setattr(continuous, "_forced_pairs", lambda tables, fmask: single.append(fmask))
-        for chunk in (continuous._CHUNK, 7, 1):
-            monkeypatch.setattr(continuous, "_CHUNK", chunk)
+        for chunk in (finite._CHUNK, 7, 1):
+            monkeypatch.setattr(finite, "_CHUNK", chunk)
             for _ in range(2):
                 given.clear()
                 assert len(enumerate_maximal_rigid_reps(Breakpoints.uniform(n))) == continuous_count(n)
@@ -988,7 +988,7 @@ class TestEnumeration:
         the same reps, each run of 2^n with one summand tuple; at n = 1 and 3 (5 and 429
         keys) two and seven leave a short last chunk."""
         expected = {n: enumerate_maximal_rigid_reps(Breakpoints.uniform(n)) for n in (1, 2, 3)}
-        monkeypatch.setattr(continuous, "_CHUNK", chunk)
+        monkeypatch.setattr(finite, "_CHUNK", chunk)
         for n, default in expected.items():
             reps = enumerate_maximal_rigid_reps(Breakpoints.uniform(n))
             assert reps == default, n

@@ -26,6 +26,7 @@ from maxrigid import (
 )
 from maxrigid import bridge, finite, verify
 from maxrigid.continuous import MAX_N
+from maxrigid.counting import ClaimError
 from maxrigid.finite import MAX_M, _pair_tables, _rank, _shift_tables
 
 from oracles import (
@@ -381,6 +382,16 @@ class TestBulkBuild:
             sets = enumerate_maximal_rigid(LinearQuiver(m))
             assert sets == default, m
             assert all(type(s) is RigidSet and type(s.members) is tuple and len(s.members) == m for s in sets), m
+
+    def test_a_build_short_of_one_object_per_key_fails_the_claim(self):
+        """``_enumerate`` claims at least one object per key of each chunk, so a build that
+        returns fewer cannot drop keys; the collector is on again after the claim."""
+        code = {(a, b): _rank(4, a, b) for a in range(1, 5) for b in range(a, 5)}
+        for short in ([], [None] * 13):
+            with pytest.raises(ClaimError, match="^a chunk's build makes an object per key$"):
+                finite._enumerate(4, 1, code, lambda flat: short)
+            assert gc.isenabled()
+        assert finite._enumerate(4, 1, code, lambda flat: [None] * (len(flat) // 4)) == [None] * 14
 
 
 class TestCollectorPause:
